@@ -1,11 +1,12 @@
 """Sparse multivariate truncated Laurent series with exact integer coefficients.
 
-A series is a finite dict mapping exponent vectors to Python ints together
-with a truncation bound ``order``: every monomial whose weighted degree is
-<= order is stored exactly, and nothing is claimed beyond that bound.  Each
-registry variable carries a nonnegative integer grading weight (default 1),
-so "degree" always means the weighted degree ``sum(w_i * e_i)``.  Exponents
-may be negative (Laurent), weights may not.
+A series is a finite set of terms, each an exponent vector with a nonzero
+Python int coefficient, together with a truncation bound ``order``: every
+monomial whose weighted degree is <= order is stored exactly, and nothing is
+claimed beyond that bound.  Each registry variable carries a nonnegative
+integer grading weight (default 1), so "degree" always means the weighted
+degree ``sum(w_i * e_i)``.  Exponents may be negative (Laurent), weights may
+not.
 
 Alongside ``order`` every series tracks ``floor``, a proven lower bound on
 the weighted degree of *any* term of the underlying untruncated series.
@@ -18,6 +19,36 @@ two numbers drive exact order propagation:
 * ``a.invert_unit()`` with minimal term of degree ``m``  -> order ``Na - 2m``
 * ``a.sqrt_unit()`` with minimal slice at degree ``m``   -> order ``Na - m/2``
 
+**Representation.**  The terms are kept grouped by weighted degree into
+*slices*, ``degree -> {exponents: coefficient}``; the flat read-only view
+``terms`` is built from them on first use.  A term's degree is computed
+once, when the public constructor files it into its slice; every operation
+after that reads degrees off the slice keys.  Operations build their results
+slice by slice and hand them to a trusted internal constructor that neither
+re-checks nor re-normalizes them.  The public constructor and the other
+public entry points (``monomial``, ``coefficient``, ``shift_monomial``,
+``VariableRegistry.exps`` and substitution images) refuse any coefficient
+or exponent that is not an ``int`` with TypeError.
+
+**Kernels.**
+
+* ``a * b`` walks pairs of slices in ascending degree and stops each row
+  at ``order - deg(a-slice)``, so no product term beyond the result order
+  is ever formed.
+* ``invert_unit`` scales the unique minimal term to 1 at degree 0,
+  ``u = 1 + u_1 + u_2 + ...``, and solves ``u v = 1`` slice by slice:
+  ``v_0 = 1`` and ``v_j = -sum_{k=1..j} u_k v_{j-k}``.
+* ``sqrt_unit`` takes the square root ``r_0`` of the minimal slice ``s_m``
+  and solves ``r_j = (s_{m+j} - sum_{0<i<j} r_i r_{j-i}) / (2 r_0)`` by
+  exact homogeneous division (Brent & Kung, "Fast algorithms for
+  manipulating formal power series", J. ACM 1978).
+
+Both unit operations keep their checks: ``invert_unit`` requires a unique
+minimal term with coefficient +-1 and a tail of positive degree;
+``sqrt_unit`` requires an even minimal degree and a minimal slice that is a
+perfect square over the integers, enforces integrality of every division,
+and finally compares ``b * b`` with its input to their common order.
+
 Monomial substitution needs more care because a weight-zero variable (the
 elliptic variable ``p`` of the q-series in this package) can appear with
 unbounded exponent at fixed degree.  The width-bound machinery at the bottom
@@ -28,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add
 from typing import Callable, Iterator, Mapping
 
 __all__ = [
@@ -48,6 +80,9 @@ __all__ = [
 # variable, in registry order.
 ExponentVector = tuple
 
+# One homogeneous slice of a series: the terms of a single weighted degree.
+Slice = dict
+
 
 def grlex_key(exps: ExponentVector):
     """Graded-lex sort key: raw total degree first, then the tuple itself.
@@ -57,6 +92,18 @@ def grlex_key(exps: ExponentVector):
     exact division) take the maximal key.
     """
     return (sum(exps), exps)
+
+
+def _as_int(x, what: str) -> int:
+    """``x`` itself if it is an ``int``; TypeError for anything else.
+
+    Public entry points pass every coefficient and exponent through here, so
+    a float, Fraction or bool is refused instead of being truncated, zeroed
+    or merged onto another term.
+    """
+    if type(x) is int:
+        return x
+    raise TypeError(f"{what} must be an int, not {type(x).__name__} {x!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +156,7 @@ class VariableRegistry:
         """Build an exponent vector by variable name, e.g. ``reg.exps(r0=1, s=2)``."""
         vec = [0] * len(self.names)
         for name, e in assignments.items():
-            vec[self.index(name)] = int(e)
+            vec[self.index(name)] = _as_int(e, "exponent")
         return tuple(vec)
 
 
@@ -118,28 +165,63 @@ class TruncatedSeries:
 
     Construction normalizes the term dict: zero coefficients and terms of
     weighted degree above ``order`` are dropped (the latter lie in the
-    unknown region and may not be reported).  Do not mutate ``terms``.
+    unknown region and may not be reported).  Coefficients and exponents
+    must be ``int``.  Do not mutate ``terms``.
     """
 
-    __slots__ = ("registry", "terms", "order", "floor")
+    __slots__ = ("registry", "order", "floor", "_slices", "_terms")
 
     def __init__(self, registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int):
         order = int(order)
-        clean: dict[ExponentVector, int] = {}
         n = registry.size
+        slices: dict[int, Slice] = {}
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise ValueError("exponent vector has wrong length")
+            exps = tuple(_as_int(e, "exponent") for e in exps)
+            coeff = _as_int(coeff, "coefficient")
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if registry.degree(exps) <= order:
-                clean[exps] = int(coeff)
+            d = registry.degree(exps)
+            if d <= order:
+                slices.setdefault(d, {})[exps] = coeff
+        self._fill(registry, slices, order)
+
+    @classmethod
+    def _from_slices(cls, registry: VariableRegistry, slices: dict[int, Slice], order: int):
+        """Trusted constructor for kernel results.
+
+        ``slices`` must map degrees <= ``order`` to nonempty dicts of nonzero
+        int coefficients whose exponent vectors have that degree.  It is
+        adopted as is: not copied, checked or normalized.
+        """
+        self = object.__new__(cls)
+        self._fill(registry, slices, order)
+        return self
+
+    def _fill(self, registry: VariableRegistry, slices: dict[int, Slice], order: int):
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
-        floor = min((registry.degree(e) for e in clean), default=order + 1)
-        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "floor", min(slices, default=order + 1))
+        # slices are shared between series (sums and truncations reuse them)
+        # and must never be mutated once adopted
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_terms", None)
+
+    @property
+    def terms(self) -> dict[ExponentVector, int]:
+        """All stored terms as one flat dict, built on first use."""
+        if self._terms is None:
+            terms: dict[ExponentVector, int] = {}
+            for s in self._slices.values():
+                terms.update(s)
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
+
+    def _items(self) -> Iterator[tuple[ExponentVector, int]]:
+        """All stored terms, slice by slice, without building ``terms``."""
+        for s in self._slices.values():
+            yield from s.items()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")
@@ -152,30 +234,29 @@ class TruncatedSeries:
         Raises if the monomial's degree exceeds the guaranteed order: a
         coefficient in the unknown region is not zero, it is unknown.
         """
-        exps = tuple(int(e) for e in exps)
-        if self.registry.degree(exps) > self.order:
+        exps = tuple(_as_int(e, "exponent") for e in exps)
+        d = self.registry.degree(exps)
+        if d > self.order:
             raise ValueError(
-                f"coefficient at degree {self.registry.degree(exps)} is beyond the "
-                f"guaranteed order {self.order}"
+                f"coefficient at degree {d} is beyond the guaranteed order {self.order}"
             )
-        return self.terms.get(exps, 0)
+        return self._slices.get(d, {}).get(exps, 0)
 
     def constant_term(self) -> int:
         return self.coefficient(self.registry.zero_exps())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._slices
 
     def degree_slice(self, degree: int) -> dict[ExponentVector, int]:
         """All stored terms of the given weighted degree (complete if degree <= order)."""
         if degree > self.order:
             raise ValueError("slice beyond guaranteed order")
-        reg = self.registry
-        return {e: c for e, c in self.terms.items() if reg.degree(e) == degree}
+        return dict(self._slices.get(degree, {}))
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in the canonical graded-lex order (ascending)."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
+        return sorted(self._items(), key=lambda item: grlex_key(item[0]))
 
     def same_series(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
         """Compare coefficients up to ``up_to`` (default: the common order)."""
@@ -186,14 +267,8 @@ class TruncatedSeries:
             if up_to > bound:
                 raise ValueError("comparison beyond the common guaranteed order")
             bound = up_to
-        reg = self.registry
-        for e, c in self.terms.items():
-            if reg.degree(e) <= bound and other.terms.get(e, 0) != c:
-                return False
-        for e, c in other.terms.items():
-            if reg.degree(e) <= bound and self.terms.get(e, 0) != c:
-                return False
-        return True
+        a, b = self._slices, other._slices
+        return all(a.get(d, {}) == b.get(d, {}) for d in a.keys() | b.keys() if d <= bound)
 
     # -- ring structure --------------------------------------------------
 
@@ -204,41 +279,56 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_registry(other)
         order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return TruncatedSeries(self.registry, terms, order)
+        a, b = self._slices, other._slices
+        slices: dict[int, Slice] = {}
+        for d in a.keys() | b.keys():
+            if d > order:
+                continue
+            sa, sb = a.get(d), b.get(d)
+            if sa is None or sb is None:
+                slices[d] = sa or sb
+                continue
+            s = dict(sa)
+            for e, c in sb.items():
+                v = s.get(e, 0) + c
+                if v:
+                    s[e] = v
+                else:
+                    del s[e]
+            if s:
+                slices[d] = s
+        return TruncatedSeries._from_slices(self.registry, slices, order)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.registry, {e: -c for e, c in self.terms.items()}, self.order)
+        return self._scaled(-1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
+    def _scaled(self, k: int) -> "TruncatedSeries":
+        slices = (
+            {d: {e: k * c for e, c in s.items()} for d, s in self._slices.items()} if k else {}
+        )
+        return TruncatedSeries._from_slices(self.registry, slices, self.order)
+
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(
-                self.registry, {e: c * other for e, c in self.terms.items()}, self.order
-            )
+            return self._scaled(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_registry(other)
         order = min(self.order + other.floor, other.order + self.floor)
-        reg = self.registry
-        # iterate the smaller operand on the outside
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc: dict[ExponentVector, int] = {}
-        b_items = list(b.terms.items())
-        for ea, ca in a.terms.items():
-            da = reg.degree(ea)
-            if da + b.floor > order:
-                continue
-            for eb, cb in b_items:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if reg.degree(e) > order:
-                    continue
-                acc[e] = acc.get(e, 0) + ca * cb
-        return TruncatedSeries(reg, acc, order)
+        b_slices = sorted(other._slices.items())
+        acc: dict[int, Slice] = {}
+        for da, sa in sorted(self._slices.items()):
+            room = order - da
+            if room < other.floor:
+                break
+            for db, sb in b_slices:
+                if db > room:
+                    break
+                _add_product(acc.setdefault(da + db, {}), sa, sb, 1)
+        return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order)
 
     __rmul__ = __mul__
 
@@ -256,7 +346,8 @@ class TruncatedSeries:
         """Forget knowledge beyond ``order`` (which must not exceed the current order)."""
         if order > self.order:
             raise ValueError("cannot extend a series' guaranteed order by truncation")
-        return TruncatedSeries(self.registry, self.terms, order)
+        slices = {d: s for d, s in self._slices.items() if d <= order}
+        return TruncatedSeries._from_slices(self.registry, slices, order)
 
     def shift_monomial(self, delta: ExponentVector, scale: int = 1) -> "TruncatedSeries":
         """Multiply by the exact monomial ``scale * X^delta``.
@@ -265,20 +356,26 @@ class TruncatedSeries:
         monomial has no unknown tail, so the guaranteed order moves up by the
         monomial's degree.
         """
-        delta = tuple(int(x) for x in delta)
-        d = self.registry.degree(delta)
-        terms = {
-            tuple(x + y for x, y in zip(e, delta)): scale * c for e, c in self.terms.items()
-        }
-        return TruncatedSeries(self.registry, terms, self.order + d)
+        delta = tuple(_as_int(x, "exponent") for x in delta)
+        scale = _as_int(scale, "coefficient")
+        shift = self.registry.degree(delta)
+        slices = (
+            {
+                d + shift: {tuple(map(add, e, delta)): scale * c for e, c in s.items()}
+                for d, s in self._slices.items()
+            }
+            if scale
+            else {}
+        )
+        return TruncatedSeries._from_slices(self.registry, slices, self.order + shift)
 
     # -- units: inverse and square root -----------------------------------
 
-    def _minimal_slice(self) -> tuple[int, dict[ExponentVector, int]]:
-        if not self.terms:
+    def _minimal_slice(self) -> tuple[int, Slice]:
+        """The minimal degree and its slice (shared: do not mutate)."""
+        if not self._slices:
             raise ValueError("the zero series has no minimal term")
-        m0 = self.floor
-        return m0, self.degree_slice(m0)
+        return self.floor, self._slices[self.floor]
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a series whose minimal-degree slice is a single monomial
@@ -295,17 +392,21 @@ class TruncatedSeries:
             raise ValueError("invert_unit requires the minimal term to have coefficient +-1")
         neg_e0 = tuple(-x for x in e0)
         u = self.shift_monomial(neg_e0, c0)  # order N - m0, leading term 1 at degree 0
-        g = one(self.registry, u.order) - u  # floor >= 1 unless zero
-        if not g.is_zero() and g.floor <= 0:
+        unit = {self.registry.zero_exps(): 1}
+        if u.floor < 0 or u._slices.get(0) != unit:
             raise ValueError("invert_unit internal error: tail not of positive degree")
-        acc = one(self.registry, u.order)
-        p = g
-        while not p.is_zero():
-            acc = acc + p
-            # powers of the tail gain order as fast as they gain floor, so
-            # cut each one back to the unit's order to make floor overtake it
-            p = (p * g).truncate(u.order)
-        return acc.shift_monomial(neg_e0, c0)
+        tail = sorted((k, s) for k, s in u._slices.items() if k > 0)
+        inv = [unit]  # inv[j] is the degree-j slice of 1/u
+        for j in range(1, u.order + 1):
+            acc: Slice = {}
+            for k, uk in tail:
+                if k > j:
+                    break
+                _add_product(acc, uk, inv[j - k], -1)
+            inv.append({e: c for e, c in acc.items() if c})
+        slices = {j: s for j, s in enumerate(inv) if s}
+        inv_u = TruncatedSeries._from_slices(self.registry, slices, u.order)
+        return inv_u.shift_monomial(neg_e0, c0)
 
     def sqrt_unit(self) -> "TruncatedSeries":
         """Square root of a series whose minimal-degree slice is a perfect square.
@@ -322,21 +423,20 @@ class TruncatedSeries:
         if m0 % 2 != 0:
             raise ValueError("minimal degree is odd; the series is not a square")
         root_lead = _homogeneous_sqrt(lead)
-        reg = self.registry
-        half = m0 // 2
-        result_order = self.order - half
-        b_terms: dict[ExponentVector, int] = dict(root_lead)
         two_lead = {e: 2 * c for e, c in root_lead.items()}
+        roots = [root_lead]  # roots[j] is the root's slice of degree m0/2 + j
         for j in range(1, self.order - m0 + 1):
-            b = TruncatedSeries(reg, b_terms, result_order)
-            residue = self - b * b
-            target = residue.degree_slice(m0 + j)
-            if not target:
-                continue
-            correction = _homogeneous_exact_divide(target, two_lead)
-            for e, c in correction.items():
-                b_terms[e] = b_terms.get(e, 0) + c
-        b = TruncatedSeries(reg, b_terms, result_order)
+            # slice m0 + j of root^2 is 2 r_0 r_j + sum_{0<i<j} r_i r_{j-i}
+            target = dict(self._slices.get(m0 + j, {}))
+            for i in range(1, (j + 1) // 2):
+                _add_product(target, roots[i], roots[j - i], -2)
+            if j % 2 == 0:
+                _add_product(target, roots[j // 2], roots[j // 2], -1)
+            target = {e: c for e, c in target.items() if c}
+            roots.append(_homogeneous_exact_divide(target, two_lead) if target else {})
+        half = m0 // 2
+        slices = {half + j: r for j, r in enumerate(roots) if r}
+        b = TruncatedSeries._from_slices(self.registry, slices, self.order - half)
         check = b * b
         if not check.same_series(self, up_to=min(check.order, self.order)):
             raise ValueError("series is not the square of a truncated Laurent series")
@@ -382,9 +482,9 @@ class TruncatedSeries:
         img_degs = []
         for name in reg.names:
             sign, exps = images[name]
-            if sign not in (1, -1):
+            if _as_int(sign, "image sign") not in (1, -1):
                 raise ValueError("image sign must be +1 or -1")
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_as_int(e, "exponent") for e in exps)
             if len(exps) != target.size:
                 raise ValueError("image exponent vector has wrong length for target registry")
             img_exps.append(exps)
@@ -403,7 +503,7 @@ class TruncatedSeries:
             if dq < 1:
                 raise ValueError("the grading variable must map to a monomial of degree >= 1")
             wq = reg.weights[0]
-            for (a, b) in self.terms:
+            for (a, b), _ in self._items():
                 if a < 0:
                     raise ValueError("width-bounded substitution expects nonnegative q-exponents")
                 if abs(b) > p_width.fn(a):
@@ -411,7 +511,7 @@ class TruncatedSeries:
             source_q_order = self.order // wq
             result_order = _tail_min_image_degree(p_width, dq, abs(dp), source_q_order + 1) - 1
         elif nonnegative_source:
-            if any(e < 0 for exps in self.terms for e in exps):
+            if any(e < 0 for exps, _ in self._items() for e in exps):
                 raise ValueError("source series has stored negative exponents")
             if min(img_degs, default=1) < 1:
                 raise ValueError("every image monomial must have degree >= 1")
@@ -424,8 +524,8 @@ class TruncatedSeries:
                 "pass p_width or assert nonnegative_source"
             )
 
-        acc: dict[ExponentVector, int] = {}
-        for exps, coeff in self.terms.items():
+        acc: dict[int, Slice] = {}
+        for exps, coeff in self._items():
             out = [0] * target.size
             sign = 1
             for e, ie, s in zip(exps, img_exps, img_signs):
@@ -435,9 +535,11 @@ class TruncatedSeries:
                     if s < 0 and e % 2:
                         sign = -sign
             key = tuple(out)
-            if target.degree(key) <= result_order:
-                acc[key] = acc.get(key, 0) + sign * coeff
-        return TruncatedSeries(target, acc, result_order)
+            d = target.degree(key)
+            if d <= result_order:
+                bucket = acc.setdefault(d, {})
+                bucket[key] = bucket.get(key, 0) + sign * coeff
+        return TruncatedSeries._from_slices(target, _nonzero_slices(acc), result_order)
 
     # -- presentation ------------------------------------------------------
 
@@ -467,7 +569,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return (
-            f"TruncatedSeries({len(self.terms)} terms, order={self.order}, "
+            f"TruncatedSeries({sum(map(len, self._slices.values()))} terms, order={self.order}, "
             f"floor={self.floor}, vars={self.registry.names})"
         )
 
@@ -477,7 +579,7 @@ class TruncatedSeries:
         return (
             self.registry == other.registry
             and self.order == other.order
-            and self.terms == other.terms
+            and self._slices == other._slices
         )
 
     __hash__ = None  # mutable-looking container; use same_series for math equality
@@ -488,7 +590,7 @@ class TruncatedSeries:
 
 def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order: int) -> TruncatedSeries:
     """Single-term series ``coeff * X^exps``, exact to the given order."""
-    exps = tuple(int(e) for e in exps)
+    exps = tuple(_as_int(e, "exponent") for e in exps)
     if registry.degree(exps) > order:
         raise ValueError("order must be at least the degree of the monomial")
     return TruncatedSeries(registry, {exps: coeff}, order)
@@ -515,6 +617,25 @@ def zero(registry: VariableRegistry, order: int) -> TruncatedSeries:
 
 
 # -- homogeneous-slice helpers (plain dicts, no truncation data) ------------
+
+
+def _add_product(acc: Slice, a: Slice, b: Slice, scale: int) -> None:
+    """``acc += scale * a * b`` in place; cancelled terms stay as zeros."""
+    for ea, ca in a.items():
+        ca *= scale
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+
+
+def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
+    """Drop zero coefficients, then empty slices."""
+    out = {}
+    for d, s in slices.items():
+        s = {e: c for e, c in s.items() if c}
+        if s:
+            out[d] = s
+    return out
 
 
 def _lead(terms: dict) -> ExponentVector:

@@ -1,4 +1,6 @@
 """Unit and property tests for the truncated Laurent series engine."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,38 @@ def test_constructor_drops_zero_coefficients_and_truncates():
     s = TruncatedSeries(XY, {(0, 0): 1, (1, 0): 0, (5, 5): 3}, 4)
     assert s.terms == {(0, 0): 1}
     assert s.floor == 0
+
+
+@pytest.mark.parametrize(
+    "build_bad",
+    [
+        pytest.param(lambda: TruncatedSeries(XY, {(0, 0): 1.5}, 4), id="float-coefficient"),
+        pytest.param(
+            lambda: TruncatedSeries(XY, {(1, 0): Fraction(1, 2)}, 4), id="fraction-coefficient"
+        ),
+        pytest.param(
+            lambda: TruncatedSeries(XY, {(0, 0): 1, (0.7, 0): 3}, 4), id="float-exponent"
+        ),
+        pytest.param(lambda: TruncatedSeries(XY, {(0, 0): True}, 4), id="bool-coefficient"),
+        pytest.param(lambda: monomial(XY, (1.0, 0), 1, 4), id="monomial-exponent"),
+        pytest.param(lambda: monomial(XY, (1, 0), 2.0, 4), id="monomial-coefficient"),
+        pytest.param(lambda: one(XY, 4).coefficient((0.5, 0)), id="coefficient-query"),
+        pytest.param(lambda: one(XY, 4).shift_monomial((1, 0.5)), id="shift-exponent"),
+        pytest.param(lambda: one(XY, 4).shift_monomial((1, 0), Fraction(3)), id="shift-scale"),
+        pytest.param(lambda: XY.exps(x=1.5), id="registry-exps"),
+        pytest.param(
+            lambda: one(XY, 4).substitute_monomials(XY, {"x": (1, (0, 1.0)), "y": (1, (1, 0))}),
+            id="image-exponent",
+        ),
+        pytest.param(
+            lambda: one(XY, 4).substitute_monomials(XY, {"x": (1.0, (0, 1)), "y": (1, (1, 0))}),
+            id="image-sign",
+        ),
+    ],
+)
+def test_non_integer_coefficients_and_exponents_are_refused(build_bad):
+    with pytest.raises(TypeError):
+        build_bad()
 
 
 def test_coefficient_beyond_order_raises():
@@ -264,8 +298,6 @@ def test_required_source_order_is_minimal():
 
 
 def test_ledger_validation_and_combination():
-    from fractions import Fraction
-
     a = PrefactorLedger(3, Fraction(1, 8), (("p", Fraction(-1, 2)),))
     b = a.combine(a)
     assert b.i_power == 2 and b.q_exp == Fraction(1, 4)
