@@ -40,6 +40,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
+        if self.command == "verify" and self.order < 1:
+            raise ValueError("order must be at least 1 for verify")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
@@ -118,25 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    shape = getattr(ns, "shape", None)
-    w = getattr(ns, "w", None)
-    if shape == "1xW" and w is None:
-        parser.error("--w is required with --shape 1xW")
-    if shape == "2x2" and w is not None:
-        parser.error("--w is only valid with --shape 1xW")
-    if ns.order < 0:
-        parser.error("--order must be nonnegative")
-    if ns.command == "verify" and ns.order < 1:
-        parser.error("--order must be at least 1 for verify")
-    config = RunConfig(
-        command=ns.command,
-        order=ns.order,
-        shape=shape,
-        w=w,
-        fmt=getattr(ns, "format", "json"),
-    )
     try:
-        return run(config)
+        config = RunConfig(
+            command=ns.command,
+            order=ns.order,
+            shape=getattr(ns, "shape", None),
+            w=getattr(ns, "w", None),
+            fmt=getattr(ns, "format", "json"),
+        )
+        if config.command != "verify":
+            config.banana_shape()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
+    return run(config)

@@ -111,10 +111,6 @@ def pf_22_theta(N: int) -> TruncatedSeries:
     return pf.truncate(N)
 
 
-def _pf_1w_registry(w: int) -> VariableRegistry:
-    return registry_for(BananaShape(1, w))
-
-
 def pf_1w(w: int, N: int) -> TruncatedSeries:
     """Closed-form generating function of the 1xw shape, exact to total
     degree N over (r0, ..., r_{w-1}, s)."""
@@ -122,7 +118,7 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
         raise ValueError("w must be at least 1")
     if N < 0:
         raise ValueError("order must be nonnegative")
-    reg = _pf_1w_registry(w)
+    reg = registry_for(BananaShape(1, w))
     q_img = (1,) * w + (w,)
     s_img = reg.exps(s=1)
     base = jacobi_phi_at(reg, q_img, s_img, N + 1).shift_monomial(s_img)

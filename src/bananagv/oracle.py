@@ -13,6 +13,11 @@ partition has all odd parts distinct; equivalently, consecutive pairs
 has multiplicity ``parts(v) - parts(v+1)``, so the dual condition is local).
 The profile's weight is ``prod_j label(j) ** parts[j-1]``.
 
+``_admissible_profiles`` generates the admissible profiles straight from that
+local pairwise rule, pair by pair, so no inadmissible partition is ever
+built.  The conjugate test (``BranchPartition.is_admissible``) and the plain
+partition generator ``partitions`` are kept as the test oracle for it.
+
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
 ``prod 1/(1 - x^{2n}) * prod (1 + x^{2n-1})``; the per-branch series is the
@@ -103,11 +108,34 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
+def _admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Admissible profiles of size n with parts at most ``max_part``, in
+    descending lexicographic order (the order of ``partitions``).
+
+    Each step places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)``; a
+    lone ``1`` closes the profile, being paired with the implicit 0.
+    """
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for a in range(min(n, max_part), 0, -1):
+        for b in (a, a - 1):
+            rest = n - a - b
+            if b == 0:
+                if rest == 0:
+                    yield (1,)
+            elif rest >= 0:
+                for tail in _admissible_profiles(rest, b):
+                    yield (a, b) + tail
+
+
 def branch_partitions(n: int) -> list[BranchPartition]:
     """Admissible thickening profiles of total size n."""
-    return [
-        bp for p in partitions(n) if (bp := BranchPartition(p)).is_admissible()
-    ]
+    return [BranchPartition(p) for p in _admissible_profiles(n)]
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +166,14 @@ def branch_series(
         registry = _registry_for_spec(spec)
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
+    idx = [registry.index(spec.label(j + 1)) for j in range(N)]
     acc: dict[ExponentVector, int] = {}
     for n in range(N + 1):
-        for bp in branch_partitions(n):
-            e = bp.weight_exponents(spec, registry)
+        for parts in _admissible_profiles(n):
+            vec = [0] * registry.size
+            for j, mult in enumerate(parts):
+                vec[idx[j]] += mult
+            e = tuple(vec)
             acc[e] = acc.get(e, 0) + 1
     return TruncatedSeries(registry, acc, N)
 

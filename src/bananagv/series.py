@@ -650,6 +650,13 @@ def _homogeneous_sqrt(slice_terms: dict) -> dict:
 
     The root's leading coefficient is positive.  Raises ValueError when the
     slice is not a perfect square over the integers.
+
+    Graded-lex order is compatible with adding exponents, so the trailing
+    term of a square is the square of the root's trailing term: it must have
+    even exponents and a square coefficient, and half of it bounds every
+    root key from below.  A key under that bound proves the slice is not a
+    square, which stops the recursion where it would otherwise run on with
+    ever lower keys (a weight-0 Laurent variable allows infinitely many).
     """
     lead = _lead(slice_terms)
     c = slice_terms[lead]
@@ -658,8 +665,14 @@ def _homogeneous_sqrt(slice_terms: dict) -> dict:
     r = isqrt(c)
     if r * r != c or any(e % 2 for e in lead):
         raise ValueError("minimal slice is not a perfect square")
+    trail = min(slice_terms, key=grlex_key)
+    t = slice_terms[trail]
+    if t < 0 or isqrt(t) ** 2 != t or any(e % 2 for e in trail):
+        raise ValueError("trailing term of the minimal slice is not a square")
+    floor_key = grlex_key(tuple(e // 2 for e in trail))
     root = {tuple(e // 2 for e in lead): r}
     root_lead = tuple(e // 2 for e in lead)
+    lead_key = grlex_key(root_lead)
     for _ in range(_DIVISION_CAP):
         rem = dict(slice_terms)
         for e1, c1 in root.items():
@@ -675,7 +688,7 @@ def _homogeneous_sqrt(slice_terms: dict) -> dict:
         if num % (2 * r):
             raise ValueError("minimal slice is not a perfect square over the integers")
         key = tuple(x - y for x, y in zip(lt, root_lead))
-        if grlex_key(key) >= grlex_key(root_lead):
+        if not floor_key <= grlex_key(key) < lead_key:
             raise ValueError("minimal slice is not a perfect square")
         root[key] = root.get(key, 0) + num // (2 * r)
         if root[key] == 0:

@@ -134,11 +134,21 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()  # swallow argparse noise
 
 
+def test_zero_width_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--shape", "1xW", "--w", "0", "--order", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "w must be at least 1" in err
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig("explode", 3)
     with pytest.raises(ValueError):
         RunConfig("compute", -1, "2x2")
+    with pytest.raises(ValueError):
+        RunConfig("verify", 0)
     with pytest.raises(ValueError):
         RunConfig("compute", 3, "2x2", fmt="xml")
     with pytest.raises(ValueError):

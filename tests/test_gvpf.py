@@ -52,7 +52,7 @@ def test_pf_22_symmetries():
 
 
 def test_theta_route_agrees_with_sqrt_route():
-    assert pf_22_theta(6) == pf_22(6)
+    assert pf_22_theta(12) == pf_22(12)
     assert pf_22_theta(0).constant_term() == 2
 
 
@@ -143,7 +143,9 @@ def test_pf_for_shape_dispatch():
 
 @pytest.mark.parametrize(
     "shape,order",
-    [(BananaShape(1, 1), 6), (BananaShape(1, 2), 5), (TWO, 5)],
+    [(BananaShape(1, 1), 6), (BananaShape(1, 2), 5), (TWO, 5)]
+    + [(BananaShape(1, w), 12) for w in (1, 2, 3, 4)]
+    + [(TWO, 12)],
     ids=str,
 )
 def test_closed_form_matches_twisted_enumeration(shape, order):

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bananagv.geometry import BananaShape, BranchSpec, branch_specs, registry_for
+from bananagv.geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
 from bananagv.oracle import (
     BranchPartition,
     behrend_twist,
@@ -13,7 +13,7 @@ from bananagv.oracle import (
     naive_pf,
     partitions,
 )
-from bananagv.series import VariableRegistry, polynomial
+from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
 
 TWO = BananaShape(2, 2)
 
@@ -69,6 +69,12 @@ def test_admissible_profiles_of_size_four():
         (2, 1, 1),
         (1, 1, 1, 1),
     }
+
+
+def test_generated_profiles_are_the_filtered_partitions_in_order():
+    for n in range(31):
+        filtered = [p for p in partitions(n) if BranchPartition(p).is_admissible()]
+        assert [bp.parts for bp in branch_partitions(n)] == filtered
 
 
 def test_admissible_profile_counts():
@@ -132,6 +138,32 @@ def test_branch_series_requires_unit_weights():
 
 
 # ------------------------------------------------------------ naive counts
+
+
+def filtered_naive_pf(shape, N):
+    """The naive count built by filtering every partition through the
+    conjugate test, independently of the profile generator."""
+    registry = registry_for(shape)
+    total = TruncatedSeries(registry, {}, N)
+    for loc in b_locations(shape):
+        contribution = one(registry, N)
+        for spec in branch_specs(shape, loc):
+            acc = {}
+            for n in range(N + 1):
+                for p in partitions(n):
+                    bp = BranchPartition(p)
+                    if bp.is_admissible():
+                        e = bp.weight_exponents(spec, registry)
+                        acc[e] = acc.get(e, 0) + 1
+            contribution = contribution * TruncatedSeries(registry, acc, N)
+        total = total + contribution
+    return total
+
+
+@pytest.mark.parametrize("shape,order", [(BananaShape(1, 1), 20), (TWO, 10)], ids=str)
+def test_naive_pf_matches_the_filtered_enumeration(shape, order):
+    got, want = naive_pf(shape, order), filtered_naive_pf(shape, order)
+    assert (got.terms, got.order, got.floor) == (want.terms, want.order, want.floor)
 
 
 def test_naive_pf_2x2_spot_values():

@@ -191,6 +191,19 @@ def test_sqrt_rejects_non_squares():
         P({(0, 0): 1, (1, 0): 1}, 4).sqrt_unit()  # 1 + q is not a square
 
 
+@pytest.mark.parametrize(
+    "slice_terms",
+    [
+        {(0, 2): 1, (0, 0): 4},  # formal root p + 2/p - 2/p^3 + ... never ends
+        {(0, 2): 1, (0, 0): 8},  # trailing coefficient is not a square
+        {(0, 2): 1, (0, -1): 4},  # trailing exponent is odd
+    ],
+)
+def test_sqrt_refuses_non_square_laurent_slice_early(slice_terms):
+    with pytest.raises(ValueError):
+        P(slice_terms, 2).sqrt_unit()
+
+
 def test_pow_matches_repeated_multiplication():
     a = P({(0, 0): 1, (1, 1): 2, (1, -1): -1}, 5)
     assert (a ** 3).same_series(a * a * a)
