@@ -13,8 +13,7 @@ def show(shape_text, w=None, order=4):
     names = registry_for(shape).names
     print(f"shape {shape}, classes up to total degree {order}")
     print("  " + "  ".join(f"{n:>3}" for n in names) + "   n^0")
-    for cls, value in table.entries:
-        exps = cls.a + cls.c
+    for exps, value in table.entries:
         print("  " + "  ".join(f"{e:>3}" for e in exps) + f"  {value:>4}")
     print()
 

@@ -11,23 +11,23 @@ Layout:
 * :mod:`bananagv.series` — the truncated-series engine.
 * :mod:`bananagv.qseries` — eta/theta/phi products, the equivariant
   elliptic genus, and the classical identity suite.
-* :mod:`bananagv.geometry` — shapes, curve-class bases, branch tables.
+* :mod:`bananagv.geometry` — shapes and the periodic branch label tables.
 * :mod:`bananagv.oracle` — enumerative route (naive counts + sign twist).
 * :mod:`bananagv.gvpf` — the closed forms and the cross-check engine.
 * :mod:`bananagv.cli` — ``python -m bananagv`` front end.
 """
-from .geometry import BananaShape, BranchSpec, CurveClass, parse_shape
+from .geometry import BananaShape, BranchSpec, parse_shape
 from .gvpf import CrossCheckReport, GVTable, cross_check, gv_table, pf_1w, pf_22, pf_22_theta
 from .oracle import behrend_twist, count_distinct_odd_conjugate, naive_pf
 from .qseries import check_identities, elliptic_genus_c2, jacobi_phi
-from .series import TruncatedSeries, VariableRegistry
+from .series import InvariantError, TruncatedSeries, VariableRegistry
 
 __all__ = [
     "BananaShape",
     "BranchSpec",
-    "CurveClass",
     "CrossCheckReport",
     "GVTable",
+    "InvariantError",
     "TruncatedSeries",
     "VariableRegistry",
     "behrend_twist",

@@ -11,6 +11,10 @@ term order, canonical JSON separators), and the JSON document round-trips:
 ``json.dumps(json.loads(s), separators=(",", ":")) == s.strip()``.
 Coefficients are serialized as decimal strings so arbitrary-precision values
 survive any JSON reader.
+
+Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
+when a computation breaks an internal invariant (``InvariantError``); the
+last prints one line on standard error.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from typing import IO
 from .geometry import BananaShape, parse_shape, registry_for
 from .gvpf import cross_check, gv_table
 from .qseries import check_identities
+from .series import InvariantError
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -58,21 +63,23 @@ def _serialize_json(config: RunConfig, shape: BananaShape, table) -> str:
     doc["order"] = table.order
     doc["variables"] = list(registry_for(shape).names)
     doc["coefficients"] = [
-        {"exponents": list(cls.a + cls.c), "value": str(value)}
-        for cls, value in table.entries
+        {"exponents": list(exps), "value": str(value)} for exps, value in table.entries
     ]
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _serialize_csv(shape: BananaShape, table) -> str:
     lines = [",".join(registry_for(shape).names) + ",value"]
-    for cls, value in table.entries:
-        lines.append(",".join(str(e) for e in cls.a + cls.c) + f",{value}")
+    for exps, value in table.entries:
+        lines.append(",".join(str(e) for e in exps) + f",{value}")
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig, out: IO[str] = sys.stdout, err: IO[str] = sys.stderr) -> int:
-    """Execute a configuration; returns the process exit status."""
+def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = None) -> int:
+    """Execute a configuration; returns the process exit status.  The streams
+    default to ``sys.stdout`` and ``sys.stderr`` as they are at call time."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     if config.command == "compute":
         shape = config.banana_shape()
         table = gv_table(shape, config.order)
@@ -132,4 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             config.banana_shape()
     except ValueError as exc:
         parser.error(str(exc))
-    return run(config)
+    try:
+        return run(config)
+    except InvariantError as exc:
+        print(f"bananagv: internal invariant violated: {exc}", file=sys.stderr)
+        return 3

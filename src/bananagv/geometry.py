@@ -1,23 +1,17 @@
 """Combinatorics of multi-banana configurations.
 
-A multi-banana is indexed by a pair ``(v, w)``; each unit cell of the
-``v x w`` fundamental domain is a hexagon component whose six boundary edges
-fall into three families: horizontal rulings (A), vertical rulings (B), and
-diagonals (C).  The raw edges are indexed ``A_0 .. A_{vw-1}`` and likewise
-for B and C; the hexagon relations identify some of them in homology, and
-``reduce_edge_class`` maps a raw edge to its basis label.
+A multi-banana is indexed by a pair ``(v, w)``.  Its fiber curve classes of
+B-degree 1 are tracked by the variables ``r_i`` (curves over the horizontal
+edges ``A_i``) and ``s_j`` (curves over the diagonal edges ``C_j``); every
+series in the package is keyed by exponent vectors over those variables.
 
-Tracked data lives in three places:
+Tracked data lives in two places:
 
-* ``basis_classes`` / ``CurveClass``: the reduced curve-class lattice.
-  A class records its A-multidegrees, its total B-degree (always 1 for the
-  counts produced here), and its C-multidegrees.
 * ``b_locations``: the inequivalent positions for the distinguished
   degree-1 B edge.
 * ``branch_specs``: for each location, the four periodic edge-label
   sequences read off along the branches leaving the B edge (named NE, N, S,
-  SW by the direction of departure).  Variables ``r_i`` track curves over
-  ``A_i`` and ``s_j`` tracks curves over ``C_j``.
+  SW by the direction of departure).
 
 Only the shapes with closed-form product formulas, ``(1, w)`` and ``(2, 2)``, carry
 built-in tables.  The branch tables beyond the single sequence the source
@@ -33,18 +27,12 @@ from .series import VariableRegistry
 
 __all__ = [
     "BananaShape",
-    "CurveClass",
     "BranchSpec",
     "parse_shape",
     "registry_for",
-    "basis_classes",
-    "reduce_edge_class",
     "b_locations",
     "branch_specs",
-    "hexagons",
 ]
-
-Edge = tuple  # ("A" | "B" | "C", raw index)
 
 
 @dataclass(frozen=True)
@@ -63,10 +51,6 @@ class BananaShape:
     def supported(self) -> bool:
         return self.v == 1 or (self.v, self.w) == (2, 2)
 
-    @property
-    def cells(self) -> int:
-        return self.v * self.w
-
     def __str__(self) -> str:
         return f"{self.v}x{self.w}"
 
@@ -84,25 +68,6 @@ def parse_shape(text: str, w: int | None = None) -> BananaShape:
             raise ValueError("w must be at least 1")
         return BananaShape(1, w)
     raise ValueError(f"unknown shape selector {text!r}")
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """A curve class in reduced coordinates: A-multidegree vector, total
-    B-degree, C-multidegree vector.
-
-    The generating functions only ever weight classes with ``b = 1``; which
-    of the (possibly several) basis B classes carries that degree is a
-    location datum (see ``b_locations``), not a class coordinate.
-    """
-
-    a: tuple[int, ...]
-    b: int
-    c: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.a) + sum(self.c)
 
 
 @dataclass(frozen=True)
@@ -150,65 +115,10 @@ def _require_supported(shape: BananaShape):
         raise ValueError(f"no configuration tables for shape {shape}")
 
 
-def basis_classes(shape: BananaShape) -> dict[str, CurveClass]:
-    """Labeled basis of curve classes after applying the hexagon relations.
-
-    ``(1, w)``: w distinct A classes, one B, one C.  ``(2, 2)``: A0, A1,
-    B0, B1, C0, C1 — the raw index-2 and index-3 edges are identified with
-    index-0/1 classes (see ``reduce_edge_class``).
-    """
-    _require_supported(shape)
-    if shape.v == 1:
-        w = shape.w
-        out: dict[str, CurveClass] = {}
-        for i in range(w):
-            a = tuple(1 if k == i else 0 for k in range(w))
-            out[f"A{i}"] = CurveClass(a, 0, (0,))
-        out["B"] = CurveClass((0,) * w, 1, (0,))
-        out["C"] = CurveClass((0,) * w, 0, (1,))
-        return out
-    return {
-        "A0": CurveClass((1, 0), 0, (0, 0)),
-        "A1": CurveClass((0, 1), 0, (0, 0)),
-        "B0": CurveClass((0, 0), 1, (0, 0)),
-        "B1": CurveClass((0, 0), 1, (0, 0)),
-        "C0": CurveClass((0, 0), 0, (1, 0)),
-        "C1": CurveClass((0, 0), 0, (0, 1)),
-    }
-
-
-def reduce_edge_class(shape: BananaShape, edge: Edge) -> str:
-    """Basis label of a raw torus-invariant edge of the fundamental domain.
-
-    Raw indices enumerate the ``v*w`` cells; the hexagon relations collapse
-    them as follows.  For ``(1, w)`` every B edge is homologous to B and
-    every diagonal to C, while the A edges stay distinct.  For ``(2, 2)``
-    the cell at column ``col`` and row ``row`` has ``A_{row + 2 col}``,
-    ``B_{col + 2 row}`` and ``C_{col + 2 row}``, and the relations give
-    ``A_h ~ A_{h mod 2}``, ``B_h ~ B_{h mod 2}`` and ``C_h ~ C_{(col + row) mod 2}``.
-    """
-    _require_supported(shape)
-    family, idx = edge
-    if family not in ("A", "B", "C"):
-        raise ValueError(f"unknown edge family {family!r}")
-    if not 0 <= idx < shape.cells:
-        raise ValueError(f"edge index {idx} outside the fundamental domain")
-    if shape.v == 1:
-        if family == "A":
-            return f"A{idx}"
-        return "B" if family == "B" else "C"
-    if family == "A":
-        return f"A{idx % 2}"
-    if family == "B":
-        return f"B{idx % 2}"
-    col, row = idx % 2, idx // 2
-    return f"C{(col + row) % 2}"
-
-
 def b_locations(shape: BananaShape) -> list[int]:
     """Inequivalent positions of the distinguished degree-1 B edge.
 
-    Two for ``(2, 2)`` (the two basis B classes); w for ``(1, w)``, indexed
+    Two for ``(2, 2)`` (the two B edge classes); w for ``(1, w)``, indexed
     by the A edge adjacent to the position.
     """
     _require_supported(shape)
@@ -255,39 +165,3 @@ def branch_specs(shape: BananaShape, b_location: int) -> list[BranchSpec]:
         BranchSpec(d, 4, tuple(x.translate(swap) for x in labels))
         for d, labels in tables.items()
     ]
-
-
-def hexagons(shape: BananaShape) -> list[dict[str, tuple[Edge, Edge]]]:
-    """Opposite-edge pairs of each hexagon cell, by family.
-
-    The hexagon relations say each cell's two opposite A edges differ by a
-    difference of its two diagonals, and similarly for the B edges; after
-    reduction both members of every pair land on the same basis class, which
-    is what tests verify.
-    """
-    _require_supported(shape)
-    cells: list[dict[str, tuple[Edge, Edge]]] = []
-    if shape.v == 1:
-        w = shape.w
-        for j in range(w):
-            cells.append(
-                {
-                    "A": (("A", j), ("A", j)),
-                    "B": (("B", j), ("B", (j + 1) % w)),
-                    "C": (("C", j), ("C", (j + 1) % w)),
-                }
-            )
-        return cells
-    for col in range(2):
-        for row in range(2):
-            cells.append(
-                {
-                    "A": (("A", row + 2 * col), ("A", row + 2 * ((col + 1) % 2))),
-                    "B": (("B", col + 2 * row), ("B", col + 2 * ((row + 1) % 2))),
-                    "C": (
-                        ("C", col + 2 * row),
-                        ("C", (col + 1) % 2 + 2 * ((row - 1) % 2)),
-                    ),
-                }
-            )
-    return cells

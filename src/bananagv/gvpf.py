@@ -33,10 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import BananaShape, CurveClass, registry_for
+from .geometry import BananaShape, registry_for
 from .oracle import behrend_twist, naive_pf
 from .qseries import elliptic_genus_c2_at, eta_at, jacobi_phi_at, theta1_at
-from .series import ExponentVector, TruncatedSeries, VariableRegistry, grlex_key, one
+from .series import (
+    ExponentVector,
+    InvariantError,
+    TruncatedSeries,
+    VariableRegistry,
+    grlex_key,
+    one,
+)
 
 __all__ = [
     "GVTable",
@@ -56,7 +63,7 @@ _Q22 = (1, 1, 1, 1)
 def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
     for exps in series.terms:
         if any(e < 0 for e in exps):
-            raise AssertionError(f"{what} kept a negative exponent at {exps}")
+            raise InvariantError(f"{what} kept a negative exponent at {exps}")
 
 
 def pf_22(N: int) -> TruncatedSeries:
@@ -73,7 +80,7 @@ def pf_22(N: int) -> TruncatedSeries:
         ratio = ratio * jacobi_phi_at(reg, _Q22, pair, K).invert_unit()
     pf = 2 * ratio.sqrt_unit()
     if pf.order < N:
-        raise AssertionError("order propagation fell short; widen the pad")
+        raise InvariantError("order propagation fell short; widen the pad")
     pf = pf.truncate(N)
     _assert_nonnegative_orthant(pf, "pf_22")
     return pf
@@ -103,11 +110,11 @@ def pf_22_theta(N: int) -> TruncatedSeries:
         series = series * th.series.invert_unit()
         ledger = ledger.combine(th.ledger.scale(-1))
     if not ledger.is_scalar():
-        raise AssertionError(f"theta-route prefactors failed to cancel: {ledger}")
+        raise InvariantError(f"theta-route prefactors failed to cancel: {ledger}")
     branch = -1  # sqrt branch: the location count fixes the sign of the total
     pf = (2 * branch * ledger.scalar_sign()) * series
     if pf.constant_term() != 2:
-        raise AssertionError("theta-route constant term is not the location count")
+        raise InvariantError("theta-route constant term is not the location count")
     return pf.truncate(N)
 
 
@@ -136,11 +143,11 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
         total = contribution if total is None else total + contribution
     pf = base * total
     if pf.order < N:
-        raise AssertionError("order propagation fell short; widen the pad")
+        raise InvariantError("order propagation fell short; widen the pad")
     pf = pf.truncate(N)
     _assert_nonnegative_orthant(pf, "pf_1w")
     if pf.constant_term() != w:
-        raise AssertionError("constant term must count the B locations")
+        raise InvariantError("constant term must count the B locations")
     return pf
 
 
@@ -190,23 +197,14 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
 
 @dataclass(frozen=True)
 class GVTable:
-    """All nonzero invariants up to total degree N, as (class, value) rows
-    in graded-lex order.  Every class implicitly carries B-degree 1."""
+    """All nonzero invariants up to total degree N, as (exponents, value)
+    rows in graded-lex order.  The exponents are over ``registry_for(shape)``
+    and every class implicitly carries B-degree 1."""
 
     shape: BananaShape
     order: int
-    entries: tuple[tuple[CurveClass, int], ...]
-
-
-def _class_from_exponents(shape: BananaShape, exps: ExponentVector) -> CurveClass:
-    if shape.v == 1:
-        return CurveClass(tuple(exps[: shape.w]), 1, (exps[shape.w],))
-    return CurveClass(tuple(exps[:2]), 1, tuple(exps[2:]))
+    entries: tuple[tuple[ExponentVector, int], ...]
 
 
 def gv_table(shape: BananaShape, N: int) -> GVTable:
-    pf = pf_for_shape(shape, N)
-    entries = tuple(
-        (_class_from_exponents(shape, exps), value) for exps, value in pf.sorted_terms()
-    )
-    return GVTable(shape, N, entries)
+    return GVTable(shape, N, tuple(pf_for_shape(shape, N).sorted_terms()))

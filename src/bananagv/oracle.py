@@ -35,7 +35,14 @@ from functools import lru_cache
 from typing import Iterator
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import ExponentVector, TruncatedSeries, VariableRegistry, one, polynomial
+from .series import (
+    ExponentVector,
+    InvariantError,
+    TruncatedSeries,
+    VariableRegistry,
+    one,
+    polynomial,
+)
 
 __all__ = [
     "BranchPartition",
@@ -215,7 +222,7 @@ def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
             contribution = contribution * branch_series(spec, N, registry)
         total = total + contribution
     if any(c < 0 for c in total.terms.values()):
-        raise AssertionError("naive count came out negative; enumeration bug")
+        raise InvariantError("naive count came out negative; enumeration bug")
     return total
 
 

@@ -35,7 +35,6 @@ from .series import (
     PWidthBound,
     TruncatedSeries,
     VariableRegistry,
-    monomial,
     one,
     polynomial,
     required_source_order,
@@ -296,10 +295,7 @@ def check_identities(N: int) -> list[IdentityCheck]:
     rhs1 = (theta * theta).shift_monomial((0, -1))
     check1 = _report("eta6_phi_equals_theta_squared", lhs1, rhs1, N)
 
-    M = required_source_order(PHI_P_WIDTH, 1, 1, N)
-    shifted = jacobi_phi(M).substitute_monomials(
-        QP, {"q": (1, (1, 0)), "p": (1, (1, -1))}, p_width=PHI_P_WIDTH
-    )
+    shifted = jacobi_phi_at(QP, (1, 0), (1, -1), N)
     lhs2 = phi.shift_monomial((0, 1))
     rhs2 = shifted.shift_monomial((1, -1))
     check2 = _report("index_one_shift", lhs2, rhs2, N)

@@ -56,6 +56,7 @@ of this module handles that case; see ``PWidthBound``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -68,6 +69,7 @@ __all__ = [
     "TruncatedSeries",
     "PrefactorLedger",
     "PWidthBound",
+    "InvariantError",
     "monomial",
     "polynomial",
     "one",
@@ -104,6 +106,12 @@ def _as_int(x, what: str) -> int:
     if type(x) is int:
         return x
     raise TypeError(f"{what} must be an int, not {type(x).__name__} {x!r}")
+
+
+class InvariantError(AssertionError):
+    """A computed result broke a property the mathematics guarantees (a
+    negative count, an exponent outside the proven support, an order
+    shortfall, a mis-cancelled prefactor); this is a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -247,12 +255,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self._slices
-
-    def degree_slice(self, degree: int) -> dict[ExponentVector, int]:
-        """All stored terms of the given weighted degree (complete if degree <= order)."""
-        if degree > self.order:
-            raise ValueError("slice beyond guaranteed order")
-        return dict(self._slices.get(degree, {}))
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in the canonical graded-lex order (ascending)."""
@@ -825,10 +827,9 @@ def _tail_min_image_degree(width: PWidthBound, dq: int, dp_abs: int, start: int)
     c, k, c0 = width.sqrt_coeff, width.sqrt_arg, width.offset
 
     def g(a: int) -> int:
-        w = width.fn(a)
-        if w > c * isqrt(k * a) + c0:
+        if not width.check_certificate(a):
             raise ValueError("width bound violates its own certificate")
-        return a * dq - w * dp_abs
+        return a * dq - width.fn(a) * dp_abs
 
     a_star = (k * (c * dp_abs) ** 2) // (4 * dq * dq) + 1
     hi = max(start, a_star) + 4
@@ -845,8 +846,20 @@ def _tail_min_image_degree(width: PWidthBound, dq: int, dp_abs: int, start: int)
 
 def required_source_order(width: PWidthBound, dq: int, dp_abs: int, target_order: int) -> int:
     """Least source q-order M so a width-bounded substitution is exact to
-    ``target_order`` in the image grading."""
-    for m in range(0, 100_000):
-        if _tail_min_image_degree(width, dq, dp_abs, m + 1) - 1 >= target_order:
-            return m
-    raise ValueError("no feasible source order below the search cap")
+    ``target_order`` in the image grading.
+
+    The exact result order at source order ``m`` is a minimum over
+    ``a >= m + 1``, a shrinking set, so it never decreases as ``m`` grows;
+    and it is unbounded because the certificate makes ``a*dq`` outgrow
+    the width.  A galloping search brackets the least feasible ``m`` and a
+    bisection finds it.
+    """
+
+    def feasible(m: int) -> bool:
+        return _tail_min_image_degree(width, dq, dp_abs, m + 1) - 1 >= target_order
+
+    hi = 1
+    while not feasible(hi):
+        hi *= 2
+    # hi // 2 is infeasible once the gallop has doubled, so the search starts there
+    return bisect_left(range(hi + 1), True, lo=hi // 2, key=feasible)

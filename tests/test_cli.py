@@ -1,12 +1,20 @@
 """Tests for the command-line front end: formats, determinism, exit codes."""
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bananagv import gvpf
 from bananagv.cli import RunConfig, build_parser, main, run
+from bananagv.series import InvariantError
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
 
 EXPECTED_11_CSV = """\
 r0,s,value
@@ -95,6 +103,15 @@ def test_module_entry_point_matches_in_process_output():
     assert proc.stdout == expected
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE["calls"]))
+def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
+    call = REFERENCE["calls"][name]
+    assert main(call["argv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == call["bytes"]
+    assert hashlib.sha256(out).hexdigest() == call["sha256"]
+
+
 # ------------------------------------------------------- verify, crosscheck
 
 
@@ -158,3 +175,15 @@ def test_run_config_validation():
 def test_main_returns_zero_on_success(capsys):
     assert main(["compute", "--shape", "1xW", "--w", "1", "--order", "2"]) == 0
     capsys.readouterr()
+
+
+def test_invariant_violation_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(w, N):
+        raise InvariantError("constant term must count the B locations")
+
+    monkeypatch.setattr(gvpf, "pf_1w", broken)
+    assert main(["compute", "--shape", "1xW", "--w", "2", "--order", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "constant term must count the B locations" in captured.err

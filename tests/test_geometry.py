@@ -1,16 +1,12 @@
-"""Tests for shapes, curve classes, edge reduction, and branch tables."""
+"""Tests for shapes, registries, B locations, and branch tables."""
 import pytest
 
 from bananagv.geometry import (
     BananaShape,
     BranchSpec,
-    CurveClass,
     b_locations,
-    basis_classes,
     branch_specs,
-    hexagons,
     parse_shape,
-    reduce_edge_class,
     registry_for,
 )
 
@@ -19,8 +15,6 @@ TWO = BananaShape(2, 2)
 
 def test_shape_basics():
     assert str(TWO) == "2x2"
-    assert TWO.cells == 4
-    assert BananaShape(1, 5).cells == 5
     assert TWO.supported and BananaShape(1, 1).supported
     assert not BananaShape(2, 3).supported
     assert not BananaShape(3, 1).supported
@@ -41,69 +35,12 @@ def test_parse_shape():
         parse_shape("3x3")
 
 
-def test_curve_class_degree_ignores_b():
-    assert CurveClass((1, 0), 1, (2,)).degree == 3
-    assert CurveClass((0, 0), 1, (0, 0)).degree == 0
-
-
 def test_registries():
     assert registry_for(TWO).names == ("r0", "r1", "s0", "s1")
     assert registry_for(BananaShape(1, 3)).names == ("r0", "r1", "r2", "s")
     assert all(w == 1 for w in registry_for(TWO).weights)
     with pytest.raises(ValueError):
         registry_for(BananaShape(2, 5))
-
-
-def test_basis_classes_counts():
-    two = basis_classes(TWO)
-    assert sorted(two) == ["A0", "A1", "B0", "B1", "C0", "C1"]
-    for w in (1, 2, 4):
-        cls = basis_classes(BananaShape(1, w))
-        assert len(cls) == w + 2
-        assert cls["B"].b == 1 and cls["C"].degree == 1
-
-
-def test_the_two_b_classes_coincide_as_classes():
-    # the locations differ but the reduced class data agree; which location
-    # carries the degree is a b_locations datum, not a class coordinate
-    two = basis_classes(TWO)
-    assert two["B0"] == two["B1"]
-    assert two["C0"] != two["C1"]
-
-
-def test_reduce_edge_class_2x2():
-    pairs = {
-        ("A", 0): "A0",
-        ("A", 1): "A1",
-        ("A", 2): "A0",
-        ("A", 3): "A1",
-        ("B", 2): "B0",
-        ("B", 3): "B1",
-        ("C", 0): "C0",
-        ("C", 1): "C1",
-        ("C", 2): "C1",
-        ("C", 3): "C0",
-    }
-    for edge, label in pairs.items():
-        assert reduce_edge_class(TWO, edge) == label
-
-
-def test_reduce_edge_class_1xw():
-    shape = BananaShape(1, 3)
-    assert reduce_edge_class(shape, ("A", 2)) == "A2"
-    assert reduce_edge_class(shape, ("B", 1)) == "B"
-    assert reduce_edge_class(shape, ("C", 2)) == "C"
-
-
-def test_reduce_edge_class_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        reduce_edge_class(TWO, ("D", 0))
-    with pytest.raises(ValueError):
-        reduce_edge_class(TWO, ("A", 4))
-    with pytest.raises(ValueError):
-        reduce_edge_class(BananaShape(1, 2), ("C", -1))
-    with pytest.raises(ValueError):
-        reduce_edge_class(BananaShape(2, 3), ("A", 0))
 
 
 def test_b_locations():
@@ -190,26 +127,3 @@ def test_branch_period_matches_shape():
     for w in (1, 2, 3):
         assert all(b.period == 2 * w for b in branch_specs(BananaShape(1, w), 0))
 
-
-# -------------------------------------------------------------- hexagons
-
-
-@pytest.mark.parametrize("shape", [TWO, BananaShape(1, 1), BananaShape(1, 2), BananaShape(1, 4)])
-def test_hexagon_opposite_edges_reduce_to_the_same_class(shape):
-    cells = hexagons(shape)
-    assert len(cells) == shape.cells
-    for cell in cells:
-        assert sorted(cell) == ["A", "B", "C"]
-        for family, (e1, e2) in cell.items():
-            assert e1[0] == family and e2[0] == family
-            assert reduce_edge_class(shape, e1) == reduce_edge_class(shape, e2)
-
-
-def test_every_basis_label_is_hit_by_reduction():
-    for shape in (TWO, BananaShape(1, 3)):
-        hit = {
-            reduce_edge_class(shape, (fam, i))
-            for fam in "ABC"
-            for i in range(shape.cells)
-        }
-        assert hit == set(basis_classes(shape))

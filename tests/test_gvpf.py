@@ -4,6 +4,7 @@ import pytest
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
+    _assert_nonnegative_orthant,
     cross_check,
     gv_table,
     pf_1w,
@@ -12,7 +13,7 @@ from bananagv.gvpf import (
     pf_for_shape,
 )
 from bananagv.qseries import jacobi_phi_at
-from bananagv.series import grlex_key
+from bananagv.series import InvariantError, grlex_key, polynomial
 
 TWO = BananaShape(2, 2)
 
@@ -37,6 +38,13 @@ def test_pf_22_low_degrees():
 
 def test_pf_22_supports_only_nonnegative_exponents():
     assert all(min(e) >= 0 for e in pf_22(5).terms)
+
+
+def test_negative_exponent_guard_raises_invariant_error():
+    bad = polynomial(pf_22(1).registry, {(0, 0, 0, 0): 2, (1, -1, 0, 0): 1}, 1)
+    with pytest.raises(InvariantError, match="negative exponent"):
+        _assert_nonnegative_orthant(bad, "probe")
+    assert issubclass(InvariantError, AssertionError)
 
 
 def test_pf_22_symmetries():
@@ -165,22 +173,26 @@ def test_cross_check_report_describes_mismatches():
 
 def test_gv_table_2x2():
     table = gv_table(TWO, 3)
-    pf = pf_22(3)
-    assert len(table.entries) == len(pf.terms)
-    first_class, first_value = table.entries[0]
+    assert table.shape == TWO and table.order == 3
+    assert table.entries == tuple(pf_for_shape(TWO, 3).sorted_terms())
+    first_exps, first_value = table.entries[0]
     assert first_value == 2
-    assert first_class.degree == 0 and first_class.b == 1
+    assert first_exps == (0, 0, 0, 0)
     assert all(value != 0 for _, value in table.entries)
-    assert all(cls.b == 1 for cls, _ in table.entries)
-    degrees = [cls.degree for cls, _ in table.entries]
+    assert all(len(exps) == 4 for exps, _ in table.entries)
+    degrees = [sum(exps) for exps, _ in table.entries]
     assert degrees == sorted(degrees)
 
 
 def test_gv_table_1xw_classes():
-    table = gv_table(BananaShape(1, 2), 4)
-    for cls, _ in table.entries:
-        assert len(cls.a) == 2 and len(cls.c) == 1
-        assert min(cls.a) >= 0 and cls.c[0] >= 0
+    shape = BananaShape(1, 2)
+    table = gv_table(shape, 4)
+    assert table.entries == tuple(pf_for_shape(shape, 4).sorted_terms())
+    for exps, value in table.entries:
+        assert len(exps) == shape.w + 1 and min(exps) >= 0
+        assert value != 0
+    degrees = [sum(exps) for exps, _ in table.entries]
+    assert degrees == sorted(degrees)
     assert table.entries[0][1] == 2
 
 

@@ -1,9 +1,11 @@
 """Unit and property tests for the truncated Laurent series engine."""
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bananagv.qseries import PHI_P_WIDTH, THETA_P_WIDTH
 from bananagv.series import (
     PrefactorLedger,
     PWidthBound,
@@ -13,6 +15,7 @@ from bananagv.series import (
     monomial,
     one,
     polynomial,
+    _tail_min_image_degree,
     required_source_order,
     zero,
 )
@@ -274,11 +277,18 @@ def test_substitution_without_certificate_is_refused():
         f.substitute_monomials(XY, {"q": (1, (2, 0)), "p": (1, (0, 1))})
 
 
+# support |p| <= a + 1, certified by fn(a) <= isqrt(9a) + 1
+STEP_WIDTH = PWidthBound(
+    fn=lambda a: min(a + 1, 3 * (a > 0) + 1), sqrt_coeff=1, sqrt_arg=9, offset=1
+)
+SQRT_WIDTH = PWidthBound(
+    fn=lambda a: min(a + 1, isqrt(4 * a) + 2), sqrt_coeff=2, sqrt_arg=1, offset=3
+)
+
+
 def test_width_bounded_substitution_result_order():
-    # support |p| <= a + 1, certified by fn(a) <= isqrt(9a) + 1
-    width = PWidthBound(fn=lambda a: min(a + 1, 3 * (a > 0) + 1), sqrt_coeff=1, sqrt_arg=9, offset=1)
     f = P({(0, 0): 1, (1, 2): 1, (2, -3): 4}, 2)
-    g = f.substitute_monomials(XY, {"q": (1, (1, 1)), "p": (1, (1, -1))}, p_width=width)
+    g = f.substitute_monomials(XY, {"q": (1, (1, 1)), "p": (1, (1, -1))}, p_width=STEP_WIDTH)
     # the p image has degree 0, so unseen terms at q-order a >= 3 land at
     # image degree >= 6 and the result is complete through degree 5
     assert g.order == 5
@@ -294,17 +304,38 @@ def test_width_bound_violation_is_detected():
 
 
 def test_required_source_order_is_minimal():
-    from math import isqrt
-
-    from bananagv.series import _tail_min_image_degree
-
-    width = PWidthBound(
-        fn=lambda a: min(a + 1, isqrt(4 * a) + 2), sqrt_coeff=2, sqrt_arg=1, offset=3
-    )
+    width = SQRT_WIDTH
     M = required_source_order(width, 2, 1, 10)
     assert _tail_min_image_degree(width, 2, 1, M + 1) - 1 >= 10
     if M > 0:
         assert _tail_min_image_degree(width, 2, 1, M) - 1 < 10
+
+
+def _linear_scan_source_orders(width, dq, dp_abs, max_target):
+    """Reference: the least feasible m for every target 0..max_target,
+    found by scanning m upward from 0."""
+    least = {}
+    m = 0
+    while len(least) <= max_target:
+        reached = _tail_min_image_degree(width, dq, dp_abs, m + 1) - 1
+        for target in range(max_target + 1):
+            if target <= reached:
+                least.setdefault(target, m)
+        m += 1
+    return least
+
+
+@pytest.mark.parametrize(
+    "width",
+    [THETA_P_WIDTH, PHI_P_WIDTH, STEP_WIDTH, SQRT_WIDTH],
+    ids=["theta", "phi", "step", "sqrt"],
+)
+def test_required_source_order_matches_the_linear_scan(width):
+    for dq in range(1, 5):
+        for dp_abs in range(6):
+            expected = _linear_scan_source_orders(width, dq, dp_abs, 40)
+            got = {t: required_source_order(width, dq, dp_abs, t) for t in range(41)}
+            assert got == expected, (dq, dp_abs)
 
 
 # ------------------------------------------------------------- prefactors
