@@ -15,6 +15,13 @@ survive any JSON reader.
 Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
 when a computation breaks an internal invariant (``InvariantError``); the
 last prints one line on standard error.
+
+Inputs are capped so that every accepted run finishes: ``--order`` at most 32
+for ``compute`` and ``crosscheck`` and at most 256 for ``verify``, and
+``--w`` at most 6.  Larger values are a usage error.  At the caps the slowest
+run measured, ``crosscheck --shape 1xW --w 6 --order 32``, takes about 30 s
+and 180 MB; ``compute --shape 2x2 --order 32`` and ``verify --order 256``
+take under 10 s.
 """
 from __future__ import annotations
 
@@ -30,6 +37,12 @@ from .qseries import check_identities
 from .series import InvariantError
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
+
+#: Largest accepted ``--order`` per command (see the module docstring).
+MAX_ORDER = {"compute": 32, "crosscheck": 32, "verify": 256}
+
+#: Largest accepted ``--w``.
+MAX_W = 6
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,10 @@ class RunConfig:
             raise ValueError("order must be nonnegative")
         if self.command == "verify" and self.order < 1:
             raise ValueError("order must be at least 1 for verify")
+        if self.order > MAX_ORDER[self.command]:
+            raise ValueError(f"order must be at most {MAX_ORDER[self.command]} for {self.command}")
+        if self.w is not None and self.w > MAX_W:
+            raise ValueError(f"width must be at most {MAX_W}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

@@ -19,6 +19,18 @@ The module provides
 * an identity suite checking the prefactor-free forms of the classical
   relations between these functions.
 
+The builders write eta and theta term by term from their classical sums,
+which are sparse (O(sqrt N) terms to q-order N):
+
+* Euler's pentagonal theorem, ``etatilde = sum_k (-1)^k q^{k(3k-1)/2}``,
+* the Jacobi triple product, ``thetatilde = sum_n (-1)^n q^{n(n-1)/2} p^n``,
+* Jacobi's identity, ``etatilde^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}``,
+
+and build ``phi = p^{-1} thetatilde^2 (etatilde^3)^{-2}`` from the last two,
+one inverse and three products in all.  The products themselves are
+multiplied out factor by factor only inside the identity suite, so its first
+check compares the sum-built phi against product-built eta and theta.
+
 Substituted instances (``q -> Q``, ``p -> monomial``) are produced by the
 ``*_at`` builders, which pick the source q-order automatically from the
 support-width certificates so the result is exact to the requested order.
@@ -66,20 +78,23 @@ QP = VariableRegistry(("q", "p"), (1, 0))
 Q_ONLY = VariableRegistry(("q",))
 
 
-# The theta product reaches p-exponent k at q-order a only by selecting k
-# distinct factors: descending needs distinct m >= 1 with sum <= a (cost
-# k(k+1)/2), ascending needs distinct m with sum of (m-1) <= a (cost
-# k(k-1)/2).  Both give |k| <= isqrt(2a) + 1; the crude bound a + 1 is
-# sharper for small a.
+# theta1_reduced is the triple-product sum  sum_n (-1)^n q^{n(n-1)/2} p^n,
+# so its slice at q-order a holds only p^n and p^{1-n} with n >= 1 and
+# n(n-1)/2 = a.  From (n-1)^2 <= n(n-1) = 2a, |p-exponent| <= n <= isqrt(2a) + 1,
+# and from n - 1 <= n(n-1)/2, n <= a + 1.  The square-root side below keeps
+# one unit of slack.
 THETA_P_WIDTH = PWidthBound(
     fn=lambda a: min(a + 1, isqrt(2 * a) + 2), sqrt_coeff=1, sqrt_arg=2, offset=2
 )
 
-# phi's factors appear squared, so each m is usable twice: reaching
-# p-exponent -j costs t(t+1) for j = 2t and (t+1)^2 for j = 2t+1 in q-order,
-# hence j <= 2*sqrt(a); adding the fixed p^{-1} (and (1-p)^2 on the
-# ascending side) gives |p-exponent| <= 2*isqrt(a) + 3, again capped by the
-# corner bound a + 1.
+# jacobi_phi is p^{-1} thetatilde^2 etatilde^{-6}, and etatilde^{-6} has no p,
+# so a p-exponent j of phi at q-order a is n1 + n2 - 1 for theta exponents n1,
+# n2 at q-orders a1 + a2 <= a.  A theta exponent n sits at q-order n(n-1)/2,
+# which is at least |n| - 1 for n >= 1 and at least |n| for n <= 0, so
+# |j| <= a1 + a2 + 1 <= a + 1.  For fixed n1 + n2 = j + 1 the convex cost
+# n1(n1-1)/2 + n2(n2-1)/2 is least at n1 = n2, where it is (j^2 - 1)/4; so
+# j^2 <= 4a + 1 and |j| <= 2*isqrt(a) + 1.  The square-root side below keeps
+# two units of slack.
 PHI_P_WIDTH = PWidthBound(
     fn=lambda a: min(a + 1, 2 * isqrt(a) + 3), sqrt_coeff=2, sqrt_arg=1, offset=3
 )
@@ -101,58 +116,104 @@ class ReducedTheta:
     ledger: PrefactorLedger
 
 
-def _one_minus(registry: VariableRegistry, exps: ExponentVector, order: int) -> TruncatedSeries:
-    return polynomial(registry, {registry.zero_exps(): 1, exps: -1}, order)
+def _theta_sum(N: int) -> TruncatedSeries:
+    """Jacobi triple product sum ``sum_{n in Z} (-1)^n q^{n(n-1)/2} p^n``
+    over ``QP``, exact to q-order N."""
+    terms = {}
+    n = 1
+    while n * (n - 1) // 2 <= N:
+        a = n * (n - 1) // 2  # shared by p^n and p^{1-n}, of opposite signs
+        terms[(a, n)] = (-1) ** n
+        terms[(a, 1 - n)] = -((-1) ** n)
+        n += 1
+    return TruncatedSeries(QP, terms, N)
+
+
+def _eta_cubed_sum(N: int) -> TruncatedSeries:
+    """Jacobi's identity ``etatilde^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}``
+    over ``QP``, exact to q-order N."""
+    terms = {}
+    k = 0
+    while k * (k + 1) // 2 <= N:
+        terms[(k * (k + 1) // 2, 0)] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return TruncatedSeries(QP, terms, N)
 
 
 def eta_reduced(N: int) -> ReducedEta:
-    """``prod_{m=1}^{N} (1 - q^m)`` exact to q-order N; ledger ``q^{1/24}``."""
+    """``prod_{m=1}^{N} (1 - q^m)`` exact to q-order N; ledger ``q^{1/24}``.
+
+    Built from Euler's pentagonal sum ``sum_{k in Z} (-1)^k q^{k(3k-1)/2}``,
+    one term per generalized pentagonal number.
+    """
     if N < 0:
         raise ValueError("order must be nonnegative")
-    acc = one(Q_ONLY, N)
-    for m in range(1, N + 1):
-        acc = acc * _one_minus(Q_ONLY, (m,), N)
-    return ReducedEta(acc, PrefactorLedger(q_exp=Fraction(1, 24)))
+    terms = {}
+    k = 0
+    while k * (3 * k - 1) // 2 <= N:
+        terms[(k * (3 * k - 1) // 2,)] = (-1) ** k
+        terms[(k * (3 * k + 1) // 2,)] = (-1) ** k  # the pentagonal number of -k
+        k += 1
+    series = TruncatedSeries(Q_ONLY, terms, N)
+    return ReducedEta(series, PrefactorLedger(q_exp=Fraction(1, 24)))
 
 
 def theta1_reduced(N: int) -> ReducedTheta:
     """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` exact to q-order N.
 
+    Built from the Jacobi triple product sum, one term per exponent of p.
     The ledger carries the ``i q^{1/8} p^{-1/2}`` prefactor that turns this
     into the odd Jacobi theta function.
     """
     if N < 0:
         raise ValueError("order must be nonnegative")
-    acc = one(QP, N)
-    for m in range(1, N + 2):
-        if m <= N:
-            acc = acc * _one_minus(QP, (m, 0), N)
-            acc = acc * _one_minus(QP, (m, -1), N)
-        acc = acc * _one_minus(QP, (m - 1, 1), N)
     ledger = PrefactorLedger(
         i_power=3, q_exp=Fraction(1, 8), var_exps=(("p", Fraction(-1, 2)),)
     )
-    return ReducedTheta(acc, ledger)
+    return ReducedTheta(_theta_sum(N), ledger)
 
 
 def jacobi_phi(N: int) -> TruncatedSeries:
     """The weight -2, index 1 weak Jacobi form as an honest integer series.
 
     ``phi(q,p) = p^{-1}(1-p)^2 prod_m (1-q^m p^{-1})^2 (1-q^m p)^2 (1-q^m)^{-4}``
-    exact to q-order N.  No ledger: the prefactors of the theta/eta
-    presentation cancel completely in this combination.
+    exact to q-order N, built as ``p^{-1} thetatilde^2 etatilde^{-6}`` from
+    the theta sum and the inverse of Jacobi's ``etatilde^3`` sum.  No ledger:
+    the prefactors of the theta/eta presentation cancel completely in this
+    combination.
     """
     if N < 0:
         raise ValueError("order must be nonnegative")
-    acc = polynomial(QP, {(0, -1): 1, (0, 0): -2, (0, 1): 1}, N)  # p^{-1}(1-p)^2
-    eta_like = one(QP, N)
+    theta = _theta_sum(N)
+    inv = _eta_cubed_sum(N).invert_unit()
+    return ((theta * theta) * (inv * inv)).shift_monomial((0, -1))
+
+
+# -- product forms: the identity suite's independent reference ---------------
+
+
+def _one_minus(registry: VariableRegistry, exps: ExponentVector, order: int) -> TruncatedSeries:
+    return polynomial(registry, {registry.zero_exps(): 1, exps: -1}, order)
+
+
+def _eta_product(N: int) -> TruncatedSeries:
+    """``prod_{m=1}^{N} (1 - q^m)`` over ``Q_ONLY`` by multiplying out the factors."""
+    acc = one(Q_ONLY, N)
     for m in range(1, N + 1):
-        f = _one_minus(QP, (m, -1), N)
-        g = _one_minus(QP, (m, 1), N)
-        acc = acc * f * f * g * g
-        eta_like = eta_like * _one_minus(QP, (m, 0), N)
-    inv = eta_like.invert_unit()
-    return acc * inv * inv * inv * inv
+        acc = acc * _one_minus(Q_ONLY, (m,), N)
+    return acc
+
+
+def _theta_product(N: int) -> TruncatedSeries:
+    """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` over ``QP`` by multiplying
+    out the factors."""
+    acc = one(QP, N)
+    for m in range(1, N + 2):
+        if m <= N:
+            acc = acc * _one_minus(QP, (m, 0), N)
+            acc = acc * _one_minus(QP, (m, -1), N)
+        acc = acc * _one_minus(QP, (m - 1, 1), N)
+    return acc
 
 
 def eta_at(target: VariableRegistry, q_image: ExponentVector, order: int) -> ReducedEta:
@@ -283,13 +344,15 @@ def check_identities(N: int) -> list[IdentityCheck]:
     * ``phi(q,p) = phi(q, p^{-1})``
     * ``theta(q, p^{-1}) = -p^{-1} * theta(q,p)``
 
-    Failures are reported, not raised.
+    phi comes from the sum forms (``jacobi_phi``), eta and theta from their
+    products multiplied out factor by factor, so the first check compares
+    the two presentations.  Failures are reported, not raised.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
     phi = jacobi_phi(N)
-    theta = theta1_reduced(N).series
-    eta6 = eta_reduced(N).series.substitute_monomials(QP, {"q": (1, (1, 0))}) ** 6
+    theta = _theta_product(N)
+    eta6 = _eta_product(N).substitute_monomials(QP, {"q": (1, (1, 0))}) ** 6
 
     lhs1 = eta6 * phi
     rhs1 = (theta * theta).shift_monomial((0, -1))

@@ -159,6 +159,38 @@ def test_zero_width_is_a_usage_error(capsys):
     assert err.startswith("usage:") and "w must be at least 1" in err
 
 
+# The documented input caps: --order 32 for compute and crosscheck, 256 for
+# verify, --w 6.
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compute", "--shape", "2x2", "--order", "33"], "order must be at most 32 for compute"),
+        (
+            ["crosscheck", "--shape", "1xW", "--w", "1", "--order", "33"],
+            "order must be at most 32 for crosscheck",
+        ),
+        (["verify", "--order", "257"], "order must be at most 256 for verify"),
+        (["compute", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
+        (["crosscheck", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
+    ],
+)
+def test_values_above_the_caps_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+def test_values_at_the_caps_build_a_run_config():
+    assert RunConfig("compute", 32, "2x2").order == 32
+    assert RunConfig("crosscheck", 32, "1xW", w=6).banana_shape().w == 6
+    assert RunConfig("compute", 32, "1xW", w=6).banana_shape().w == 6
+    assert RunConfig("verify", 256).order == 256
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig("explode", 3)

@@ -5,6 +5,10 @@ import pytest
 
 from bananagv.qseries import (
     PHI_P_WIDTH,
+    _eta_cubed_sum,
+    _eta_product,
+    _one_minus,
+    _theta_product,
     QP,
     QYT,
     Q_ONLY,
@@ -19,7 +23,7 @@ from bananagv.qseries import (
     theta1_at,
     theta1_reduced,
 )
-from bananagv.series import TruncatedSeries, VariableRegistry, polynomial
+from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
 
 
 def q_slice(series, a):
@@ -68,7 +72,7 @@ def test_theta_ledger():
 
 
 def test_theta_support_obeys_width_certificate():
-    t = theta1_reduced(10).series
+    t = theta1_reduced(60).series
     for (a, b), c in t.terms.items():
         assert c != 0
         assert abs(b) <= THETA_P_WIDTH.fn(a)
@@ -100,7 +104,7 @@ def test_phi_corner_coefficients():
 
 
 def test_phi_support_obeys_width_certificate():
-    f = jacobi_phi(12)
+    f = jacobi_phi(60)
     for (a, b), _ in f.terms.items():
         assert abs(b) <= PHI_P_WIDTH.fn(a)
         assert PHI_P_WIDTH.check_certificate(a)
@@ -114,19 +118,58 @@ def test_phi_at_with_negative_image_degree_matches_inversion():
     assert direct.same_series(f.substitute_monomials(QP, {"q": (1, (1, 0)), "p": (1, (0, -1))}))
 
 
+# ------------------------------------------------- sum forms vs products
+
+
+def _phi_double_product(N):
+    """``p^{-1}(1-p)^2 prod_m (1-q^m p^{-1})^2 (1-q^m p)^2 (1-q^m)^{-4}`` by
+    multiplying out the factors: an independent reference for ``jacobi_phi``."""
+    acc = polynomial(QP, {(0, -1): 1, (0, 0): -2, (0, 1): 1}, N)
+    eta_like = one(QP, N)
+    for m in range(1, N + 1):
+        f = _one_minus(QP, (m, -1), N)
+        g = _one_minus(QP, (m, 1), N)
+        acc = acc * f * f * g * g
+        eta_like = eta_like * _one_minus(QP, (m, 0), N)
+    inv = eta_like.invert_unit()
+    return acc * inv * inv * inv * inv
+
+
+def _assert_identical(a, b):
+    assert (a.registry, a.order, a.floor, a.terms) == (b.registry, b.order, b.floor, b.terms)
+
+
+def test_sum_forms_equal_the_product_builders():
+    # the double product is built once; its truncation to N is exact, so it
+    # stands for the order-N product with the same order and floor
+    phi_reference = _phi_double_product(40)
+    for N in range(41):
+        _assert_identical(eta_reduced(N).series, _eta_product(N))
+        _assert_identical(theta1_reduced(N).series, _theta_product(N))
+        _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
+
+
+def test_eta_cubed_sum_is_the_cube_of_eta():
+    for N in range(41):
+        eta = _eta_product(N).substitute_monomials(QP, {"q": (1, (1, 0))})
+        _assert_identical(_eta_cubed_sum(N), eta * eta * eta)
+
+
 # -------------------------------------------------------------- identities
 
 
 def test_identity_suite_passes():
-    checks = check_identities(8)
-    assert [c.name for c in checks] == [
-        "eta6_phi_equals_theta_squared",
-        "index_one_shift",
-        "p_inversion_symmetry",
-        "theta_oddness",
-    ]
-    for c in checks:
-        assert c.passed, f"{c.name}: {c.detail}"
+    for N in (8, 48):
+        checks = check_identities(N)
+        assert [c.name for c in checks] == [
+            "eta6_phi_equals_theta_squared",
+            "index_one_shift",
+            "p_inversion_symmetry",
+            "theta_oddness",
+        ]
+        for c in checks:
+            assert c.passed, f"{c.name}: {c.detail}"
+            assert c.detail == f"exact to order {N}"
 
 
 def test_identity_suite_rejects_negative_order():
