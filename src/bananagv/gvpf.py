@@ -61,9 +61,9 @@ _Q22 = (1, 1, 1, 1)
 
 
 def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
-    for exps in series.terms:
-        if any(e < 0 for e in exps):
-            raise InvariantError(f"{what} kept a negative exponent at {exps}")
+    if series.has_negative_exponent():
+        exps = next(e for e in series.terms if min(e) < 0)
+        raise InvariantError(f"{what} kept a negative exponent at {exps}")
 
 
 def pf_22(N: int) -> TruncatedSeries:

@@ -228,10 +228,10 @@ def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
 
 def behrend_twist(series: TruncatedSeries) -> TruncatedSeries:
     """Negate every tracking variable: multiplies each coefficient by
-    (-1)^degree, converting naive counts to signed invariants."""
-    registry = series.registry
-    images = {
-        name: (-1, tuple(1 if i == k else 0 for k in range(registry.size)))
-        for i, name in enumerate(registry.names)
-    }
-    return series.substitute_monomials(registry, images)
+    (-1)^degree, converting naive counts to signed invariants.
+
+    Tracking variables have unit weight, so the weighted degree of each
+    slice is the total degree and the twist negates the odd slices."""
+    if any(w != 1 for w in series.registry.weights):
+        raise ValueError("the twist expects unit-weight tracking variables")
+    return series.sign_by_degree()

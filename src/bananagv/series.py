@@ -20,28 +20,55 @@ two numbers drive exact order propagation:
 * ``a.sqrt_unit()`` with minimal slice at degree ``m``   -> order ``Na - m/2``
 
 **Representation.**  The terms are kept grouped by weighted degree into
-*slices*, ``degree -> {exponents: coefficient}``; the flat read-only view
-``terms`` is built from them on first use.  A term's degree is computed
-once, when the public constructor files it into its slice; every operation
-after that reads degrees off the slice keys.  Operations build their results
-slice by slice and hand them to a trusted internal constructor that neither
-re-checks nor re-normalizes them.  The public constructor and the other
-public entry points (``monomial``, ``coefficient``, ``shift_monomial``,
-``VariableRegistry.exps`` and substitution images) refuse any coefficient
-or exponent that is not an ``int`` with TypeError.
+*slices*, ``degree -> {key: coefficient}``.  A key is the exponent vector
+``e`` of length ``n`` packed into one Python int (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007)::
+
+    key(e) = sum(e) * B**n + e_0 * B**(n-1) + ... + e_{n-1},    B = 2**16
+
+Each exponent is a balanced base-``B`` digit, ``|e_i| < 2**15``, below a
+leading digit holding the raw degree ``sum(e)``.  Packing is linear, so the
+key of a product term is ``key_a + key_b``, and integer order on keys is
+exactly :func:`grlex_key` order, so a slice's leading term is ``max(slice)``.
+Exponent tuples appear only at the public boundary: the constructor,
+``terms``, ``sorted_terms``, ``coefficient``, the ``shift_monomial`` delta
+and substitution images.  A term's degree is computed once, when the public
+constructor files it into its slice; every operation after that reads
+degrees off the slice keys.  Operations build their results slice by slice
+and hand them to a trusted internal constructor that neither re-checks nor
+re-normalizes them.  The public constructor and the other public entry
+points (``monomial``, ``coefficient``, ``shift_monomial``, ``truncate``,
+``VariableRegistry`` and substitution images) refuse any coefficient,
+exponent, weight or order that is not an ``int`` with TypeError.
+
+**Overflow.**  A digit that reached ``2**15`` in absolute value would carry
+into its neighbour and silently change the monomial, so it is refused with
+ValueError before it can form.  Every series carries ``_emax``, an upper
+bound on ``|e_i|`` over its stored terms: exact from the constructor, the
+sum of the operands' bounds for a product, the bound plus ``max|delta|``
+for a shift, and the bound times the images' spread for a substitution.
+Where such a bound reaches ``2**15`` the operands' exact bounds are read
+off their keys before the operation is refused.  The recurrences below
+track a bound per slice and check every pair of slices before they
+multiply it.  The bounds ignore truncation, so the guard may refuse a
+product whose large exponents would all have landed beyond its order.
 
 **Kernels.**
 
 * ``a * b`` walks pairs of slices in ascending degree and stops each row
   at ``order - deg(a-slice)``, so no product term beyond the result order
-  is ever formed.
+  is ever formed.  ``a * a`` squares: it forms each unordered pair of terms
+  once, and ``a ** n`` squares repeatedly.
 * ``invert_unit`` scales the unique minimal term to 1 at degree 0,
   ``u = 1 + u_1 + u_2 + ...``, and solves ``u v = 1`` slice by slice:
   ``v_0 = 1`` and ``v_j = -sum_{k=1..j} u_k v_{j-k}``.
 * ``sqrt_unit`` takes the square root ``r_0`` of the minimal slice ``s_m``
   and solves ``r_j = (s_{m+j} - sum_{0<i<j} r_i r_{j-i}) / (2 r_0)`` by
   exact homogeneous division (Brent & Kung, "Fast algorithms for
-  manipulating formal power series", J. ACM 1978).
+  manipulating formal power series", J. ACM 1978).  When ``r_0`` is a
+  single monomial the division goes term by term; a polynomial ``r_0``
+  takes greedy leading-term division.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -56,12 +83,14 @@ of this module handles that case; see ``PWidthBound``.
 """
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
-from operator import add
-from typing import Callable, Iterator, Mapping
+from operator import add, mul, sub
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "ExponentVector",
@@ -82,8 +111,13 @@ __all__ = [
 # variable, in registry order.
 ExponentVector = tuple
 
-# One homogeneous slice of a series: the terms of a single weighted degree.
+# One homogeneous slice of a series: packed key -> coefficient for the terms
+# of a single weighted degree.
 Slice = dict
+
+_DIGIT_BITS = 16
+# every stored exponent has |e| < _EXP_LIMIT, one balanced digit
+_EXP_LIMIT = 1 << (_DIGIT_BITS - 1)
 
 
 def grlex_key(exps: ExponentVector):
@@ -91,7 +125,7 @@ def grlex_key(exps: ExponentVector):
 
     This is the canonical term order used everywhere: serialization lists
     terms by increasing key, while leading-term arguments (square roots,
-    exact division) take the maximal key.
+    exact division) take the maximal key.  Packed keys compare the same way.
     """
     return (sum(exps), exps)
 
@@ -99,13 +133,52 @@ def grlex_key(exps: ExponentVector):
 def _as_int(x, what: str) -> int:
     """``x`` itself if it is an ``int``; TypeError for anything else.
 
-    Public entry points pass every coefficient and exponent through here, so
-    a float, Fraction or bool is refused instead of being truncated, zeroed
-    or merged onto another term.
+    Public entry points pass every coefficient, exponent, weight and order
+    through here, so a float, Fraction or bool is refused instead of being
+    truncated, zeroed or merged onto another term.
     """
     if type(x) is int:
         return x
     raise TypeError(f"{what} must be an int, not {type(x).__name__} {x!r}")
+
+
+def _check_exponent_bound(bound: int) -> None:
+    if bound >= _EXP_LIMIT:
+        raise ValueError(
+            f"an exponent of absolute value up to {bound} could form; "
+            f"packed monomial keys hold |exponent| < {_EXP_LIMIT}"
+        )
+
+
+class _Packing:
+    """Packs exponent vectors of length ``n`` into int keys and back."""
+
+    __slots__ = ("n", "_low", "_offset", "_struct")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._low = (1 << (_DIGIT_BITS * n)) - 1
+        self._offset = sum(_EXP_LIMIT << (_DIGIT_BITS * i) for i in range(n))
+        self._struct = struct.Struct(">" + "h" * n)
+
+    def pack(self, exps: ExponentVector) -> int:
+        """Key of an exponent vector whose entries all have ``|e| < 2**15``."""
+        key = sum(exps)
+        for e in exps:
+            key = (key << _DIGIT_BITS) + e
+        return key
+
+    def unpack(self, key: int) -> ExponentVector:
+        # the offset turns each balanced digit e into the plain digit
+        # e + 2**15, and flipping bit 15 back leaves e in 16-bit two's
+        # complement, which struct reads as a signed short
+        offset = self._offset
+        packed = ((key + offset) & self._low) ^ offset
+        return self._struct.unpack(packed.to_bytes(2 * self.n, "big"))
+
+    def bound(self, keys: Iterable[int]) -> int:
+        """The largest ``|exponent|`` over the keys (0 for none)."""
+        return max(map(abs, chain.from_iterable(map(self.unpack, keys))), default=0)
 
 
 class InvariantError(AssertionError):
@@ -135,12 +208,13 @@ class VariableRegistry:
         weights = self.weights
         if weights is None:
             weights = (1,) * len(names)
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_as_int(w, "weight") for w in weights)
         if len(weights) != len(names):
             raise ValueError("one weight per variable required")
         if any(w < 0 for w in weights):
             raise ValueError("grading weights must be nonnegative")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_packing", _Packing(len(names)))
 
     @property
     def size(self) -> int:
@@ -155,7 +229,7 @@ class VariableRegistry:
     def degree(self, exps: ExponentVector) -> int:
         if len(exps) != len(self.names):
             raise ValueError("exponent vector has wrong length")
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def zero_exps(self) -> ExponentVector:
         return (0,) * len(self.names)
@@ -168,68 +242,91 @@ class VariableRegistry:
         return tuple(vec)
 
 
+def _int_exps(exps) -> ExponentVector:
+    exps = tuple(exps)
+    if not {int}.issuperset(map(type, exps)):
+        for e in exps:
+            _as_int(e, "exponent")
+    return exps
+
+
+def _exps_max(exps: ExponentVector) -> int:
+    return max(map(abs, exps), default=0)
+
+
 class TruncatedSeries:
     """Immutable truncated Laurent series over a :class:`VariableRegistry`.
 
     Construction normalizes the term dict: zero coefficients and terms of
     weighted degree above ``order`` are dropped (the latter lie in the
-    unknown region and may not be reported).  Coefficients and exponents
-    must be ``int``.  Do not mutate ``terms``.
+    unknown region and may not be reported).  Coefficients, exponents and
+    the order must be ``int``; a stored exponent must have ``|e| < 2**15``.
+    Do not mutate ``terms``.
     """
 
-    __slots__ = ("registry", "order", "floor", "_slices", "_terms")
+    __slots__ = ("registry", "order", "floor", "_slices", "_emax", "_terms")
 
     def __init__(self, registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int):
-        order = int(order)
+        order = _as_int(order, "order")
         n = registry.size
+        pack = registry._packing.pack
+        degree = registry.degree
         slices: dict[int, Slice] = {}
+        emax = 0
         for exps, coeff in terms.items():
             if len(exps) != n:
                 raise ValueError("exponent vector has wrong length")
-            exps = tuple(_as_int(e, "exponent") for e in exps)
+            exps = _int_exps(exps)
             coeff = _as_int(coeff, "coefficient")
             if coeff == 0:
                 continue
-            d = registry.degree(exps)
+            d = degree(exps)
             if d <= order:
-                slices.setdefault(d, {})[exps] = coeff
-        self._fill(registry, slices, order)
+                big = _exps_max(exps)
+                if big > emax:
+                    _check_exponent_bound(big)
+                    emax = big
+                slices.setdefault(d, {})[pack(exps)] = coeff
+        self._fill(registry, slices, order, emax)
 
     @classmethod
-    def _from_slices(cls, registry: VariableRegistry, slices: dict[int, Slice], order: int):
+    def _from_slices(cls, registry: VariableRegistry, slices: dict[int, Slice], order: int, emax: int):
         """Trusted constructor for kernel results.
 
         ``slices`` must map degrees <= ``order`` to nonempty dicts of nonzero
-        int coefficients whose exponent vectors have that degree.  It is
-        adopted as is: not copied, checked or normalized.
+        int coefficients whose packed keys have that degree, and ``emax``
+        must bound ``|exponent|`` over them.  It is adopted as is: not
+        copied, checked or normalized.
         """
         self = object.__new__(cls)
-        self._fill(registry, slices, order)
+        self._fill(registry, slices, order, emax)
         return self
 
-    def _fill(self, registry: VariableRegistry, slices: dict[int, Slice], order: int):
+    def _fill(self, registry: VariableRegistry, slices: dict[int, Slice], order: int, emax: int):
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "floor", min(slices, default=order + 1))
         # slices are shared between series (sums and truncations reuse them)
         # and must never be mutated once adopted
         object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_emax", emax)
         object.__setattr__(self, "_terms", None)
+
+    def _exact_emax(self) -> int:
+        """The largest stored ``|exponent|``, read off the keys; it replaces
+        the tracked bound."""
+        emax = self.registry._packing.bound(chain.from_iterable(self._slices.values()))
+        object.__setattr__(self, "_emax", emax)
+        return emax
 
     @property
     def terms(self) -> dict[ExponentVector, int]:
         """All stored terms as one flat dict, built on first use."""
         if self._terms is None:
-            terms: dict[ExponentVector, int] = {}
-            for s in self._slices.values():
-                terms.update(s)
+            unpack = self.registry._packing.unpack
+            terms = {unpack(k): c for s in self._slices.values() for k, c in s.items()}
             object.__setattr__(self, "_terms", terms)
         return self._terms
-
-    def _items(self) -> Iterator[tuple[ExponentVector, int]]:
-        """All stored terms, slice by slice, without building ``terms``."""
-        for s in self._slices.values():
-            yield from s.items()
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")
@@ -242,13 +339,15 @@ class TruncatedSeries:
         Raises if the monomial's degree exceeds the guaranteed order: a
         coefficient in the unknown region is not zero, it is unknown.
         """
-        exps = tuple(_as_int(e, "exponent") for e in exps)
+        exps = _int_exps(exps)
         d = self.registry.degree(exps)
         if d > self.order:
             raise ValueError(
                 f"coefficient at degree {d} is beyond the guaranteed order {self.order}"
             )
-        return self._slices.get(d, {}).get(exps, 0)
+        if _exps_max(exps) >= _EXP_LIMIT:
+            return 0  # no stored term has such an exponent
+        return self._slices.get(d, {}).get(self.registry._packing.pack(exps), 0)
 
     def constant_term(self) -> int:
         return self.coefficient(self.registry.zero_exps())
@@ -256,9 +355,17 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._slices
 
+    def has_negative_exponent(self) -> bool:
+        """Whether some stored term has a negative exponent."""
+        # e >= 0 exactly when the plain digit e + 2**15 has bit 15 set
+        offset = self.registry._packing._offset
+        return any((k + offset) & offset != offset for s in self._slices.values() for k in s)
+
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in the canonical graded-lex order (ascending)."""
-        return sorted(self._items(), key=lambda item: grlex_key(item[0]))
+        unpack = self.registry._packing.unpack
+        items = sorted(chain.from_iterable(s.items() for s in self._slices.values()))
+        return [(unpack(k), c) for k, c in items]
 
     def same_series(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
         """Compare coefficients up to ``up_to`` (default: the common order)."""
@@ -291,15 +398,16 @@ class TruncatedSeries:
                 slices[d] = sa or sb
                 continue
             s = dict(sa)
-            for e, c in sb.items():
-                v = s.get(e, 0) + c
+            for k, c in sb.items():
+                v = s.get(k, 0) + c
                 if v:
-                    s[e] = v
+                    s[k] = v
                 else:
-                    del s[e]
+                    del s[k]
             if s:
                 slices[d] = s
-        return TruncatedSeries._from_slices(self.registry, slices, order)
+        emax = max(self._emax, other._emax)
+        return TruncatedSeries._from_slices(self.registry, slices, order, emax)
 
     def __neg__(self) -> "TruncatedSeries":
         return self._scaled(-1)
@@ -311,14 +419,24 @@ class TruncatedSeries:
         slices = (
             {d: {e: k * c for e, c in s.items()} for d, s in self._slices.items()} if k else {}
         )
-        return TruncatedSeries._from_slices(self.registry, slices, self.order)
+        return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
+
+    def sign_by_degree(self) -> "TruncatedSeries":
+        """The series with its degree-``d`` slice multiplied by ``(-1)**d``."""
+        slices = {
+            d: {e: -c for e, c in s.items()} if d % 2 else s for d, s in self._slices.items()
+        }
+        return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._scaled(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        if other is self:
+            return self._square()
         self._check_registry(other)
+        emax = _result_emax(add, self, other)
         order = min(self.order + other.floor, other.order + self.floor)
         b_slices = sorted(other._slices.items())
         acc: dict[int, Slice] = {}
@@ -330,26 +448,49 @@ class TruncatedSeries:
                 if db > room:
                     break
                 _add_product(acc.setdefault(da + db, {}), sa, sb, 1)
-        return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order)
+        return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     __rmul__ = __mul__
+
+    def _square(self) -> "TruncatedSeries":
+        """``self * self``, forming each unordered pair of terms once."""
+        emax = _result_emax(lambda e: 2 * e, self)
+        order = self.order + self.floor
+        slices = sorted(self._slices.items())
+        acc: dict[int, Slice] = {}
+        for i, (da, sa) in enumerate(slices):
+            if 2 * da > order:
+                break
+            _add_square(acc.setdefault(2 * da, {}), sa, 1)
+            for db, sb in slices[i + 1 :]:
+                if da + db > order:
+                    break
+                _add_product(acc.setdefault(da + db, {}), sa, sb, 2)
+        return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        out = None
-        for _ in range(n):
-            out = self if out is None else out * self
-        if out is None:
+        if n == 0:
             return one(self.registry, self.order)
-        return out
+        # order and floor come out as for n - 1 left multiplications: both
+        # give order N + (n-1)F and floor nF, since lead slices never cancel
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget knowledge beyond ``order`` (which must not exceed the current order)."""
+        order = _as_int(order, "order")
         if order > self.order:
             raise ValueError("cannot extend a series' guaranteed order by truncation")
         slices = {d: s for d, s in self._slices.items() if d <= order}
-        return TruncatedSeries._from_slices(self.registry, slices, order)
+        return TruncatedSeries._from_slices(self.registry, slices, order, self._emax)
 
     def shift_monomial(self, delta: ExponentVector, scale: int = 1) -> "TruncatedSeries":
         """Multiply by the exact monomial ``scale * X^delta``.
@@ -358,18 +499,22 @@ class TruncatedSeries:
         monomial has no unknown tail, so the guaranteed order moves up by the
         monomial's degree.
         """
-        delta = tuple(_as_int(x, "exponent") for x in delta)
+        delta = _int_exps(delta)
         scale = _as_int(scale, "coefficient")
         shift = self.registry.degree(delta)
+        reach = _exps_max(delta)
+        _check_exponent_bound(reach)
+        emax = _result_emax(lambda e: e + reach, self)
+        k = self.registry._packing.pack(delta)
         slices = (
             {
-                d + shift: {tuple(map(add, e, delta)): scale * c for e, c in s.items()}
+                d + shift: {e + k: scale * c for e, c in s.items()}
                 for d, s in self._slices.items()
             }
             if scale
             else {}
         )
-        return TruncatedSeries._from_slices(self.registry, slices, self.order + shift)
+        return TruncatedSeries._from_slices(self.registry, slices, self.order + shift, emax)
 
     # -- units: inverse and square root -----------------------------------
 
@@ -389,25 +534,32 @@ class TruncatedSeries:
         m0, lead = self._minimal_slice()
         if len(lead) != 1:
             raise ValueError("invert_unit requires a unique minimal-degree term")
-        (e0, c0), = lead.items()
+        (k0, c0), = lead.items()
         if c0 not in (1, -1):
             raise ValueError("invert_unit requires the minimal term to have coefficient +-1")
-        neg_e0 = tuple(-x for x in e0)
+        packing = self.registry._packing
+        neg_e0 = tuple(-x for x in packing.unpack(k0))
         u = self.shift_monomial(neg_e0, c0)  # order N - m0, leading term 1 at degree 0
-        unit = {self.registry.zero_exps(): 1}
+        unit = {0: 1}  # the key of the zero exponent vector is 0
         if u.floor < 0 or u._slices.get(0) != unit:
             raise ValueError("invert_unit internal error: tail not of positive degree")
-        tail = sorted((k, s) for k, s in u._slices.items() if k > 0)
+        tail = sorted((k, s, packing.bound(s)) for k, s in u._slices.items() if k > 0)
         inv = [unit]  # inv[j] is the degree-j slice of 1/u
+        bounds = [0]  # bounds[j] bounds |exponent| over inv[j]
         for j in range(1, u.order + 1):
             acc: Slice = {}
-            for k, uk in tail:
+            emax = 0
+            for k, uk, uk_emax in tail:
                 if k > j:
                     break
-                _add_product(acc, uk, inv[j - k], -1)
+                if inv[j - k]:
+                    emax = max(emax, uk_emax + bounds[j - k])
+                    _check_exponent_bound(emax)
+                    _add_product(acc, uk, inv[j - k], -1)
             inv.append({e: c for e, c in acc.items() if c})
+            bounds.append(emax)
         slices = {j: s for j, s in enumerate(inv) if s}
-        inv_u = TruncatedSeries._from_slices(self.registry, slices, u.order)
+        inv_u = TruncatedSeries._from_slices(self.registry, slices, u.order, max(bounds))
         return inv_u.shift_monomial(neg_e0, c0)
 
     def sqrt_unit(self) -> "TruncatedSeries":
@@ -424,21 +576,26 @@ class TruncatedSeries:
             raise ValueError("series has no guaranteed terms to take a root of")
         if m0 % 2 != 0:
             raise ValueError("minimal degree is odd; the series is not a square")
-        root_lead = _homogeneous_sqrt(lead)
+        packing = self.registry._packing
+        root_lead = _homogeneous_sqrt(lead, packing)
         two_lead = {e: 2 * c for e, c in root_lead.items()}
         roots = [root_lead]  # roots[j] is the root's slice of degree m0/2 + j
+        bounds = [packing.bound(root_lead)]  # bounds[j] is |exponent| over roots[j]
         for j in range(1, self.order - m0 + 1):
             # slice m0 + j of root^2 is 2 r_0 r_j + sum_{0<i<j} r_i r_{j-i}
+            _check_exponent_bound(max((bounds[i] + bounds[j - i] for i in range(1, j)), default=0))
             target = dict(self._slices.get(m0 + j, {}))
             for i in range(1, (j + 1) // 2):
                 _add_product(target, roots[i], roots[j - i], -2)
             if j % 2 == 0:
-                _add_product(target, roots[j // 2], roots[j // 2], -1)
+                _add_square(target, roots[j // 2], -1)
             target = {e: c for e, c in target.items() if c}
-            roots.append(_homogeneous_exact_divide(target, two_lead) if target else {})
+            root = _homogeneous_exact_divide(target, two_lead, packing) if target else {}
+            roots.append(root)
+            bounds.append(packing.bound(root))
         half = m0 // 2
         slices = {half + j: r for j, r in enumerate(roots) if r}
-        b = TruncatedSeries._from_slices(self.registry, slices, self.order - half)
+        b = TruncatedSeries._from_slices(self.registry, slices, self.order - half, max(bounds))
         check = b * b
         if not check.same_series(self, up_to=min(check.order, self.order)):
             raise ValueError("series is not the square of a truncated Laurent series")
@@ -486,12 +643,18 @@ class TruncatedSeries:
             sign, exps = images[name]
             if _as_int(sign, "image sign") not in (1, -1):
                 raise ValueError("image sign must be +1 or -1")
-            exps = tuple(_as_int(e, "exponent") for e in exps)
+            exps = _int_exps(exps)
             if len(exps) != target.size:
                 raise ValueError("image exponent vector has wrong length for target registry")
+            _check_exponent_bound(_exps_max(exps))
             img_exps.append(exps)
             img_signs.append(sign)
             img_degs.append(target.degree(exps))
+        # each target exponent is a sum of e_v * image_v entries
+        spread = max((sum(map(abs, col)) for col in zip(*img_exps)), default=0)
+        emax = _result_emax(lambda e: e * spread, self)
+        unpack = reg._packing.unpack
+        items = [(unpack(k), c) for s in self._slices.values() for k, c in s.items()]
 
         if all(d == w for d, w in zip(img_degs, reg.weights)):
             result_order = self.order
@@ -505,7 +668,7 @@ class TruncatedSeries:
             if dq < 1:
                 raise ValueError("the grading variable must map to a monomial of degree >= 1")
             wq = reg.weights[0]
-            for (a, b), _ in self._items():
+            for (a, b), _ in items:
                 if a < 0:
                     raise ValueError("width-bounded substitution expects nonnegative q-exponents")
                 if abs(b) > p_width.fn(a):
@@ -513,7 +676,7 @@ class TruncatedSeries:
             source_q_order = self.order // wq
             result_order = _tail_min_image_degree(p_width, dq, abs(dp), source_q_order + 1) - 1
         elif nonnegative_source:
-            if any(e < 0 for exps, _ in self._items() for e in exps):
+            if self.has_negative_exponent():
                 raise ValueError("source series has stored negative exponents")
             if min(img_degs, default=1) < 1:
                 raise ValueError("every image monomial must have degree >= 1")
@@ -526,22 +689,24 @@ class TruncatedSeries:
                 "pass p_width or assert nonnegative_source"
             )
 
+        # packing is linear: the image of X^e has key sum_v e_v * key(image_v)
+        pack = target._packing.pack
+        images_packed = [
+            (pack(exps), deg, sign < 0) for exps, deg, sign in zip(img_exps, img_degs, img_signs)
+        ]
         acc: dict[int, Slice] = {}
-        for exps, coeff in self._items():
-            out = [0] * target.size
-            sign = 1
-            for e, ie, s in zip(exps, img_exps, img_signs):
+        for exps, coeff in items:
+            key = d = 0
+            for e, (ik, idg, odd_flips) in zip(exps, images_packed):
                 if e:
-                    for k, x in enumerate(ie):
-                        out[k] += e * x
-                    if s < 0 and e % 2:
-                        sign = -sign
-            key = tuple(out)
-            d = target.degree(key)
+                    key += e * ik
+                    d += e * idg
+                    if odd_flips and e % 2:
+                        coeff = -coeff
             if d <= result_order:
                 bucket = acc.setdefault(d, {})
-                bucket[key] = bucket.get(key, 0) + sign * coeff
-        return TruncatedSeries._from_slices(target, _nonzero_slices(acc), result_order)
+                bucket[key] = bucket.get(key, 0) + coeff
+        return TruncatedSeries._from_slices(target, _nonzero_slices(acc), result_order, emax)
 
     # -- presentation ------------------------------------------------------
 
@@ -587,12 +752,22 @@ class TruncatedSeries:
     __hash__ = None  # mutable-looking container; use same_series for math equality
 
 
+def _result_emax(combine: Callable[..., int], *operands: TruncatedSeries) -> int:
+    """``combine`` of the operands' exponent bounds, a bound for the result;
+    ValueError if even their exact bounds could overflow a digit."""
+    emax = combine(*(s._emax for s in operands))
+    if emax >= _EXP_LIMIT:
+        emax = combine(*(s._exact_emax() for s in operands))
+        _check_exponent_bound(emax)
+    return emax
+
+
 # -- constructors ----------------------------------------------------------
 
 
 def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order: int) -> TruncatedSeries:
     """Single-term series ``coeff * X^exps``, exact to the given order."""
-    exps = tuple(_as_int(e, "exponent") for e in exps)
+    exps = _int_exps(exps)
     if registry.degree(exps) > order:
         raise ValueError("order must be at least the degree of the monomial")
     return TruncatedSeries(registry, {exps: coeff}, order)
@@ -618,16 +793,31 @@ def zero(registry: VariableRegistry, order: int) -> TruncatedSeries:
     return TruncatedSeries(registry, {}, order)
 
 
-# -- homogeneous-slice helpers (plain dicts, no truncation data) ------------
+# -- homogeneous-slice helpers (packed-key dicts, no truncation data) --------
 
 
 def _add_product(acc: Slice, a: Slice, b: Slice, scale: int) -> None:
     """``acc += scale * a * b`` in place; cancelled terms stay as zeros."""
-    for ea, ca in a.items():
+    get = acc.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
         ca *= scale
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            acc[e] = acc.get(e, 0) + ca * cb
+        for kb, cb in b_items:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _add_square(acc: Slice, a: Slice, scale: int) -> None:
+    """``acc += scale * a * a`` in place, forming each unordered pair once."""
+    get = acc.get
+    items = list(a.items())
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        acc[k] = get(k, 0) + scale * ca * ca
+        ca *= 2 * scale
+        for kb, cb in items[i + 1 :]:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
 
 
 def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
@@ -640,14 +830,10 @@ def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
     return out
 
 
-def _lead(terms: dict) -> ExponentVector:
-    return max(terms, key=grlex_key)
-
-
 _DIVISION_CAP = 10_000
 
 
-def _homogeneous_sqrt(slice_terms: dict) -> dict:
+def _homogeneous_sqrt(slice_terms: Slice, packing: _Packing) -> Slice:
     """Square root of a homogeneous polynomial slice by leading-term recursion.
 
     The root's leading coefficient is positive.  Raises ValueError when the
@@ -659,38 +845,44 @@ def _homogeneous_sqrt(slice_terms: dict) -> dict:
     root key from below.  A key under that bound proves the slice is not a
     square, which stops the recursion where it would otherwise run on with
     ever lower keys (a weight-0 Laurent variable allows infinitely many).
+    The Newton polytope of a square is twice that of its root, so every
+    root exponent is also at most half the slice's largest ``|exponent|``.
     """
-    lead = _lead(slice_terms)
+    lead = max(slice_terms)
     c = slice_terms[lead]
     if c < 0:
         raise ValueError("leading coefficient of the minimal slice is negative")
     r = isqrt(c)
-    if r * r != c or any(e % 2 for e in lead):
+    if r * r != c or any(e % 2 for e in packing.unpack(lead)):
         raise ValueError("minimal slice is not a perfect square")
-    trail = min(slice_terms, key=grlex_key)
+    trail = min(slice_terms)
     t = slice_terms[trail]
-    if t < 0 or isqrt(t) ** 2 != t or any(e % 2 for e in trail):
+    if t < 0 or isqrt(t) ** 2 != t or any(e % 2 for e in packing.unpack(trail)):
         raise ValueError("trailing term of the minimal slice is not a square")
-    floor_key = grlex_key(tuple(e // 2 for e in trail))
-    root = {tuple(e // 2 for e in lead): r}
-    root_lead = tuple(e // 2 for e in lead)
-    lead_key = grlex_key(root_lead)
+    # every digit of these two keys is even, so halving the key halves each
+    floor_key = trail // 2
+    root_lead = lead // 2
+    lead_exps = packing.unpack(root_lead)
+    reach = packing.bound(slice_terms) // 2
+    root = {root_lead: r}
     for _ in range(_DIVISION_CAP):
         rem = dict(slice_terms)
         for e1, c1 in root.items():
             for e2, c2 in root.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = e1 + e2
                 rem[key] = rem.get(key, 0) - c1 * c2
                 if rem[key] == 0:
                     del rem[key]
         if not rem:
             return root
-        lt = _lead(rem)
+        lt = max(rem)
         num = rem[lt]
         if num % (2 * r):
             raise ValueError("minimal slice is not a perfect square over the integers")
-        key = tuple(x - y for x, y in zip(lt, root_lead))
-        if not floor_key <= grlex_key(key) < lead_key:
+        key = lt - root_lead
+        if not floor_key <= key < root_lead:
+            raise ValueError("minimal slice is not a perfect square")
+        if _exps_max(tuple(map(sub, packing.unpack(lt), lead_exps))) > reach:
             raise ValueError("minimal slice is not a perfect square")
         root[key] = root.get(key, 0) + num // (2 * r)
         if root[key] == 0:
@@ -698,30 +890,53 @@ def _homogeneous_sqrt(slice_terms: dict) -> dict:
     raise ValueError("square-root recursion did not terminate; slice is not a square")
 
 
-def _homogeneous_exact_divide(num: dict, den: dict) -> dict:
-    """Exact quotient of homogeneous slices by greedy leading-term division.
+def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slice:
+    """Exact quotient of homogeneous slices.
 
-    Works over Laurent exponents; integer divisibility is enforced at every
-    step and a nonzero remainder (or runaway iteration) raises ValueError.
+    A one-term divisor divides term by term; a longer one takes greedy
+    leading-term division.  Works over Laurent exponents; integer
+    divisibility is enforced at every step and a nonzero remainder (or
+    runaway iteration) raises ValueError.  The Newton polytope of ``num``
+    is that of the quotient plus that of ``den``, so a quotient exponent
+    beyond ``|num| + |den|`` (largest ``|exponent|`` of each) proves the
+    division inexact.
     """
     if not den:
         raise ValueError("division by the zero slice")
-    den_lead = _lead(den)
+    den_reach = packing.bound(den)
+    if len(den) == 1:
+        (den_key, den_c), = den.items()
+        if den_reach:  # a constant divisor leaves every key as it is
+            _check_exponent_bound(packing.bound(num) + den_reach)
+        quot = {}
+        for k, c in num.items():
+            q, r = divmod(c, den_c)
+            if r:
+                raise ValueError("slice division is not exact over the integers")
+            quot[k - den_key] = q
+        return quot
+    reach = packing.bound(num) + den_reach
+    # remainder keys are quotient keys plus divisor keys
+    _check_exponent_bound(reach + den_reach)
+    den_lead = max(den)
+    den_lead_exps = packing.unpack(den_lead)
     den_c = den[den_lead]
-    quot: dict = {}
+    quot: Slice = {}
     rem = dict(num)
     for _ in range(_DIVISION_CAP):
         if not rem:
             return quot
-        lt = _lead(rem)
+        lt = max(rem)
         c = rem[lt]
         if c % den_c:
             raise ValueError("slice division is not exact over the integers")
-        q_exps = tuple(x - y for x, y in zip(lt, den_lead))
+        if _exps_max(tuple(map(sub, packing.unpack(lt), den_lead_exps))) > reach:
+            raise ValueError("slice division is not exact; the quotient leaves the Newton polytope")
+        q_key = lt - den_lead
         q_c = c // den_c
-        quot[q_exps] = quot.get(q_exps, 0) + q_c
+        quot[q_key] = quot.get(q_key, 0) + q_c
         for e, dc in den.items():
-            key = tuple(x + y for x, y in zip(q_exps, e))
+            key = q_key + e
             rem[key] = rem.get(key, 0) - q_c * dc
             if rem[key] == 0:
                 del rem[key]

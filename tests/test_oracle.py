@@ -212,6 +212,24 @@ def test_twist_negates_odd_degrees():
     assert t.terms == {e: (-1) ** sum(e) * c for e, c in s.terms.items()}
 
 
+@pytest.mark.parametrize("shape", [BananaShape(1, w) for w in (1, 2, 3, 4)] + [TWO], ids=str)
+def test_twist_equals_the_substitution_route(shape):
+    s = naive_pf(shape, 8)
+    reg = s.registry
+    images = {name: (-1, reg.exps(**{name: 1})) for name in reg.names}
+    by_substitution = s.substitute_monomials(reg, images)
+    t = behrend_twist(s)
+    assert (t.terms, t.order, t.floor) == (
+        by_substitution.terms, by_substitution.order, by_substitution.floor
+    )
+
+
+def test_twist_refuses_weighted_registries():
+    reg = VariableRegistry(("q", "s"), (2, 1))
+    with pytest.raises(ValueError):
+        behrend_twist(polynomial(reg, {(0, 0): 1, (0, 1): 1}, 3))
+
+
 def test_twist_is_an_involution():
     s = naive_pf(BananaShape(1, 2), 4)
     assert behrend_twist(behrend_twist(s)) == s

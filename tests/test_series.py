@@ -89,6 +89,10 @@ def test_constructor_drops_zero_coefficients_and_truncates():
             lambda: one(XY, 4).substitute_monomials(XY, {"x": (1.0, (0, 1)), "y": (1, (1, 0))}),
             id="image-sign",
         ),
+        pytest.param(lambda: VariableRegistry(("q",), (1.5,)), id="registry-weight"),
+        pytest.param(lambda: VariableRegistry(("q",), (True,)), id="registry-weight-bool"),
+        pytest.param(lambda: TruncatedSeries(XY, {(1, 0): 1}, 2.9), id="constructor-order"),
+        pytest.param(lambda: one(XY, 4).truncate(2.5), id="truncate-order"),
     ],
 )
 def test_non_integer_coefficients_and_exponents_are_refused(build_bad):
