@@ -2,26 +2,28 @@
 
 A multi-banana is indexed by a pair ``(v, w)``.  Its fiber curve classes of
 B-degree 1 are tracked by the variables ``r_i`` (curves over the horizontal
-edges ``A_i``) and ``s_j`` (curves over the diagonal edges ``C_j``); every
-series in the package is keyed by exponent vectors over those variables.
+edges ``A_i``, i mod w) and ``s_j`` (curves over the diagonal edges ``C_j``,
+j mod v); every series in the package is keyed by exponent vectors over
+those variables.
 
-Tracked data lives in two places:
+The configuration resolves the fiber product over a disc of an ``I_v`` and
+an ``I_w`` degeneration (cycles of v and w curves), so its edge labels
+repeat along the lattice with period ``lcm(v, w)``, and everything here is
+read off that lattice by one walk:
 
-* ``b_locations``: the inequivalent positions for the distinguished
-  degree-1 B edge.
-* ``branch_specs``: for each location, the four periodic edge-label
-  sequences read off along the branches leaving the B edge (named NE, N, S,
-  SW by the direction of departure).
+* ``b_locations``: the B edge sits at a residue ``k`` mod ``lcm(v, w)``.
+* ``branch_specs``: from location ``k`` the walk up meets the pairs
+  ``(r_{k+t}, s_{k+t})`` and the walk down ``(r_{k-1-t}, s_{k-1-t})``; the
+  four branches leaving the B edge (NE, N, S, SW, by the direction of
+  departure) read these pairs with the diagonal or the horizontal first.
 
-Only the shapes with closed-form product formulas, ``(1, w)`` and ``(2, 2)``, carry
-built-in tables.  The branch tables beyond the single sequence the source
-geometry fixes are calibration data: they are pinned by requiring the
-enumerative route to reproduce the closed forms at low order, and that
-requirement is what the cross-check tests enforce.
+Only the shapes with closed-form product formulas, ``(1, w)`` and ``(2, 2)``,
+are offered, so that every enumeration has a second route to check it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .series import VariableRegistry
 
@@ -38,7 +40,7 @@ __all__ = [
 @dataclass(frozen=True)
 class BananaShape:
     """Shape parameters of the configuration; only (1, w) and (2, 2) are
-    supported by the closed-form and table machinery."""
+    supported, being the shapes with closed forms."""
 
     v: int
     w: int
@@ -75,25 +77,26 @@ class BranchSpec:
     """Periodic label sequence along one branch leaving the B edge.
 
     ``labels[j]`` is the tracking variable of the ``(j+1)``-th edge from the
-    B edge; the sequence repeats with the given period.  Labels alternate
-    between diagonal (``s``) and horizontal (``r``) variables because the
-    two families alternate along any lattice path.
+    B edge; the sequence repeats with period ``len(labels)``.  Labels
+    alternate between diagonal (``s``) and horizontal (``r``) variables
+    because the two families alternate along any lattice path.
     """
 
     direction: str
-    period: int
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.period < 2 or self.period % 2:
+        if not self.labels or len(self.labels) % 2:
             raise ValueError("branch period must be a positive even number")
-        if len(self.labels) != self.period:
-            raise ValueError("one label per period position required")
         kinds = [name[0] for name in self.labels]
         if set(kinds) - {"r", "s"}:
             raise ValueError("labels must be r- or s-variables")
         if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
             raise ValueError("labels must alternate between r- and s-variables")
+
+    @property
+    def period(self) -> int:
+        return len(self.labels)
 
     def label(self, j: int) -> str:
         """Variable of the j-th edge from the B edge (1-based)."""
@@ -102,12 +105,20 @@ class BranchSpec:
         return self.labels[(j - 1) % self.period]
 
 
+def _r(shape: BananaShape, i: int) -> str:
+    return f"r{i % shape.w}"
+
+
+def _s(shape: BananaShape, j: int) -> str:
+    return "s" if shape.v == 1 else f"s{j % shape.v}"
+
+
 def registry_for(shape: BananaShape) -> VariableRegistry:
-    """Tracking variables of the shape, in canonical output order."""
+    """Tracking variables of the shape, in canonical output order:
+    ``r0 ... r_{w-1}``, then ``s0 ... s_{v-1}`` (a lone ``s`` when v = 1)."""
     _require_supported(shape)
-    if shape.v == 1:
-        return VariableRegistry(tuple(f"r{i}" for i in range(shape.w)) + ("s",))
-    return VariableRegistry(("r0", "r1", "s0", "s1"))
+    names = [_r(shape, i) for i in range(shape.w)] + [_s(shape, j) for j in range(shape.v)]
+    return VariableRegistry(tuple(names))
 
 
 def _require_supported(shape: BananaShape):
@@ -116,52 +127,30 @@ def _require_supported(shape: BananaShape):
 
 
 def b_locations(shape: BananaShape) -> list[int]:
-    """Inequivalent positions of the distinguished degree-1 B edge.
-
-    Two for ``(2, 2)`` (the two B edge classes); w for ``(1, w)``, indexed
-    by the A edge adjacent to the position.
-    """
+    """Inequivalent positions of the distinguished degree-1 B edge: the
+    residues mod ``lcm(v, w)`` (w for ``(1, w)``, two for ``(2, 2)``)."""
     _require_supported(shape)
-    if shape.v == 1:
-        return list(range(shape.w))
-    return [0, 1]
+    return list(range(lcm(shape.v, shape.w)))
 
 
 def branch_specs(shape: BananaShape, b_location: int) -> list[BranchSpec]:
-    """The four periodic label sequences of the branches at a B location,
+    """The four periodic label sequences of the branches at B location k,
     in the order NE, N, S, SW.
 
-    The ``(1, w)`` tables follow the lattice walk: going up from the B edge
-    at location ``i`` alternates diagonals with the horizontals
-    ``r_i, r_{i+1}, ...``; going down reads ``r_{i-1}, r_{i-2}, ...``
-    (indices mod w).  The ``(2, 2)`` tables are calibrated configuration
-    data (see the module docstring); the second location carries the same
-    sequences with both variable indices swapped.
+    Walking up from the B edge visits ``(r_{k+t}, s_{k+t})`` and walking
+    down visits ``(r_{k-1-t}, s_{k-1-t})`` for ``t < lcm(v, w)``, r indices
+    mod w and s indices mod v.  NE reads s, r, ... up; N reads r, s, ... up;
+    S reads r, s, ... down; SW reads s, r, ... down.  The period is
+    ``2 lcm(v, w)``.
     """
     if b_location not in b_locations(shape):
         raise ValueError(f"invalid B location {b_location} for shape {shape}")
-    if shape.v == 1:
-        w, i = shape.w, b_location
-        up = [f"r{(i + k) % w}" for k in range(w)]
-        down = [f"r{(i - 1 - k) % w}" for k in range(w)]
-        ne = tuple(x for r in up for x in ("s", r))
-        n = tuple(x for r in up for x in (r, "s"))
-        s = tuple(x for r in down for x in (r, "s"))
-        sw = tuple(x for r in down for x in ("s", r))
-        return [
-            BranchSpec("NE", 2 * w, ne),
-            BranchSpec("N", 2 * w, n),
-            BranchSpec("S", 2 * w, s),
-            BranchSpec("SW", 2 * w, sw),
-        ]
-    swap = {0: str.maketrans({}), 1: str.maketrans("01", "10")}[b_location]
-    tables = {
-        "NE": ("s0", "r0", "s1", "r1"),
-        "N": ("r0", "s0", "r1", "s1"),
-        "S": ("r1", "s1", "r0", "s0"),
-        "SW": ("s1", "r1", "s0", "r0"),
-    }
+    k, steps = b_location, range(lcm(shape.v, shape.w))
+    up = [(_r(shape, k + t), _s(shape, k + t)) for t in steps]
+    down = [(_r(shape, k - 1 - t), _s(shape, k - 1 - t)) for t in steps]
     return [
-        BranchSpec(d, 4, tuple(x.translate(swap) for x in labels))
-        for d, labels in tables.items()
+        BranchSpec("NE", tuple(x for r, s in up for x in (s, r))),
+        BranchSpec("N", tuple(x for pair in up for x in pair)),
+        BranchSpec("S", tuple(x for pair in down for x in pair)),
+        BranchSpec("SW", tuple(x for r, s in down for x in (s, r))),
     ]

@@ -40,7 +40,6 @@ from .series import (
     ExponentVector,
     InvariantError,
     TruncatedSeries,
-    VariableRegistry,
     grlex_key,
     one,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "gv_table",
 ]
 
-R22 = VariableRegistry(("r0", "r1", "s0", "s1"))
+R22 = registry_for(BananaShape(2, 2))
 _Q22 = (1, 1, 1, 1)
 
 

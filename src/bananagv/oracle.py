@@ -174,10 +174,12 @@ def branch_series(
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
     idx = [registry.index(spec.label(j + 1)) for j in range(N)]
+    zero = registry.zero_exps()
+    vec = list(zero)
     acc: dict[ExponentVector, int] = {}
     for n in range(N + 1):
         for parts in _admissible_profiles(n):
-            vec = [0] * registry.size
+            vec[:] = zero
             for j, mult in enumerate(parts):
                 vec[idx[j]] += mult
             e = tuple(vec)
@@ -221,7 +223,7 @@ def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
         for spec in branch_specs(shape, loc):
             contribution = contribution * branch_series(spec, N, registry)
         total = total + contribution
-    if any(c < 0 for c in total.terms.values()):
+    if any(c < 0 for c in total.coefficients()):
         raise InvariantError("naive count came out negative; enumeration bug")
     return total
 

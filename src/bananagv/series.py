@@ -90,7 +90,7 @@ from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "ExponentVector",
@@ -354,6 +354,10 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self._slices
+
+    def coefficients(self) -> Iterator[int]:
+        """The stored (nonzero) coefficients, read without unpacking keys."""
+        return chain.from_iterable(s.values() for s in self._slices.values())
 
     def has_negative_exponent(self) -> bool:
         """Whether some stored term has a negative exponent."""

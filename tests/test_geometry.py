@@ -47,6 +47,9 @@ def test_b_locations():
     assert b_locations(TWO) == [0, 1]
     assert b_locations(BananaShape(1, 4)) == [0, 1, 2, 3]
     assert b_locations(BananaShape(1, 1)) == [0]
+    for unsupported in (BananaShape(2, 3), BananaShape(3, 3)):
+        with pytest.raises(ValueError):
+            b_locations(unsupported)
 
 
 # ----------------------------------------------------------- branch specs
@@ -54,17 +57,18 @@ def test_b_locations():
 
 def test_branch_spec_validation():
     with pytest.raises(ValueError):
-        BranchSpec("NE", 3, ("s0", "r0", "s1"))
+        BranchSpec("NE", ())
     with pytest.raises(ValueError):
-        BranchSpec("NE", 4, ("s0", "r0"))
+        BranchSpec("NE", ("s0", "r0", "s1"))
     with pytest.raises(ValueError):
-        BranchSpec("NE", 2, ("x0", "r0"))
+        BranchSpec("NE", ("x0", "r0"))
     with pytest.raises(ValueError):
-        BranchSpec("NE", 2, ("r0", "r1"))
+        BranchSpec("NE", ("r0", "r1"))
 
 
 def test_branch_spec_labels_are_1_based_and_cyclic():
-    spec = BranchSpec("NE", 4, ("s0", "r0", "s1", "r1"))
+    spec = BranchSpec("NE", ("s0", "r0", "s1", "r1"))
+    assert spec.period == 4
     assert [spec.label(j) for j in (1, 2, 3, 4, 5, 6)] == [
         "s0",
         "r0",
@@ -120,6 +124,9 @@ def test_branch_specs_reject_bad_locations():
         branch_specs(TWO, 2)
     with pytest.raises(ValueError):
         branch_specs(BananaShape(1, 3), -1)
+    for unsupported in (BananaShape(2, 3), BananaShape(3, 3)):
+        with pytest.raises(ValueError):
+            branch_specs(unsupported, 0)
 
 
 def test_branch_period_matches_shape():

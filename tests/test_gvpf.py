@@ -146,6 +146,61 @@ def test_pf_for_shape_dispatch():
         pf_for_shape(BananaShape(2, 3), 3)
 
 
+# ------------------------------------------------------- cover identities
+
+
+def _collapse_r(w, onto):
+    """Send r_i to r_{i mod onto} and keep s."""
+    return {f"r{i}": f"r{i % onto}" for i in range(w)} | {"s": "s"}
+
+
+@pytest.mark.parametrize(
+    "source,rename,expected",
+    [
+        pytest.param(
+            lambda: pf_22(10), {"r0": "r0", "r1": "r1", "s0": "s", "s1": "s"},
+            lambda: pf_1w(2, 10), id="2x2-s0=s1-is-1x2",
+        ),
+        pytest.param(
+            lambda: pf_22(10), {"r0": "s", "r1": "s", "s0": "r0", "s1": "r1"},
+            lambda: pf_1w(2, 10), id="2x2-r0=r1-is-1x2-with-r-and-s-exchanged",
+        ),
+        pytest.param(
+            lambda: pf_1w(4, 10), _collapse_r(4, 2),
+            lambda: 2 * pf_1w(2, 10), id="1x4-covers-1x2-twice",
+        ),
+        pytest.param(
+            lambda: pf_1w(6, 8), _collapse_r(6, 3),
+            lambda: 2 * pf_1w(3, 8), id="1x6-covers-1x3-twice",
+        ),
+        pytest.param(
+            lambda: pf_22(10), {"r0": "r0", "r1": "r0", "s0": "s", "s1": "s"},
+            lambda: 2 * pf_1w(1, 10), id="2x2-covers-1x1-twice",
+        ),
+    ]
+    + [
+        pytest.param(
+            lambda w=w: pf_1w(w, 10), _collapse_r(w, 1),
+            lambda w=w: w * pf_1w(1, 10), id=f"1x{w}-covers-1x1-{w}-times",
+        )
+        for w in (2, 3, 4)
+    ],
+)
+def test_cover_identities(source, rename, expected):
+    """For v' | v and w' | w, sending r_i -> r_{i mod w'} and
+    s_j -> s_{j mod v'} maps pf_{v,w} to lcm(v,w)/lcm(v',w') times
+    pf_{v',w'}; the 2x2 shape with r0 = r1 is the 2x1 shape, which is 1x2
+    with r and s exchanged.  These identities link the Jacobi-form 2x2
+    formula to the elliptic-genus 1xW formula.  They test only the closed
+    forms: on the enumeration side they hold by construction of the
+    lattice-walk branch rule, which maps the branch labels at location k of
+    (v, w) to those at location k mod lcm(v', w') of (v', w')."""
+    want = expected()
+    reg = want.registry
+    images = {a: (1, reg.exps(**{b: 1})) for a, b in rename.items()}
+    assert source().substitute_monomials(reg, images) == want
+
+
 # ------------------------------------------------------------ cross-checks
 
 

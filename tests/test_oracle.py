@@ -114,7 +114,7 @@ def test_branch_series_degree_totals_are_the_profile_counts():
 
 
 def test_single_branch_spot_values():
-    spec = BranchSpec("NE", 4, ("s1", "r0", "s0", "r1"))
+    spec = BranchSpec("NE", ("s1", "r0", "s0", "r1"))
     s = branch_series(spec, 5)
     assert s == branch_series_product(spec, 5)
     assert s.registry.names == ("r0", "r1", "s0", "s1")
@@ -129,7 +129,7 @@ def test_branch_series_at_order_zero_is_one():
 
 
 def test_branch_series_requires_unit_weights():
-    spec = BranchSpec("NE", 2, ("s0", "r0"))
+    spec = BranchSpec("NE", ("s0", "r0"))
     heavy = VariableRegistry(("r0", "s0"), (1, 2))
     with pytest.raises(ValueError):
         branch_series(spec, 4, heavy)

@@ -61,6 +61,7 @@ def test_polynomial_rejects_terms_beyond_order():
 def test_constructor_drops_zero_coefficients_and_truncates():
     s = TruncatedSeries(XY, {(0, 0): 1, (1, 0): 0, (5, 5): 3}, 4)
     assert s.terms == {(0, 0): 1}
+    assert list(s.coefficients()) == [1]
     assert s.floor == 0
 
 

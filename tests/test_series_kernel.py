@@ -337,6 +337,7 @@ def test_negative_exponents_are_read_off_the_keys(s):
 @given(series(max_terms=10))
 def test_sorted_terms_is_grlex_order_of_terms(s):
     assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+    assert sorted(s.coefficients()) == sorted(s.terms.values())
 
 
 def test_sorted_terms_breaks_raw_degree_ties_lexicographically():
