@@ -22,7 +22,7 @@ Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
 ``prod 1/(1 - x^{2n}) * prod (1 + x^{2n-1})``; the per-branch series is the
 same product with ``x^j`` replaced by the product of the branch's first j
-labels, and ``branch_series_product`` builds it that way as a second route.
+labels, which the tests build as a second route.
 
 The full naive partition function multiplies the four branch series at each
 B location and sums over locations.  ``behrend_twist`` converts it to the
@@ -35,14 +35,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import (
-    ExponentVector,
-    InvariantError,
-    TruncatedSeries,
-    VariableRegistry,
-    one,
-    polynomial,
-)
+from .series import ExponentVector, InvariantError, TruncatedSeries, VariableRegistry, one
 
 __all__ = [
     "BranchPartition",
@@ -50,7 +43,6 @@ __all__ = [
     "branch_partitions",
     "count_distinct_odd_conjugate",
     "branch_series",
-    "branch_series_product",
     "naive_pf",
     "behrend_twist",
 ]
@@ -157,20 +149,12 @@ def count_distinct_odd_conjugate(n: int) -> int:
     return count
 
 
-def _registry_for_spec(spec: BranchSpec) -> VariableRegistry:
-    return VariableRegistry(tuple(sorted(set(spec.labels))))
-
-
-def branch_series(
-    spec: BranchSpec, N: int, registry: VariableRegistry | None = None
-) -> TruncatedSeries:
+def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> TruncatedSeries:
     """Generating function of one branch by explicit profile enumeration.
 
     Every edge variable has degree 1, so profiles of size > N cannot
     contribute below the truncation order and the enumeration is finite.
     """
-    if registry is None:
-        registry = _registry_for_spec(spec)
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
     idx = [registry.index(spec.label(j + 1)) for j in range(N)]
@@ -185,31 +169,6 @@ def branch_series(
             e = tuple(vec)
             acc[e] = acc.get(e, 0) + 1
     return TruncatedSeries(registry, acc, N)
-
-
-def _first_labels_exponents(
-    spec: BranchSpec, j: int, registry: VariableRegistry
-) -> ExponentVector:
-    vec = [0] * registry.size
-    for k in range(1, j + 1):
-        vec[registry.index(spec.label(k))] += 1
-    return tuple(vec)
-
-
-def branch_series_product(
-    spec: BranchSpec, N: int, registry: VariableRegistry | None = None
-) -> TruncatedSeries:
-    """The same branch generating function from its product form:
-    ``prod_odd (1 + m(j)) * prod_even 1/(1 - m(j))`` where m(j) is the
-    product of the branch's first j labels."""
-    if registry is None:
-        registry = _registry_for_spec(spec)
-    acc = one(registry, N)
-    for j in range(1, N + 1):
-        m_j = _first_labels_exponents(spec, j, registry)
-        factor = polynomial(registry, {registry.zero_exps(): 1, m_j: -1 if j % 2 == 0 else 1}, N)
-        acc = acc * (factor.invert_unit() if j % 2 == 0 else factor)
-    return acc
 
 
 def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:

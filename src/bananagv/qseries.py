@@ -14,8 +14,10 @@ The module provides
   ``thetatilde = prod (1 - q^m)(1 - q^{m-1} p)(1 - q^m p^{-1})``,
 * the weight -2 index 1 weak Jacobi form
   ``phi(q, p) = p^{-1}(1-p)^2 prod ((1-q^m p^{-1})^2 (1-q^m p)^2 / (1-q^m)^4)``,
-* the equivariant elliptic genus of the plane,
-  ``Ell(q, y, t) = sqrt(phi(q, yt) phi(q, y^{-1} t)) / phi(q, t)``,
+* the equivariant elliptic genus of the plane, the theta quotient
+  ``Ell(q, y, t) = thetatilde(q, yt) thetatilde(q, y^{-1} t) / thetatilde(q, t)^2``
+  (its prefactors cancel to +1; it squares to
+  ``phi(q, yt) phi(q, y^{-1} t) / phi(q, t)^2``, with no root taken),
 * an identity suite checking the prefactor-free forms of the classical
   relations between these functions.
 
@@ -43,6 +45,7 @@ from math import isqrt
 
 from .series import (
     ExponentVector,
+    InvariantError,
     PrefactorLedger,
     PWidthBound,
     TruncatedSeries,
@@ -287,26 +290,36 @@ def elliptic_genus_c2_at(
     order: int,
 ) -> TruncatedSeries:
     """Equivariant elliptic genus of the plane with its three slots mapped to
-    target monomials: ``sqrt(phi(Q, YT) phi(Q, Y^{-1}T)) / phi(Q, T)``.
+    target monomials: the theta quotient
+    ``thetatilde(Q, YT) thetatilde(Q, Y^{-1}T) / thetatilde(Q, T)^2``.
 
-    Each phi instance is built by certified substitution; the square root and
-    inverse check their own preconditions.  Source orders start at a small
-    pad over ``order`` and grow until the propagated result order provably
-    reaches ``order`` (the first pad suffices for every in-repo use; the loop
-    is a guard, not a tuning knob).
+    The eta factors of ``phi`` cancel from this quotient, and the thetas'
+    prefactor ledgers must combine to the scalar +1.  Thetas with floors
+    ``Fa``, ``Fb``, ``Fd`` built to order ``K`` give a quotient exact to
+    ``K + min(min(Fa, Fb) - 2*Fd, Fa + Fb - 3*Fd)``, so the pad over
+    ``order`` is read off the floors of a first build.  A theta's constant
+    term 1 is stored at every nonnegative order, so its floor does not
+    depend on the order it was built to; if a degenerate image still falls
+    short after the one rebuild, InvariantError is raised.
     """
-    yt = tuple(a + b for a, b in zip(y_image, t_image))
-    ymt = tuple(b - a for a, b in zip(y_image, t_image))
-    pad = 2 + 2 * abs(target.degree(t_image)) + abs(target.degree(y_image))
-    for _ in range(6):
-        a = jacobi_phi_at(target, q_image, yt, order + pad)
-        b = jacobi_phi_at(target, q_image, ymt, order + pad)
-        d = jacobi_phi_at(target, q_image, t_image, order + pad)
-        result = (a * b).sqrt_unit() * d.invert_unit()
-        if result.order >= order:
-            return result.truncate(order)
-        pad *= 2
-    raise ValueError("could not reach the requested order; image degrees too degenerate")
+    images = (
+        tuple(a + b for a, b in zip(y_image, t_image)),
+        tuple(b - a for a, b in zip(y_image, t_image)),
+        t_image,
+    )
+    thetas = [theta1_at(target, q_image, p, order) for p in images]
+    fa, fb, fd = (th.series.floor for th in thetas)
+    pad = max(0, 2 * fd - min(fa, fb), 3 * fd - fa - fb)
+    if pad:
+        thetas = [theta1_at(target, q_image, p, order + pad) for p in images]
+    a, b, d = thetas
+    ledger = a.ledger.combine(b.ledger).combine(d.ledger.scale(-2))
+    if ledger != PrefactorLedger():
+        raise InvariantError(f"elliptic-genus prefactors failed to cancel to +1: {ledger}")
+    result = a.series * b.series * (d.series * d.series).invert_unit()
+    if result.order < order:
+        raise InvariantError("elliptic-genus order fell short of the floor pad")
+    return result.truncate(order)
 
 
 #: Trivariate home of the elliptic genus: q-order counts double so that the

@@ -30,7 +30,7 @@ vectors", CASC 2007)::
 Each exponent is a balanced base-``B`` digit, ``|e_i| < 2**15``, below a
 leading digit holding the raw degree ``sum(e)``.  Packing is linear, so the
 key of a product term is ``key_a + key_b``, and integer order on keys is
-exactly :func:`grlex_key` order, so a slice's leading term is ``max(slice)``.
+exactly :func:`grlex_key` order, so sorting keys sorts terms canonically.
 Exponent tuples appear only at the public boundary: the constructor,
 ``terms``, ``sorted_terms``, ``coefficient``, the ``shift_monomial`` delta
 and substitution images.  A term's degree is computed once, when the public
@@ -63,18 +63,18 @@ product whose large exponents would all have landed beyond its order.
 * ``invert_unit`` scales the unique minimal term to 1 at degree 0,
   ``u = 1 + u_1 + u_2 + ...``, and solves ``u v = 1`` slice by slice:
   ``v_0 = 1`` and ``v_j = -sum_{k=1..j} u_k v_{j-k}``.
-* ``sqrt_unit`` takes the square root ``r_0`` of the minimal slice ``s_m``
-  and solves ``r_j = (s_{m+j} - sum_{0<i<j} r_i r_{j-i}) / (2 r_0)`` by
-  exact homogeneous division (Brent & Kung, "Fast algorithms for
-  manipulating formal power series", J. ACM 1978).  When ``r_0`` is a
-  single monomial the division goes term by term; a polynomial ``r_0``
-  takes greedy leading-term division.
+* ``sqrt_unit`` takes the square root ``r_0`` of the minimal term ``s_m``,
+  which must be a single square monomial, and solves
+  ``r_j = (s_{m+j} - sum_{0<i<j} r_i r_{j-i}) / (2 r_0)`` term by term
+  (Brent & Kung, "Fast algorithms for manipulating formal power series",
+  J. ACM 1978).  Dividing by the monomial ``2 r_0`` is the only slice
+  division in the package.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
-``sqrt_unit`` requires an even minimal degree and a minimal slice that is a
-perfect square over the integers, enforces integrality of every division,
-and finally compares ``b * b`` with its input to their common order.
+``sqrt_unit`` requires a unique minimal term with even exponents and a
+perfect-square coefficient, enforces integrality of every division, and
+finally compares ``b * b`` with its input to their common order.
 
 Monomial substitution needs more care because a weight-zero variable (the
 elliptic variable ``p`` of the q-series in this package) can appear with
@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -123,9 +123,9 @@ _EXP_LIMIT = 1 << (_DIGIT_BITS - 1)
 def grlex_key(exps: ExponentVector):
     """Graded-lex sort key: raw total degree first, then the tuple itself.
 
-    This is the canonical term order used everywhere: serialization lists
-    terms by increasing key, while leading-term arguments (square roots,
-    exact division) take the maximal key.  Packed keys compare the same way.
+    This is the canonical term order used everywhere: serialization and
+    series comparison list terms by increasing key.  Packed keys compare the
+    same way.
     """
     return (sum(exps), exps)
 
@@ -373,6 +373,17 @@ class TruncatedSeries:
 
     def same_series(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
         """Compare coefficients up to ``up_to`` (default: the common order)."""
+        return self.first_difference(other, up_to) is None
+
+    def first_difference(
+        self, other: "TruncatedSeries", up_to: int | None = None
+    ) -> tuple[ExponentVector, int, int] | None:
+        """The first monomial, by degree and then graded-lex order, whose
+        coefficients differ up to ``up_to`` (default: the common order), as
+        ``(exponents, coefficient here, coefficient in other)``; None if
+        there is none.  Slices are compared whole, and only the one key
+        reported is unpacked.
+        """
         if self.registry != other.registry:
             raise ValueError("registry mismatch")
         bound = min(self.order, other.order)
@@ -381,7 +392,14 @@ class TruncatedSeries:
                 raise ValueError("comparison beyond the common guaranteed order")
             bound = up_to
         a, b = self._slices, other._slices
-        return all(a.get(d, {}) == b.get(d, {}) for d in a.keys() | b.keys() if d <= bound)
+        for d in sorted(a.keys() | b.keys()):
+            if d > bound:
+                break
+            sa, sb = a.get(d, {}), b.get(d, {})
+            if sa != sb:
+                k = min(k for k in sa.keys() | sb.keys() if sa.get(k, 0) != sb.get(k, 0))
+                return self.registry._packing.unpack(k), sa.get(k, 0), sb.get(k, 0)
+        return None
 
     # -- ring structure --------------------------------------------------
 
@@ -567,22 +585,24 @@ class TruncatedSeries:
         return inv_u.shift_monomial(neg_e0, c0)
 
     def sqrt_unit(self) -> "TruncatedSeries":
-        """Square root of a series whose minimal-degree slice is a perfect square.
+        """Square root of a series whose minimal-degree term is a square monomial.
 
-        The minimal slice may be a single monomial (even exponents, coefficient
-        a positive perfect square) or a homogeneous polynomial that is the
-        square of another; the root's leading coefficient is normalized to be
-        positive.  Integrality is enforced degree by degree, and the result is
-        exact to order ``N - m/2`` for minimal degree ``m``.
+        The minimal slice must be one term with even exponents and a
+        perfect-square coefficient; the root's leading coefficient is its
+        positive square root.  Integrality is enforced degree by degree, and
+        the result is exact to order ``N - m/2`` for minimal degree ``m``.
         """
         m0, lead = self._minimal_slice()
-        if m0 > self.order:
-            raise ValueError("series has no guaranteed terms to take a root of")
-        if m0 % 2 != 0:
-            raise ValueError("minimal degree is odd; the series is not a square")
+        if len(lead) != 1:
+            raise ValueError("sqrt_unit requires a unique minimal-degree term")
+        (k0, c0), = lead.items()
         packing = self.registry._packing
-        root_lead = _homogeneous_sqrt(lead, packing)
-        two_lead = {e: 2 * c for e, c in root_lead.items()}
+        r0 = isqrt(c0) if c0 > 0 else 0
+        if r0 * r0 != c0 or any(e % 2 for e in packing.unpack(k0)):
+            raise ValueError("the minimal term is not the square of an integer monomial")
+        # every digit of k0 is even, so halving the key halves each exponent
+        root_lead = {k0 // 2: r0}
+        two_lead = {k0 // 2: 2 * r0}
         roots = [root_lead]  # roots[j] is the root's slice of degree m0/2 + j
         bounds = [packing.bound(root_lead)]  # bounds[j] is |exponent| over roots[j]
         for j in range(1, self.order - m0 + 1):
@@ -834,117 +854,26 @@ def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
     return out
 
 
-_DIVISION_CAP = 10_000
-
-
-def _homogeneous_sqrt(slice_terms: Slice, packing: _Packing) -> Slice:
-    """Square root of a homogeneous polynomial slice by leading-term recursion.
-
-    The root's leading coefficient is positive.  Raises ValueError when the
-    slice is not a perfect square over the integers.
-
-    Graded-lex order is compatible with adding exponents, so the trailing
-    term of a square is the square of the root's trailing term: it must have
-    even exponents and a square coefficient, and half of it bounds every
-    root key from below.  A key under that bound proves the slice is not a
-    square, which stops the recursion where it would otherwise run on with
-    ever lower keys (a weight-0 Laurent variable allows infinitely many).
-    The Newton polytope of a square is twice that of its root, so every
-    root exponent is also at most half the slice's largest ``|exponent|``.
-    """
-    lead = max(slice_terms)
-    c = slice_terms[lead]
-    if c < 0:
-        raise ValueError("leading coefficient of the minimal slice is negative")
-    r = isqrt(c)
-    if r * r != c or any(e % 2 for e in packing.unpack(lead)):
-        raise ValueError("minimal slice is not a perfect square")
-    trail = min(slice_terms)
-    t = slice_terms[trail]
-    if t < 0 or isqrt(t) ** 2 != t or any(e % 2 for e in packing.unpack(trail)):
-        raise ValueError("trailing term of the minimal slice is not a square")
-    # every digit of these two keys is even, so halving the key halves each
-    floor_key = trail // 2
-    root_lead = lead // 2
-    lead_exps = packing.unpack(root_lead)
-    reach = packing.bound(slice_terms) // 2
-    root = {root_lead: r}
-    for _ in range(_DIVISION_CAP):
-        rem = dict(slice_terms)
-        for e1, c1 in root.items():
-            for e2, c2 in root.items():
-                key = e1 + e2
-                rem[key] = rem.get(key, 0) - c1 * c2
-                if rem[key] == 0:
-                    del rem[key]
-        if not rem:
-            return root
-        lt = max(rem)
-        num = rem[lt]
-        if num % (2 * r):
-            raise ValueError("minimal slice is not a perfect square over the integers")
-        key = lt - root_lead
-        if not floor_key <= key < root_lead:
-            raise ValueError("minimal slice is not a perfect square")
-        if _exps_max(tuple(map(sub, packing.unpack(lt), lead_exps))) > reach:
-            raise ValueError("minimal slice is not a perfect square")
-        root[key] = root.get(key, 0) + num // (2 * r)
-        if root[key] == 0:
-            del root[key]
-    raise ValueError("square-root recursion did not terminate; slice is not a square")
-
-
 def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slice:
-    """Exact quotient of homogeneous slices.
+    """Exact quotient of a homogeneous slice by a one-term slice, term by
+    term over Laurent exponents.
 
-    A one-term divisor divides term by term; a longer one takes greedy
-    leading-term division.  Works over Laurent exponents; integer
-    divisibility is enforced at every step and a nonzero remainder (or
-    runaway iteration) raises ValueError.  The Newton polytope of ``num``
-    is that of the quotient plus that of ``den``, so a quotient exponent
-    beyond ``|num| + |den|`` (largest ``|exponent|`` of each) proves the
-    division inexact.
+    ValueError for any other divisor, and for a coefficient the divisor's
+    does not divide.
     """
-    if not den:
-        raise ValueError("division by the zero slice")
+    if len(den) != 1:
+        raise ValueError("slice division needs a one-term divisor")
+    (den_key, den_c), = den.items()
     den_reach = packing.bound(den)
-    if len(den) == 1:
-        (den_key, den_c), = den.items()
-        if den_reach:  # a constant divisor leaves every key as it is
-            _check_exponent_bound(packing.bound(num) + den_reach)
-        quot = {}
-        for k, c in num.items():
-            q, r = divmod(c, den_c)
-            if r:
-                raise ValueError("slice division is not exact over the integers")
-            quot[k - den_key] = q
-        return quot
-    reach = packing.bound(num) + den_reach
-    # remainder keys are quotient keys plus divisor keys
-    _check_exponent_bound(reach + den_reach)
-    den_lead = max(den)
-    den_lead_exps = packing.unpack(den_lead)
-    den_c = den[den_lead]
-    quot: Slice = {}
-    rem = dict(num)
-    for _ in range(_DIVISION_CAP):
-        if not rem:
-            return quot
-        lt = max(rem)
-        c = rem[lt]
-        if c % den_c:
+    if den_reach:  # a constant divisor leaves every key as it is
+        _check_exponent_bound(packing.bound(num) + den_reach)
+    quot = {}
+    for k, c in num.items():
+        q, r = divmod(c, den_c)
+        if r:
             raise ValueError("slice division is not exact over the integers")
-        if _exps_max(tuple(map(sub, packing.unpack(lt), den_lead_exps))) > reach:
-            raise ValueError("slice division is not exact; the quotient leaves the Newton polytope")
-        q_key = lt - den_lead
-        q_c = c // den_c
-        quot[q_key] = quot.get(q_key, 0) + q_c
-        for e, dc in den.items():
-            key = q_key + e
-            rem[key] = rem.get(key, 0) - q_c * dc
-            if rem[key] == 0:
-                del rem[key]
-    raise ValueError("slice division did not terminate; quotient is not polynomial")
+        quot[k - den_key] = q
+    return quot
 
 
 # -- prefactor bookkeeping ---------------------------------------------------

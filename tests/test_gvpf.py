@@ -1,6 +1,7 @@
 """Tests for the closed-form partition functions, tables, and cross-checks."""
 import pytest
 
+from bananagv import gvpf
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
@@ -215,6 +216,20 @@ def test_closed_form_matches_twisted_enumeration(shape, order):
     report = cross_check(shape, order)
     assert report.passed, report.describe()
     assert "matches" in report.describe()
+
+
+def test_cross_check_reports_the_grlex_first_mismatch(monkeypatch):
+    shape = BananaShape(1, 2)
+    true = pf_for_shape(shape, 5)
+    reg = true.registry
+    later, first = reg.exps(r0=1, s=1), reg.exps(r1=1, s=1)  # same degree, first < later
+    assert grlex_key(first) < grlex_key(later)
+    perturbed = true + polynomial(reg, {later: 7, first: 3}, 5)
+    monkeypatch.setattr(gvpf, "pf_for_shape", lambda shape, N: perturbed)
+    report = cross_check(shape, 5)
+    c = true.coefficient(first)
+    assert not report.passed
+    assert report.first_mismatch == (first, c + 3, c)
 
 
 def test_cross_check_report_describes_mismatches():

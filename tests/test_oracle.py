@@ -8,7 +8,6 @@ from bananagv.oracle import (
     behrend_twist,
     branch_partitions,
     branch_series,
-    branch_series_product,
     count_distinct_odd_conjugate,
     naive_pf,
     partitions,
@@ -92,6 +91,30 @@ def test_weight_exponents_follow_the_branch_labels():
 # ---------------------------------------------------------- branch series
 
 
+def spec_registry(spec):
+    """Unit-weight registry of a branch's own labels, in sorted order."""
+    return VariableRegistry(tuple(sorted(set(spec.labels))))
+
+
+def _first_labels_exponents(spec, j, registry):
+    vec = [0] * registry.size
+    for k in range(1, j + 1):
+        vec[registry.index(spec.label(k))] += 1
+    return tuple(vec)
+
+
+def branch_series_product(spec, N, registry):
+    """The branch generating function from its product form:
+    ``prod_odd (1 + m(j)) * prod_even 1/(1 - m(j))`` where m(j) is the
+    product of the branch's first j labels."""
+    acc = one(registry, N)
+    for j in range(1, N + 1):
+        m_j = _first_labels_exponents(spec, j, registry)
+        factor = polynomial(registry, {registry.zero_exps(): 1, m_j: -1 if j % 2 == 0 else 1}, N)
+        acc = acc * (factor.invert_unit() if j % 2 == 0 else factor)
+    return acc
+
+
 def all_specs():
     out = []
     for loc in (0, 1):
@@ -103,11 +126,13 @@ def all_specs():
 
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: "-".join(s.labels))
 def test_enumeration_matches_the_product_form(spec):
-    assert branch_series(spec, 6) == branch_series_product(spec, 6)
+    reg = spec_registry(spec)
+    assert branch_series(spec, 6, reg) == branch_series_product(spec, 6, reg)
 
 
 def test_branch_series_degree_totals_are_the_profile_counts():
-    s = branch_series(branch_specs(TWO, 0)[0], 6)
+    spec = branch_specs(TWO, 0)[0]
+    s = branch_series(spec, 6, spec_registry(spec))
     for n in range(7):
         total = sum(c for e, c in s.terms.items() if sum(e) == n)
         assert total == count_distinct_odd_conjugate(n)
@@ -115,8 +140,8 @@ def test_branch_series_degree_totals_are_the_profile_counts():
 
 def test_single_branch_spot_values():
     spec = BranchSpec("NE", ("s1", "r0", "s0", "r1"))
-    s = branch_series(spec, 5)
-    assert s == branch_series_product(spec, 5)
+    s = branch_series(spec, 5, spec_registry(spec))
+    assert s == branch_series_product(spec, 5, s.registry)
     assert s.registry.names == ("r0", "r1", "s0", "s1")
     assert s.constant_term() == 1
     assert s.coefficient((0, 0, 0, 1)) == 1  # profile (1) on first edge s1
@@ -125,7 +150,7 @@ def test_single_branch_spot_values():
 
 def test_branch_series_at_order_zero_is_one():
     spec = branch_specs(BananaShape(1, 1), 0)[0]
-    assert branch_series(spec, 0).terms == {(0, 0): 1}
+    assert branch_series(spec, 0, spec_registry(spec)).terms == {(0, 0): 1}
 
 
 def test_branch_series_requires_unit_weights():
@@ -133,8 +158,6 @@ def test_branch_series_requires_unit_weights():
     heavy = VariableRegistry(("r0", "s0"), (1, 2))
     with pytest.raises(ValueError):
         branch_series(spec, 4, heavy)
-    with pytest.raises(ValueError):
-        branch_series_product(spec, 4, heavy)
 
 
 # ------------------------------------------------------------ naive counts

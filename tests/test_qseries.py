@@ -2,7 +2,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from bananagv import qseries
 from bananagv.qseries import (
     PHI_P_WIDTH,
     _eta_cubed_sum,
@@ -23,7 +25,7 @@ from bananagv.qseries import (
     theta1_at,
     theta1_reduced,
 )
-from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
+from bananagv.series import InvariantError, TruncatedSeries, VariableRegistry, one, polynomial
 
 
 def q_slice(series, a):
@@ -208,13 +210,91 @@ def test_elliptic_genus_mirror_symmetry():
     assert plain.same_series(mirrored, up_to=min(plain.order, mirrored.order))
 
 
-def test_elliptic_genus_agrees_with_theta_ratio():
-    order = 8
-    t1 = theta1_at(QYT, (1, 0, 0), (0, 1, 1), order)
-    t2 = theta1_at(QYT, (1, 0, 0), (0, -1, 1), order)
-    d = theta1_at(QYT, (1, 0, 0), (0, 0, 1), order)
-    led = t1.ledger.combine(t2.ledger).combine(d.ledger.scale(-2))
-    assert led.is_scalar() and led.scalar_sign() == 1
-    ratio = t1.series * t2.series * (d.series * d.series).invert_unit()
-    direct = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), order)
-    assert ratio.same_series(direct, up_to=min(ratio.order, direct.order))
+def _genus_identity_sides(y_image, t_image, order):
+    """``Ell^2 phi(Q,T)^2`` and ``phi(Q,YT) phi(Q,Y^{-1}T)``: the genus is
+    the theta quotient, and phi is ``p^{-1}`` theta squared over eta^6, so
+    the two agree with no square root taken."""
+    q_image = (1, 0, 0)
+    yt = tuple(a + b for a, b in zip(y_image, t_image))
+    ymt = tuple(b - a for a, b in zip(y_image, t_image))
+    ell = elliptic_genus_c2_at(QYT, q_image, y_image, t_image, order)
+    phi_t = jacobi_phi_at(QYT, q_image, t_image, order)
+    lhs = ell * ell * phi_t * phi_t
+    rhs = jacobi_phi_at(QYT, q_image, yt, order) * jacobi_phi_at(QYT, q_image, ymt, order)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize(
+    "y_image, t_image",
+    [((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, -1)), ((0, 3, 0), (0, 0, 1))],
+    ids=["plain", "mirrored", "y-cubed"],
+)
+def test_elliptic_genus_squared_is_the_phi_quotient(y_image, t_image):
+    lhs, rhs = _genus_identity_sides(y_image, t_image, 16)
+    common = min(lhs.order, rhs.order)
+    assert common >= 7  # the y-cubed genus has floor -4, and each factor costs order
+    assert lhs.same_series(rhs, up_to=common)
+
+
+@given(st.tuples(*[st.integers(-2, 2)] * 4))
+def test_elliptic_genus_squared_is_the_phi_quotient_on_qyt_images(exps):
+    y1, y2, t1, t2 = exps
+    y_image, t_image = (0, y1, y2), (0, t1, t2)
+    if (t1 + t2) % 2 == 0:
+        # with Q of degree 2, thetatilde(Q, T) has a unique minimal term
+        # only for T of odd degree; otherwise the inverse is refused
+        with pytest.raises(ValueError):
+            elliptic_genus_c2_at(QYT, (1, 0, 0), y_image, t_image, 10)
+        return
+    lhs, rhs = _genus_identity_sides(y_image, t_image, 10)
+    common = min(lhs.order, rhs.order)
+    assume(common >= 0)
+    assert lhs.same_series(rhs, up_to=common)
+
+
+def test_elliptic_genus_at_y_equal_t_is_zero():
+    # Y^{-1}T = 1 and thetatilde(Q, 1) = 0
+    ell = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 0, 1), (0, 0, 1), 8)
+    assert ell.is_zero() and ell.order == 8
+
+
+def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
+    requested = []
+
+    def recording_theta1_at(target, q_image, p_image, order):
+        requested.append(order)
+        return theta1_at(target, q_image, p_image, order)
+
+    monkeypatch.setattr(qseries, "theta1_at", recording_theta1_at)
+    plain = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 10)
+    assert requested == [10, 10, 10]
+    requested.clear()
+    # thetatilde(Q, y^3 t) and thetatilde(Q, y^{-3} t) have floor -2, so the
+    # quotient needs a pad of 4
+    cubed = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 3, 0), (0, 0, 1), 10)
+    assert requested == [10, 10, 10, 14, 14, 14]
+    assert plain.order == cubed.order == 10
+
+
+def test_elliptic_genus_refuses_prefactors_that_do_not_cancel(monkeypatch):
+    # a ledger that forgets negative exponents of the p-image leaves y^{-1/2}
+    ledger_for_p_image = qseries._ledger_for_p_image
+
+    def positive_part_only(i_power, target, p_image):
+        return ledger_for_p_image(i_power, target, tuple(max(e, 0) for e in p_image))
+
+    monkeypatch.setattr(qseries, "_ledger_for_p_image", positive_part_only)
+    with pytest.raises(InvariantError, match="prefactors"):
+        elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 4)
+
+
+def test_elliptic_genus_sign_does_not_depend_on_variable_order():
+    # the theta quotient has constant term +1 whichever registry variable
+    # plays y, so renaming the variables renames the series
+    plain = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 8)
+    swapped = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 0, 1), (0, 1, 0), 8)
+    assert swapped.constant_term() == 1
+    renamed = swapped.substitute_monomials(
+        QYT, {"q": (1, (1, 0, 0)), "y": (1, (0, 0, 1)), "t": (1, (0, 1, 0))}
+    )
+    assert renamed == plain

@@ -178,10 +178,13 @@ def test_sqrt_of_perfect_square_polynomial():
     assert s.sqrt_unit().terms == {(0, 0): 1, (1, 0): 1}
 
 
-def test_sqrt_with_laurent_minimal_slice():
-    # p^{-2} (1-p)^4 has a five-term slice at weighted degree 0
+def test_sqrt_refuses_a_polynomial_minimal_slice():
+    # p^{-2} (1-p)^4 is the square of p^{-1} (1-p)^2, but its minimal slice
+    # at weighted degree 0 has five terms; only monomial minimal terms are
+    # rooted
     t4 = P({(0, -2): 1, (0, -1): -4, (0, 0): 6, (0, 1): -4, (0, 2): 1}, 5)
-    assert t4.sqrt_unit().terms == {(0, -1): 1, (0, 0): -2, (0, 1): 1}
+    with pytest.raises(ValueError, match="unique minimal-degree term"):
+        t4.sqrt_unit()
 
 
 def test_sqrt_normalizes_leading_coefficient_positive():
@@ -203,12 +206,13 @@ def test_sqrt_rejects_non_squares():
     "slice_terms",
     [
         {(0, 2): 1, (0, 0): 4},  # formal root p + 2/p - 2/p^3 + ... never ends
-        {(0, 2): 1, (0, 0): 8},  # trailing coefficient is not a square
-        {(0, 2): 1, (0, -1): 4},  # trailing exponent is odd
+        {(0, 2): 1, (0, 0): 8},
+        {(0, 2): 1, (0, -1): 4},
     ],
 )
 def test_sqrt_refuses_non_square_laurent_slice_early(slice_terms):
-    with pytest.raises(ValueError):
+    # a two-term minimal slice is refused before any root is formed
+    with pytest.raises(ValueError, match="unique minimal-degree term"):
         P(slice_terms, 2).sqrt_unit()
 
 
@@ -232,6 +236,18 @@ def test_sorted_terms_uses_graded_lex():
     keys = [e for e, _ in s.sorted_terms()]
     assert keys == sorted(keys, key=grlex_key)
     assert keys[0] == (0, -1)
+
+
+def test_first_difference_is_the_first_by_degree_then_grlex():
+    a = P({(0, 0): 1, (1, 2): 4, (1, -1): 5, (2, 0): 6}, 4)
+    b = P({(0, 0): 1, (1, 2): 3, (2, 0): 0}, 4)
+    # degree 1 holds both differences; (1, -1) precedes (1, 2) in grlex
+    assert a.first_difference(b) == ((1, -1), 5, 0)
+    assert b.first_difference(a) == ((1, -1), 0, 5)
+    assert a.first_difference(a) is None
+    assert a.first_difference(b, up_to=0) is None
+    with pytest.raises(ValueError):
+        a.first_difference(P({}, 3), up_to=4)
 
 
 def test_same_series_respects_comparison_window():

@@ -4,11 +4,15 @@ The references work on the flat ``terms`` dict only and never call the
 kernel's ``*``, ``+``, ``truncate`` or ``shift_monomial``: a dense multiply
 that forms every pair and filters by degree, the geometric-series loop for
 ``invert_unit``, the full-residue loop for ``sqrt_unit`` and greedy
-leading-term division on exponent tuples for slice division.  Results must
+leading-term division on exponent tuples for slice division.  The kernel
+divides slices and takes roots of minimal terms only for monomials, and the
+strategies draw those shapes; other shapes must be refused.  Results must
 agree exactly in ``terms``, ``order`` and ``floor``.  The kernel keys its
 slices by packed ints; the slice helpers are called with packed dicts, packed
 and unpacked here at the test boundary.
 """
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +20,6 @@ from bananagv.series import (
     TruncatedSeries,
     VariableRegistry,
     _homogeneous_exact_divide,
-    _homogeneous_sqrt,
     grlex_key,
     monomial,
     one,
@@ -96,10 +99,14 @@ def ref_sqrt(s):
     """Residue loop: recompute ``s - b*b`` once per degree."""
     reg = s.registry
     m0 = s.floor
-    if m0 % 2:
-        raise ValueError("minimal degree is odd; the series is not a square")
     lead = {e: c for e, c in s.terms.items() if reg.degree(e) == m0}
-    root_lead = unpacked(reg, _homogeneous_sqrt(packed(reg, lead), reg._packing))
+    if len(lead) != 1:
+        raise ValueError("the minimal slice is not one term")
+    (e0, c0), = lead.items()
+    r0 = isqrt(c0) if c0 > 0 else 0
+    if r0 * r0 != c0 or any(e % 2 for e in e0):
+        raise ValueError("the minimal term is not a square monomial")
+    root_lead = {tuple(e // 2 for e in e0): r0}
     result_order = s.order - m0 // 2
     b_terms = dict(root_lead)
     two_lead = {e: 2 * c for e, c in root_lead.items()}
@@ -109,7 +116,7 @@ def ref_sqrt(s):
         target = {e: c for e, c in residue.terms.items() if reg.degree(e) == m0 + j}
         if not target:
             continue
-        for e, c in divide(reg, target, two_lead).items():
+        for e, c in ref_divide(target, two_lead).items():
             b_terms[e] = b_terms.get(e, 0) + c
     b = TruncatedSeries(reg, b_terms, result_order)
     check = dense_mul(b, b)
@@ -201,14 +208,16 @@ def units(draw):
 
 @st.composite
 def roots(draw):
-    """A nonzero series whose square has a square-root-shaped minimal slice."""
+    """``c X^e0 (1 + tail)`` with ``c != 0`` and every tail term of positive
+    degree: a one-term minimal slice, so the square's is a square monomial."""
     reg = draw(registries)
     exps = st.tuples(*[st.integers(-2, 2)] * reg.size)
-    terms = draw(st.dictionaries(exps, coefficients, min_size=1, max_size=5))
-    b = TruncatedSeries(reg, terms, max(reg.degree(e) for e in terms) + draw(st.integers(0, 3)))
-    if b.is_zero():
-        b = one(reg, 2)
-    return b
+    tail = draw(
+        st.dictionaries(exps.filter(lambda e: reg.degree(e) >= 1), coefficients, max_size=4)
+    )
+    order = max(map(reg.degree, tail), default=0) + draw(st.integers(0, 3))
+    base = TruncatedSeries(reg, {reg.zero_exps(): 1, **tail}, order)
+    return base.shift_monomial(draw(exps), draw(coefficients.filter(bool)))
 
 
 @st.composite
@@ -236,10 +245,11 @@ def slice_product(a, b):
 
 @st.composite
 def divisions(draw):
-    """``(num, den)``: a multiple of ``den``, sometimes with a stray term."""
+    """``(num, den)``: a multiple of a one-term ``den``, sometimes with a
+    stray term."""
     reg = draw(st.sampled_from([QP, XYZ, MIX]))
     den_degree, q_degree = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-    den = draw(homogeneous(reg, den_degree, 1, draw(st.sampled_from([1, 3]))))
+    den = draw(homogeneous(reg, den_degree, 1, 1))
     num = slice_product(draw(homogeneous(reg, q_degree)), den)
     for e, c in draw(homogeneous(reg, den_degree + q_degree, 0, 1)).items():
         num[e] = num.get(e, 0) + c
@@ -294,8 +304,8 @@ def test_sqrt_matches_residue_reference(b):
 @given(roots(), st.data())
 @settings(max_examples=60)
 def test_sqrt_refuses_what_the_reference_refuses(b, data):
-    # noise may land in the minimal slice, so non-square minimal slices
-    # reach the early refusals of the leading-term root recursion
+    # noise may land in the minimal slice, so minimal slices of several
+    # terms, or of one non-square term, reach the refusals
     sq = b * b
     noise = data.draw(series(b.registry, max_terms=2))
     reg = b.registry
@@ -408,6 +418,19 @@ def test_slice_division_refusals(num, den):
         ref_divide(num, den)
 
 
+@pytest.mark.parametrize(
+    "reg, num, den",
+    [
+        (QP, {(0, 2): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): 1}),  # p^2 - 1 = (p + 1)(p - 1)
+        (XYZ, {(2, 0, 0): 1, (0, 2, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1}),
+        (XYZ, {(1, 1, 0): 2}, {(1, 0, 0): 1, (0, 1, 0): 1}),  # not exact either
+    ],
+)
+def test_slice_division_refuses_polynomial_divisors(reg, num, den):
+    with pytest.raises(ValueError, match="one-term divisor"):
+        divide(reg, num, den)
+
+
 # ----------------------------------------------------------- overflow guard
 
 
@@ -455,10 +478,6 @@ def test_constructor_refuses_exponents_outside_the_digit_range():
             id="root-recurrence",
         ),
         pytest.param(lambda: divide(XY, {(20000, 0): 1}, {(-20000, 0): 1}), id="monomial-division"),
-        pytest.param(
-            lambda: divide(XY, {(20000, 0): 1}, {(-20000, 0): 1, (-20001, 1): 1}),
-            id="polynomial-division",
-        ),
     ],
 )
 def test_overflow_guard_refuses_before_a_digit_could_carry(operation):
