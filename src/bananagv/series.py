@@ -39,8 +39,9 @@ degrees off the slice keys.  Operations build their results slice by slice
 and hand them to a trusted internal constructor that neither re-checks nor
 re-normalizes them.  The public constructor and the other public entry
 points (``monomial``, ``coefficient``, ``shift_monomial``, ``truncate``,
-``VariableRegistry`` and substitution images) refuse any coefficient,
-exponent, weight or order that is not an ``int`` with TypeError.
+``VariableRegistry``, substitution images, and the scale of ``*`` and
+exponent of ``**``) refuse any coefficient, exponent, weight or order that
+is not an ``int`` with TypeError.
 
 **Overflow.**  A digit that reached ``2**15`` in absolute value would carry
 into its neighbour and silently change the monomial, so it is refused with
@@ -76,17 +77,18 @@ minimal term with coefficient +-1 and a tail of positive degree;
 perfect-square coefficient, enforces integrality of every division, and
 finally compares ``b * b`` with its input to their common order.
 
-Monomial substitution needs more care because a weight-zero variable (the
-elliptic variable ``p`` of the q-series in this package) can appear with
-unbounded exponent at fixed degree.  The width-bound machinery at the bottom
-of this module handles that case; see ``PWidthBound``.
+``substitute_monomials`` sends each variable to a target monomial whose
+weighted degree is the variable's weight, so every term keeps its degree and
+the result is exact to the same order.  Images that change degrees are
+refused: a weight-zero variable (the elliptic variable ``p`` of the
+q-series) can carry unbounded exponents at a fixed degree, so no order of
+the source would bound the order of such an image.  The q-series builders
+write their substituted sums straight into the target registry instead.
 """
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import add, mul
@@ -97,14 +99,12 @@ __all__ = [
     "VariableRegistry",
     "TruncatedSeries",
     "PrefactorLedger",
-    "PWidthBound",
     "InvariantError",
     "monomial",
     "polynomial",
     "one",
     "zero",
     "grlex_key",
-    "required_source_order",
 ]
 
 # An exponent vector is a plain tuple of ints, one entry per registry
@@ -452,7 +452,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._scaled(other)
+            return self._scaled(_as_int(other, "scale"))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if other is self:
@@ -491,7 +491,7 @@ class TruncatedSeries:
         return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if not isinstance(n, int) or n < 0:
+        if _as_int(n, "exponent") < 0:
             raise ValueError("only nonnegative integer powers are supported")
         if n == 0:
             return one(self.registry, self.order)
@@ -628,109 +628,44 @@ class TruncatedSeries:
     # -- substitution ------------------------------------------------------
 
     def substitute_monomials(
-        self,
-        target: VariableRegistry,
-        images: Mapping[str, tuple[int, ExponentVector]],
-        *,
-        p_width: "PWidthBound | None" = None,
-        nonnegative_source: bool = False,
+        self, target: VariableRegistry, images: Mapping[str, ExponentVector]
     ) -> "TruncatedSeries":
-        """Ring homomorphism sending each variable to a signed target monomial.
+        """Ring homomorphism sending each variable to a target monomial.
 
-        ``images`` maps every source variable name to ``(sign, exponents)``
-        with ``sign`` in ``{+1, -1}``; a term's coefficient picks up
-        ``prod(sign_v ** e_v)``.  The result order is derived from one of
-        three completeness arguments, tried in order:
-
-        1. *Degree preserving*: every image has the same weighted degree as
-           its variable's weight.  The order carries over unchanged.
-        2. *Width bounded* (``p_width`` given): the source registry must be
-           ``(q, p)`` with weights ``(wq >= 1, 0)`` and ``p_width`` a valid
-           bound on ``|p|``-exponents of the *untruncated* series at each
-           q-order.  With image degrees ``dq >= 1`` and ``dp``, terms beyond
-           the source order ``M`` land at degree at least
-           ``min_{a > M} (a*dq - p_width(a)*|dp|)``.
-        3. *Nonnegative support* (``nonnegative_source=True``, a promise
-           about the untruncated series): with every image degree >= 1 the
-           result is exact to ``(M + 1) * min_image_degree - 1``.
-
-        If no argument applies, no positive result order can be guaranteed
-        and a ValueError is raised.
+        ``images`` maps every source variable name to the exponent vector of
+        its image, whose weighted degree in ``target`` must be the variable's
+        weight.  Every term then keeps its degree, so the result is exact to
+        the same order; any other image is refused with ValueError.
         """
         reg = self.registry
         if set(images) != set(reg.names):
             raise ValueError("images must cover exactly the source variables")
         img_exps = []
-        img_signs = []
-        img_degs = []
-        for name in reg.names:
-            sign, exps = images[name]
-            if _as_int(sign, "image sign") not in (1, -1):
-                raise ValueError("image sign must be +1 or -1")
-            exps = _int_exps(exps)
+        for name, weight in zip(reg.names, reg.weights):
+            exps = _int_exps(images[name])
             if len(exps) != target.size:
                 raise ValueError("image exponent vector has wrong length for target registry")
+            if target.degree(exps) != weight:
+                raise ValueError(
+                    f"the image of {name!r} must have degree {weight}, the weight of "
+                    "its variable; only degree-preserving substitutions are exact"
+                )
             _check_exponent_bound(_exps_max(exps))
             img_exps.append(exps)
-            img_signs.append(sign)
-            img_degs.append(target.degree(exps))
         # each target exponent is a sum of e_v * image_v entries
         spread = max((sum(map(abs, col)) for col in zip(*img_exps)), default=0)
         emax = _result_emax(lambda e: e * spread, self)
+        # packing is linear: the image of X^e has key sum_v e_v * key(image_v),
+        # and it stays in its slice because degrees are preserved
         unpack = reg._packing.unpack
-        items = [(unpack(k), c) for s in self._slices.values() for k, c in s.items()]
-
-        if all(d == w for d, w in zip(img_degs, reg.weights)):
-            result_order = self.order
-        elif p_width is not None:
-            if reg.size != 2 or reg.weights[0] < 1 or reg.weights[1] != 0:
-                raise ValueError(
-                    "width-bounded substitution needs a (q, p) source registry "
-                    "with weights (>=1, 0)"
-                )
-            dq, dp = img_degs
-            if dq < 1:
-                raise ValueError("the grading variable must map to a monomial of degree >= 1")
-            wq = reg.weights[0]
-            for (a, b), _ in items:
-                if a < 0:
-                    raise ValueError("width-bounded substitution expects nonnegative q-exponents")
-                if abs(b) > p_width.fn(a):
-                    raise ValueError("stored support violates the declared width bound")
-            source_q_order = self.order // wq
-            result_order = _tail_min_image_degree(p_width, dq, abs(dp), source_q_order + 1) - 1
-        elif nonnegative_source:
-            if self.has_negative_exponent():
-                raise ValueError("source series has stored negative exponents")
-            if min(img_degs, default=1) < 1:
-                raise ValueError("every image monomial must have degree >= 1")
-            if any(w < 1 for w in reg.weights):
-                raise ValueError("nonnegative-support substitution needs positive weights")
-            result_order = (self.order + 1) * min(img_degs, default=1) - 1
-        else:
-            raise ValueError(
-                "cannot guarantee any result order for this substitution; "
-                "pass p_width or assert nonnegative_source"
-            )
-
-        # packing is linear: the image of X^e has key sum_v e_v * key(image_v)
-        pack = target._packing.pack
-        images_packed = [
-            (pack(exps), deg, sign < 0) for exps, deg, sign in zip(img_exps, img_degs, img_signs)
-        ]
+        img_keys = list(map(target._packing.pack, img_exps))
         acc: dict[int, Slice] = {}
-        for exps, coeff in items:
-            key = d = 0
-            for e, (ik, idg, odd_flips) in zip(exps, images_packed):
-                if e:
-                    key += e * ik
-                    d += e * idg
-                    if odd_flips and e % 2:
-                        coeff = -coeff
-            if d <= result_order:
-                bucket = acc.setdefault(d, {})
-                bucket[key] = bucket.get(key, 0) + coeff
-        return TruncatedSeries._from_slices(target, _nonzero_slices(acc), result_order, emax)
+        for d, s in self._slices.items():
+            bucket = acc[d] = {}
+            for k, c in s.items():
+                key = sum(map(mul, unpack(k), img_keys))
+                bucket[key] = bucket.get(key, 0) + c
+        return TruncatedSeries._from_slices(target, _nonzero_slices(acc), self.order, emax)
 
     # -- presentation ------------------------------------------------------
 
@@ -883,54 +818,44 @@ def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slic
 class PrefactorLedger:
     """Exact bookkeeping for the scalar prefactors of classical q-series.
 
-    Tracks a power of ``i`` (mod 4), a rational exponent of the modular
-    variable (denominator dividing 24, from eta-like prefactors), and a
-    rational exponent per tracked variable (denominator dividing 2, from
-    theta-like prefactors).  Ledgers multiply by adding componentwise; a
-    computation may only expose a plain series once its combined ledger has
-    cancelled to a scalar, i.e. all rational exponents are exactly zero.
+    Tracks ``i ** i_power`` (mod 4), the modular variable's exponent in
+    units of 1/24 (eta-like prefactors), and each tracked variable's
+    exponent in units of 1/2 (theta-like prefactors), all as ints.  Ledgers
+    multiply by adding componentwise; a computation may only expose a plain
+    series once its combined ledger has cancelled to a scalar, i.e. all
+    exponents are exactly zero.
     """
 
     i_power: int = 0
-    q_exp: Fraction = Fraction(0)
-    var_exps: tuple[tuple[str, Fraction], ...] = ()
+    q_24ths: int = 0
+    var_halves: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "i_power", self.i_power % 4)
-        q = Fraction(self.q_exp)
-        if 24 % q.denominator:
-            raise ValueError("modular-variable exponent must have denominator dividing 24")
-        object.__setattr__(self, "q_exp", q)
-        cleaned = []
-        for name, f in self.var_exps:
-            f = Fraction(f)
-            if 2 % f.denominator:
-                raise ValueError("variable exponent must have denominator dividing 2")
-            if f:
-                cleaned.append((name, f))
-        cleaned.sort()
-        object.__setattr__(self, "var_exps", tuple(cleaned))
+        object.__setattr__(self, "i_power", _as_int(self.i_power, "power of i") % 4)
+        _as_int(self.q_24ths, "exponent")
+        halves = sorted((name, h) for name, h in self.var_halves if _as_int(h, "exponent"))
+        object.__setattr__(self, "var_halves", tuple(halves))
 
     def combine(self, other: "PrefactorLedger") -> "PrefactorLedger":
-        exps = dict(self.var_exps)
-        for name, f in other.var_exps:
-            exps[name] = exps.get(name, Fraction(0)) + f
+        halves = dict(self.var_halves)
+        for name, h in other.var_halves:
+            halves[name] = halves.get(name, 0) + h
         return PrefactorLedger(
             self.i_power + other.i_power,
-            self.q_exp + other.q_exp,
-            tuple(exps.items()),
+            self.q_24ths + other.q_24ths,
+            tuple(halves.items()),
         )
 
     def scale(self, k: int) -> "PrefactorLedger":
         """The ledger of the k-th power (k may be negative)."""
         return PrefactorLedger(
             self.i_power * k,
-            self.q_exp * k,
-            tuple((name, f * k) for name, f in self.var_exps),
+            self.q_24ths * k,
+            tuple((name, h * k) for name, h in self.var_halves),
         )
 
     def is_scalar(self) -> bool:
-        return self.q_exp == 0 and not self.var_exps
+        return self.q_24ths == 0 and not self.var_halves
 
     def scalar_sign(self) -> int:
         """+1 or -1 for an even scalar ledger; raises otherwise."""
@@ -939,75 +864,3 @@ class PrefactorLedger:
         if self.i_power % 2:
             raise ValueError("ledger scalar is imaginary; branch conventions are inconsistent")
         return -1 if self.i_power == 2 else 1
-
-
-# -- substitution width bounds ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PWidthBound:
-    """A certified bound on the ``p``-exponent support of a bivariate series.
-
-    ``fn(a)`` bounds ``|p-exponent|`` over all terms of the untruncated
-    series at q-order ``a``.  The three certificate integers promise
-    ``fn(a) <= sqrt_coeff * isqrt(sqrt_arg * a) + offset`` for every ``a``,
-    which makes the image-degree minimum below a finite computation.
-    """
-
-    fn: Callable[[int], int]
-    sqrt_coeff: int
-    sqrt_arg: int
-    offset: int
-
-    def check_certificate(self, a: int) -> bool:
-        return self.fn(a) <= self.sqrt_coeff * isqrt(self.sqrt_arg * a) + self.offset
-
-
-def _tail_min_image_degree(width: PWidthBound, dq: int, dp_abs: int, start: int) -> int:
-    """Exact ``min over a >= start`` of ``a*dq - width.fn(a)*dp_abs``.
-
-    Terms at q-order ``a`` land at image degree at least this value; the
-    square-root certificate makes the objective eventually increasing, so a
-    finite scan with a monotone tail bound is exact.
-    """
-    if dq < 1:
-        raise ValueError("image degree of the grading variable must be >= 1")
-    c, k, c0 = width.sqrt_coeff, width.sqrt_arg, width.offset
-
-    def g(a: int) -> int:
-        if not width.check_certificate(a):
-            raise ValueError("width bound violates its own certificate")
-        return a * dq - width.fn(a) * dp_abs
-
-    a_star = (k * (c * dp_abs) ** 2) // (4 * dq * dq) + 1
-    hi = max(start, a_star) + 4
-    best = min(g(a) for a in range(start, hi + 1))
-    while True:
-        a = hi + 1
-        tail = dq * a - dp_abs * (c * (isqrt(k * a) + 1) + c0)
-        if tail >= best:
-            return best
-        new_hi = 2 * hi
-        best = min(best, min(g(x) for x in range(hi + 1, new_hi + 1)))
-        hi = new_hi
-
-
-def required_source_order(width: PWidthBound, dq: int, dp_abs: int, target_order: int) -> int:
-    """Least source q-order M so a width-bounded substitution is exact to
-    ``target_order`` in the image grading.
-
-    The exact result order at source order ``m`` is a minimum over
-    ``a >= m + 1``, a shrinking set, so it never decreases as ``m`` grows;
-    and it is unbounded because the certificate makes ``a*dq`` outgrow
-    the width.  A galloping search brackets the least feasible ``m`` and a
-    bisection finds it.
-    """
-
-    def feasible(m: int) -> bool:
-        return _tail_min_image_degree(width, dq, dp_abs, m + 1) - 1 >= target_order
-
-    hi = 1
-    while not feasible(hi):
-        hi *= 2
-    # hi // 2 is infeasible once the gallop has doubled, so the search starts there
-    return bisect_left(range(hi + 1), True, lo=hi // 2, key=feasible)

@@ -53,7 +53,7 @@ def test_pf_22_symmetries():
     reg = pf.registry
 
     def swapped(mapping):
-        images = {a: (1, reg.exps(**{b: 1})) for a, b in mapping.items()}
+        images = {a: reg.exps(**{b: 1}) for a, b in mapping.items()}
         return pf.substitute_monomials(reg, images)
 
     assert swapped({"r0": "s0", "s0": "r0", "r1": "s1", "s1": "r1"}) == pf
@@ -116,10 +116,10 @@ def test_pf_1w_is_cyclically_symmetric():
     pf = pf_1w(3, 4)
     reg = pf.registry
     images = {
-        "r0": (1, reg.exps(r1=1)),
-        "r1": (1, reg.exps(r2=1)),
-        "r2": (1, reg.exps(r0=1)),
-        "s": (1, reg.exps(s=1)),
+        "r0": reg.exps(r1=1),
+        "r1": reg.exps(r2=1),
+        "r2": reg.exps(r0=1),
+        "s": reg.exps(s=1),
     }
     assert pf.substitute_monomials(reg, images) == pf
 
@@ -198,7 +198,7 @@ def test_cover_identities(source, rename, expected):
     (v, w) to those at location k mod lcm(v', w') of (v', w')."""
     want = expected()
     reg = want.registry
-    images = {a: (1, reg.exps(**{b: 1})) for a, b in rename.items()}
+    images = {a: reg.exps(**{b: 1}) for a, b in rename.items()}
     assert source().substitute_monomials(reg, images) == want
 
 

@@ -213,10 +213,10 @@ def test_naive_pf_is_cyclically_symmetric():
     s = naive_pf(shape, 4)
     reg = s.registry  # r0, r1, r2, s
     images = {
-        "r0": (1, reg.exps(r1=1)),
-        "r1": (1, reg.exps(r2=1)),
-        "r2": (1, reg.exps(r0=1)),
-        "s": (1, reg.exps(s=1)),
+        "r0": reg.exps(r1=1),
+        "r1": reg.exps(r2=1),
+        "r2": reg.exps(r0=1),
+        "s": reg.exps(s=1),
     }
     assert s.substitute_monomials(reg, images) == s
 
@@ -237,10 +237,16 @@ def test_twist_negates_odd_degrees():
 
 @pytest.mark.parametrize("shape", [BananaShape(1, w) for w in (1, 2, 3, 4)] + [TWO], ids=str)
 def test_twist_equals_the_substitution_route(shape):
+    # x -> -x for every variable: x -> x m over an extra weight-0 variable m,
+    # which counts each term's degree, then m = -1
     s = naive_pf(shape, 8)
     reg = s.registry
-    images = {name: (-1, reg.exps(**{name: 1})) for name in reg.names}
-    by_substitution = s.substitute_monomials(reg, images)
+    marked = VariableRegistry(reg.names + ("m",), reg.weights + (0,))
+    images = {name: marked.exps(**{name: 1, "m": 1}) for name in reg.names}
+    counted = s.substitute_monomials(marked, images)
+    by_substitution = TruncatedSeries(
+        reg, {e[:-1]: (-1) ** e[-1] * c for e, c in counted.terms.items()}, counted.order
+    )
     t = behrend_twist(s)
     assert (t.terms, t.order, t.floor) == (
         by_substitution.terms, by_substitution.order, by_substitution.floor

@@ -1,20 +1,18 @@
 """Tests for the classical q-series, their builders, and the identity suite."""
-from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bananagv import qseries
 from bananagv.qseries import (
-    PHI_P_WIDTH,
-    _eta_cubed_sum,
+    _eta_cubed_at,
     _eta_product,
     _one_minus,
     _theta_product,
     QP,
     QYT,
     Q_ONLY,
-    THETA_P_WIDTH,
     check_identities,
     elliptic_genus_c2,
     elliptic_genus_c2_at,
@@ -39,8 +37,8 @@ def q_slice(series, a):
 def test_eta_is_the_pentagonal_number_series():
     e = eta_reduced(12)
     assert e.series.terms == {(0,): 1, (1,): -1, (2,): -1, (5,): 1, (7,): 1, (12,): -1}
-    assert e.ledger.q_exp == Fraction(1, 24)
-    assert e.ledger.i_power == 0 and e.ledger.var_exps == ()
+    assert e.ledger.q_24ths == 1  # q^{1/24}
+    assert e.ledger.i_power == 0 and e.ledger.var_halves == ()
 
 
 def test_eta_at_doubles_exponents():
@@ -69,16 +67,8 @@ def test_theta_low_order_slices():
 def test_theta_ledger():
     led = theta1_reduced(2).ledger
     assert led.i_power == 3
-    assert led.q_exp == Fraction(1, 8)
-    assert led.var_exps == (("p", Fraction(-1, 2)),)
-
-
-def test_theta_support_obeys_width_certificate():
-    t = theta1_reduced(60).series
-    for (a, b), c in t.terms.items():
-        assert c != 0
-        assert abs(b) <= THETA_P_WIDTH.fn(a)
-        assert THETA_P_WIDTH.check_certificate(a)
+    assert led.q_24ths == 3  # q^{1/8}
+    assert led.var_halves == (("p", -1),)  # p^{-1/2}
 
 
 # ------------------------------------------------------------------- phi
@@ -92,8 +82,13 @@ def test_phi_low_order_slices():
 
 def test_phi_vanishes_at_p_equal_one():
     f = jacobi_phi(8)
-    collapsed = f.substitute_monomials(Q_ONLY, {"q": (1, (1,)), "p": (1, (0,))})
+    collapsed = f.substitute_monomials(Q_ONLY, {"q": (1,), "p": (0,)})
     assert collapsed.is_zero()
+    # theta, and with it phi, vanishes at every p = q^k; the builder returns
+    # zero even where the floors of the vanished theta would say nothing
+    for k in range(-3, 4):
+        for order in (-2, 0, 1, 5):
+            assert jacobi_phi_at(QP, (1, 0), (k, 0), order) == TruncatedSeries(QP, {}, order)
 
 
 def test_phi_corner_coefficients():
@@ -105,19 +100,12 @@ def test_phi_corner_coefficients():
         assert f.coefficient((a, -(a + 1))) == expect
 
 
-def test_phi_support_obeys_width_certificate():
-    f = jacobi_phi(60)
-    for (a, b), _ in f.terms.items():
-        assert abs(b) <= PHI_P_WIDTH.fn(a)
-        assert PHI_P_WIDTH.check_certificate(a)
-
-
 def test_phi_at_with_negative_image_degree_matches_inversion():
     # phi(q, p^{-1}) computed two ways: by substitution into the target, and
     # by the p <-> p^{-1} symmetry of the double product
     direct = jacobi_phi_at(QP, (1, 0), (0, -1), 6)
     f = jacobi_phi(6)
-    assert direct.same_series(f.substitute_monomials(QP, {"q": (1, (1, 0)), "p": (1, (0, -1))}))
+    assert direct.same_series(f.substitute_monomials(QP, {"q": (1, 0), "p": (0, -1)}))
 
 
 # ------------------------------------------------- sum forms vs products
@@ -153,8 +141,79 @@ def test_sum_forms_equal_the_product_builders():
 
 def test_eta_cubed_sum_is_the_cube_of_eta():
     for N in range(41):
-        eta = _eta_product(N).substitute_monomials(QP, {"q": (1, (1, 0))})
-        _assert_identical(_eta_cubed_sum(N), eta * eta * eta)
+        eta = _eta_product(N).substitute_monomials(QP, {"q": (1, 0)})
+        _assert_identical(_eta_cubed_at(QP, (1, 0), N), eta * eta * eta)
+
+
+# ------------------------------- substituted sums vs mapped product forms
+
+
+@cache
+def _products(M):
+    return _eta_product(M), _theta_product(M), _phi_double_product(M)
+
+
+def _mapped(product, target, q_image, p_image, order):
+    """A product over ``(q)`` or ``(q, p)`` with ``q -> Q`` and ``p -> P``,
+    term by term; the constructor keeps the terms of degree <= order."""
+    terms = {}
+    for (a, *p), c in product.terms.items():
+        n = p[0] if p else 0
+        image = tuple(a * x + n * y for x, y in zip(q_image, p_image))
+        terms[image] = terms.get(image, 0) + c
+    return TruncatedSeries(target, terms, order)
+
+
+@st.composite
+def _sum_images(draw):
+    target = draw(st.sampled_from([QP, QYT, Q_ONLY, VariableRegistry(("x", "y"))]))
+    vector = st.tuples(*[st.integers(-2, 2)] * target.size)
+    q_image, p_image = draw(vector), draw(vector)
+    # raise the exponent of the first variable, which has positive weight,
+    # until deg Q > |deg P|
+    short = abs(target.degree(p_image)) + 1 - target.degree(q_image)
+    lift = max(0, -(-short // target.weights[0]))
+    return target, (q_image[0] + lift, *q_image[1:]), p_image
+
+
+@given(_sum_images(), st.integers(-4, 8))
+@example((QP, (1, 0), (0, -3)), 8)  # p has weight 0
+@example((QYT, (1, 0, 0), (0, 1, -2)), 8)  # deg P < 0
+@example((QYT, (1, 0, 0), (0, 0, 0)), 8)  # y = t in Y^{-1} T: every theta term cancels
+@example((Q_ONLY, (2,), (-1,)), 8)  # Q = P^{-2}: terms collide
+@example((QYT, (0, 2, 1), (0, -2, 1)), -2)  # the order is below the k = 0 term
+def test_sum_builders_match_the_mapped_products(images, order):
+    target, q_image, p_image = images
+    dq, dp = target.degree(q_image), abs(target.degree(p_image))
+    # theta and phi have |p| <= a + 1 at q-order a, so a term beyond q-order
+    # M lands above degree (M + 1)(dq - dp) - dp > order
+    M = max(0, (order + dp) // (dq - dp))
+    eta, theta, phi = _products(M)
+    _assert_identical(
+        eta_at(target, q_image, order).series, _mapped(eta, target, q_image, p_image, order)
+    )
+    _assert_identical(
+        theta1_at(target, q_image, p_image, order).series,
+        _mapped(theta, target, q_image, p_image, order),
+    )
+    _assert_identical(
+        jacobi_phi_at(target, q_image, p_image, order),
+        _mapped(phi, target, q_image, p_image, order),
+    )
+
+
+@pytest.mark.parametrize(
+    "target, q_image, p_image",
+    [(QYT, (1, 0, 0), (0, 3, 2)), (QYT, (1, 0, 0), (0, -3, -2)), (QYT, (1, 0, 0), (0, 3, 1))],
+    ids=["minimum-below-zero", "minimum-above-zero", "tied-minimum"],
+)
+def test_theta_at_a_negative_order_is_the_truncation(target, q_image, p_image):
+    # with |deg P| > deg Q the lowest terms sit at negative degree away from
+    # the k = 0 term, so the walk must first find the minimum
+    full = theta1_at(target, q_image, p_image, 0).series
+    assert full.floor < 0
+    for order in range(full.floor - 1, 0):
+        assert theta1_at(target, q_image, p_image, order).series == full.truncate(order)
 
 
 # -------------------------------------------------------------- identities
@@ -276,6 +335,16 @@ def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
     assert plain.order == cubed.order == 10
 
 
+def test_elliptic_genus_at_a_negative_order_is_the_truncation():
+    # the thetas are built from order 0 up, where their constant terms fix
+    # the floors the pad is read off
+    full = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 3, 0), (0, 0, 1), 0)
+    assert full.floor == -4
+    for order in range(-5, 0):
+        got = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 3, 0), (0, 0, 1), order)
+        assert got == full.truncate(order)
+
+
 def test_elliptic_genus_refuses_prefactors_that_do_not_cancel(monkeypatch):
     # a ledger that forgets negative exponents of the p-image leaves y^{-1/2}
     ledger_for_p_image = qseries._ledger_for_p_image
@@ -295,6 +364,6 @@ def test_elliptic_genus_sign_does_not_depend_on_variable_order():
     swapped = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 0, 1), (0, 1, 0), 8)
     assert swapped.constant_term() == 1
     renamed = swapped.substitute_monomials(
-        QYT, {"q": (1, (1, 0, 0)), "y": (1, (0, 0, 1)), "t": (1, (0, 1, 0))}
+        QYT, {"q": (1, 0, 0), "y": (0, 0, 1), "t": (0, 1, 0)}
     )
     assert renamed == plain

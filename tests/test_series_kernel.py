@@ -457,15 +457,14 @@ def test_constructor_refuses_exponents_outside_the_digit_range():
                      id="shift"),
         pytest.param(lambda: one(XY, 0).shift_monomial((LIMIT, -LIMIT)), id="shift-delta"),
         pytest.param(
-            lambda: monomial(XY, (2**14, 0), 1, 2**14).substitute_monomials(
-                XY, {"x": (1, (2, 0)), "y": (1, (0, 1))}, nonnegative_source=True
+            # the weight-0 p sent to its square keeps every degree
+            lambda: monomial(QP, (0, 2**14), 1, 0).substitute_monomials(
+                QP, {"q": (1, 0), "p": (0, 2)}
             ),
             id="substitution",
         ),
         pytest.param(
-            lambda: one(XY, 0).substitute_monomials(
-                XY, {"x": (1, (LIMIT, -LIMIT)), "y": (1, (0, 1))}, nonnegative_source=True
-            ),
+            lambda: one(QP, 0).substitute_monomials(QP, {"q": (1, 0), "p": (0, LIMIT)}),
             id="substitution-image",
         ),
         pytest.param(
