@@ -1,8 +1,10 @@
 """Compute the same invariants two independent ways and compare.
 
-Route one enumerates constrained thickening profiles branch by branch and
-applies the sign twist; route two expands the closed-form product.  The demo
-walks through the ingredients on the two-cell shape 1x2.
+Route one enumerates the constrained thickening profiles once for the
+period that every branch shares, folds them through each branch's labels,
+multiplies the branch series and applies the sign twist; route two expands
+the closed-form product.  The demo walks through the ingredients on the
+two-cell shape 1x2.
 """
 from bananagv import cross_check, naive_pf, behrend_twist, parse_shape
 from bananagv.gvpf import pf_for_shape

@@ -18,10 +18,8 @@ last prints one line on standard error.
 
 Inputs are capped so that every accepted run finishes: ``--order`` at most 32
 for ``compute`` and ``crosscheck`` and at most 256 for ``verify``, and
-``--w`` at most 6.  Larger values are a usage error.  At the caps the slowest
-run measured, ``crosscheck --shape 1xW --w 6 --order 32``, takes 7-9 s and
-77 MB on a 2-vCPU Linux VM; ``compute --shape 2x2 --order 32`` takes about
-1 s and ``verify --order 256`` about 2 s.
+``--w`` at most 6.  Larger values are a usage error.  The README's "Command
+line" section records the time and peak memory of runs at the caps.
 """
 from __future__ import annotations
 

@@ -13,10 +13,16 @@ partition has all odd parts distinct; equivalently, consecutive pairs
 has multiplicity ``parts(v) - parts(v+1)``, so the dual condition is local).
 The profile's weight is ``prod_j label(j) ** parts[j-1]``.
 
-``_admissible_profiles`` generates the admissible profiles straight from that
-local pairwise rule, pair by pair, so no inadmissible partition is ever
-built.  The conjugate test (``BranchPartition.is_admissible``) and the plain
-partition generator ``partitions`` are kept as the test oracle for it.
+Every branch of a shape has the same period, ``2 lcm(v, w)``, and its
+profiles do not depend on its labels.  ``_profile_residues`` walks the
+admissible profiles once per period, straight from the local pairwise rule,
+so no inadmissible partition is ever built, and tallies them by residue
+vector: the sums of ``parts[j]`` over each class of ``j`` mod the period.
+It caches its last table, so one walk serves every branch of a ``naive_pf``
+call, and ``branch_series`` folds that table through its own labels.
+``_admissible_profiles`` generates the same profiles one tuple at a time;
+it, the conjugate test (``BranchPartition.is_admissible``) and the plain
+partition generator ``partitions`` are kept as the test oracle.
 
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
@@ -149,25 +155,68 @@ def count_distinct_odd_conjugate(n: int) -> int:
     return count
 
 
+def _check_order(N: int) -> None:
+    """Refuse a negative truncation order before any series is built."""
+    if N < 0:
+        raise ValueError("enumeration order must be nonnegative")
+
+
+@lru_cache(maxsize=1)
+def _profile_residues(period: int, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Admissible profiles of size at most N, each folded to its residue
+    vector ``res[r] = sum of parts[j] over j = r mod period``, and tallied:
+    ``((residue vector, number of profiles), ...)``.
+
+    The walk places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)`` at a
+    time, as ``_admissible_profiles`` does, updating one residue vector in
+    place; every prefix of whole pairs is itself a profile, and a lone ``1``
+    closes one.  Each profile is visited exactly once.  One cached entry is
+    enough because all branches of a shape share one period.
+    """
+    res = [0] * period
+    table: dict[tuple[int, ...], int] = {}
+
+    def walk(j: int, room: int, cap: int) -> None:
+        # parts[:j] is an admissible profile of size N - room and the next
+        # part is at most cap, the last one placed; a pair (1, 0) is the
+        # lone 1 that closes a profile
+        key = tuple(res)
+        table[key] = table.get(key, 0) + 1
+        r, s = j % period, (j + 1) % period
+        for a in range(min(cap, (room + 1) // 2), 0, -1):
+            res[r] += a
+            for b in (a, a - 1):
+                if a + b <= room:
+                    res[s] += b
+                    walk(j + 2, room - a - b, b)
+                    res[s] -= b
+            res[r] -= a
+
+    walk(0, N, N)
+    return tuple(table.items())
+
+
 def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> TruncatedSeries:
     """Generating function of one branch by explicit profile enumeration.
 
     Every edge variable has degree 1, so profiles of size > N cannot
     contribute below the truncation order and the enumeration is finite.
+    The profiles' residue table is folded through the branch labels: slot
+    ``r`` is the exponent of ``spec.labels[r]``.
     """
+    _check_order(N)
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
-    idx = [registry.index(spec.label(j + 1)) for j in range(N)]
+    idx = [registry.index(label) for label in spec.labels]
     zero = registry.zero_exps()
     vec = list(zero)
     acc: dict[ExponentVector, int] = {}
-    for n in range(N + 1):
-        for parts in _admissible_profiles(n):
-            vec[:] = zero
-            for j, mult in enumerate(parts):
-                vec[idx[j]] += mult
-            e = tuple(vec)
-            acc[e] = acc.get(e, 0) + 1
+    for residues, count in _profile_residues(spec.period, N):
+        vec[:] = zero
+        for i, mult in zip(idx, residues):
+            vec[i] += mult
+        e = tuple(vec)
+        acc[e] = acc.get(e, 0) + count
     return TruncatedSeries(registry, acc, N)
 
 
@@ -175,6 +224,7 @@ def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
     """Unsigned count generating function: product of the four branch series
     at each B location, summed over locations.  Coefficients are counts and
     must come out nonnegative."""
+    _check_order(N)
     registry = registry_for(shape)
     total = TruncatedSeries(registry, {}, N)
     for loc in b_locations(shape):

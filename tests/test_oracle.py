@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from bananagv.geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
 from bananagv.oracle import (
     BranchPartition,
+    _admissible_profiles,
+    _profile_residues,
     behrend_twist,
     branch_partitions,
     branch_series,
@@ -79,6 +81,24 @@ def test_generated_profiles_are_the_filtered_partitions_in_order():
 def test_admissible_profile_counts():
     assert [count_distinct_odd_conjugate(n) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
     assert [len(branch_partitions(n)) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
+
+
+@given(st.sampled_from([2, 4, 6, 8, 12]), st.integers(0, 16))
+def test_profile_residues_fold_the_generated_profiles(period, N):
+    want = {}
+    for n in range(N + 1):
+        for parts in _admissible_profiles(n):
+            res = [0] * period
+            for j, mult in enumerate(parts):
+                res[j % period] += mult
+            key = tuple(res)
+            want[key] = want.get(key, 0) + 1
+    table = _profile_residues(period, N)
+    assert isinstance(table, tuple)
+    assert len(table) == len(dict(table)) and dict(table) == want
+    for n in range(N + 1):
+        total = sum(count for res, count in table if sum(res) == n)
+        assert total == count_distinct_odd_conjugate(n)
 
 
 def test_weight_exponents_follow_the_branch_labels():
@@ -183,10 +203,30 @@ def filtered_naive_pf(shape, N):
     return total
 
 
-@pytest.mark.parametrize("shape,order", [(BananaShape(1, 1), 20), (TWO, 10)], ids=str)
+@pytest.mark.parametrize(
+    "shape,order",
+    [(BananaShape(1, 1), 20), (TWO, 10), (BananaShape(1, 3), 10), (BananaShape(1, 6), 8)],
+    ids=str,
+)
 def test_naive_pf_matches_the_filtered_enumeration(shape, order):
     got, want = naive_pf(shape, order), filtered_naive_pf(shape, order)
     assert (got.terms, got.order, got.floor) == (want.terms, want.order, want.floor)
+
+
+def test_naive_pf_walks_the_profiles_once():
+    _profile_residues.cache_clear()
+    naive_pf(BananaShape(1, 3), 6)  # 3 B locations of 4 branches, period 6
+    info = _profile_residues.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
+
+
+def test_negative_order_is_refused():
+    shape = BananaShape(1, 1)
+    spec = branch_specs(shape, 0)[0]
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        branch_series(spec, -1, spec_registry(spec))
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        naive_pf(shape, -1)
 
 
 def test_naive_pf_2x2_spot_values():
