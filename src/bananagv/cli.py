@@ -26,13 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import IO
 
 from .geometry import BananaShape, parse_shape, registry_for
 from .gvpf import cross_check, gv_table
 from .qseries import check_identities
-from .series import InvariantError
+from .series import InvariantError, _as_int
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -43,27 +43,31 @@ MAX_ORDER = {"compute": 32, "crosscheck": 32, "verify": 256}
 MAX_W = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str  # "compute" | "verify" | "crosscheck"
-    order: int
-    shape: str | None = None
-    w: int | None = None
-    fmt: str = "json"
+class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
+    """One validated invocation: ``command`` is "compute", "verify" or
+    "crosscheck", ``shape`` a selector for :func:`parse_shape`."""
 
-    def __post_init__(self):
-        if self.command not in ("compute", "verify", "crosscheck"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.order < 0:
+    __slots__ = ()
+
+    def __new__(
+        cls, command: str, order: int, shape: str | None = None, w: int | None = None, fmt="json"
+    ):
+        if command not in ("compute", "verify", "crosscheck"):
+            raise ValueError(f"unknown command {command!r}")
+        order = _as_int(order, "order")
+        if w is not None:
+            w = _as_int(w, "width")
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        if self.command == "verify" and self.order < 1:
+        if command == "verify" and order < 1:
             raise ValueError("order must be at least 1 for verify")
-        if self.order > MAX_ORDER[self.command]:
-            raise ValueError(f"order must be at most {MAX_ORDER[self.command]} for {self.command}")
-        if self.w is not None and self.w > MAX_W:
+        if order > MAX_ORDER[command]:
+            raise ValueError(f"order must be at most {MAX_ORDER[command]} for {command}")
+        if w is not None and w > MAX_W:
             raise ValueError(f"width must be at most {MAX_W}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"unknown format {fmt!r}")
+        return super().__new__(cls, command, order, shape, w, fmt)
 
     def banana_shape(self) -> BananaShape:
         if self.shape is None:

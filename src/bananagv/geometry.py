@@ -22,10 +22,10 @@ are offered, so that every enumeration has a second route to check it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
-from .series import VariableRegistry
+from .series import VariableRegistry, _as_int
 
 __all__ = [
     "BananaShape",
@@ -37,17 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BananaShape:
+class BananaShape(namedtuple("BananaShape", "v w")):
     """Shape parameters of the configuration; only (1, w) and (2, 2) are
     supported, being the shapes with closed forms."""
 
-    v: int
-    w: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.v < 1 or self.w < 1:
+    def __new__(cls, v: int, w: int):
+        v, w = _as_int(v, "shape parameter v"), _as_int(w, "shape parameter w")
+        if v < 1 or w < 1:
             raise ValueError("shape parameters must be positive")
+        return super().__new__(cls, v, w)
 
     @property
     def supported(self) -> bool:
@@ -72,8 +72,7 @@ def parse_shape(text: str, w: int | None = None) -> BananaShape:
     raise ValueError(f"unknown shape selector {text!r}")
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(namedtuple("BranchSpec", "direction labels")):
     """Periodic label sequence along one branch leaving the B edge.
 
     ``labels[j]`` is the tracking variable of the ``(j+1)``-th edge from the
@@ -82,17 +81,17 @@ class BranchSpec:
     because the two families alternate along any lattice path.
     """
 
-    direction: str
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.labels or len(self.labels) % 2:
+    def __new__(cls, direction: str, labels: tuple[str, ...]):
+        if not labels or len(labels) % 2:
             raise ValueError("branch period must be a positive even number")
-        kinds = [name[0] for name in self.labels]
+        kinds = [name[0] for name in labels]
         if set(kinds) - {"r", "s"}:
             raise ValueError("labels must be r- or s-variables")
         if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
             raise ValueError("labels must alternate between r- and s-variables")
+        return super().__new__(cls, direction, labels)
 
     @property
     def period(self) -> int:

@@ -33,7 +33,7 @@ route from :mod:`bananagv.oracle`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import BananaShape, registry_for
 from .oracle import behrend_twist, naive_pf
@@ -160,8 +160,7 @@ def pf_for_shape(shape: BananaShape, N: int) -> TruncatedSeries:
     raise ValueError(f"no closed form for shape {shape}")
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Outcome of comparing the closed form against the twisted enumeration."""
 
     shape: BananaShape
@@ -192,8 +191,7 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
     return CrossCheckReport(shape, N, mismatch is None, mismatch)
 
 
-@dataclass(frozen=True)
-class GVTable:
+class GVTable(NamedTuple):
     """All nonzero invariants up to total degree N, as (exponents, value)
     rows in graded-lex order.  The exponents are over ``registry_for(shape)``
     and every class implicitly carries B-degree 1."""

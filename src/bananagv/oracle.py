@@ -36,7 +36,7 @@ signed count by negating every tracking variable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -54,19 +54,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BranchPartition:
+class BranchPartition(namedtuple("BranchPartition", "parts")):
     """A weakly decreasing tuple of edge multiplicities along one branch."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __new__(cls, parts: tuple[int, ...]):
+        parts = tuple(int(p) for p in parts)
         if any(p < 1 for p in parts):
             raise ValueError("multiplicities must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("multiplicities must not increase along the branch")
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:

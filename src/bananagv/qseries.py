@@ -43,9 +43,8 @@ check compares the sum-built phi against product-built eta and theta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .series import (
     ExponentVector,
@@ -86,16 +85,14 @@ Q_ONLY = VariableRegistry(("q",))
 _ETA_LEDGER = PrefactorLedger(q_24ths=1)
 
 
-@dataclass(frozen=True)
-class ReducedEta:
+class ReducedEta(NamedTuple):
     """Eta product with its ``q^{1/24}`` prefactor held in the ledger."""
 
     series: TruncatedSeries
     ledger: PrefactorLedger
 
 
-@dataclass(frozen=True)
-class ReducedTheta:
+class ReducedTheta(NamedTuple):
     """Theta product with its ``i q^{1/8} p^{-1/2}`` prefactor in the ledger."""
 
     series: TruncatedSeries
@@ -332,8 +329,7 @@ def elliptic_genus_c2(N: int) -> TruncatedSeries:
     return elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 2 * N)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

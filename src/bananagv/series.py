@@ -88,7 +88,7 @@ write their substituted sums straight into the target registry instead.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import isqrt
 from operator import add, mul
@@ -187,7 +187,6 @@ class InvariantError(AssertionError):
     shortfall, a mis-cancelled prefactor); this is a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class VariableRegistry:
     """An ordered set of variable names with integer grading weights.
 
@@ -195,17 +194,17 @@ class VariableRegistry:
     default to 1 for every variable; a weight of 0 marks a variable that does
     not contribute to the truncation degree (used for the elliptic variable
     of a Jacobi form, where the q-order alone bounds the truncation).
+    Registries are immutable, compare and hash by ``(names, weights)``.
     """
 
-    names: tuple[str, ...]
-    weights: tuple[int, ...] | None = None
+    # a slots class, not a tuple, so that the kernels reach ``_packing`` by
+    # a plain slot read on every operation
+    __slots__ = ("names", "weights", "_packing")
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str], weights: Iterable[int] | None = None):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("registry variable names must be distinct")
-        weights = self.weights
         if weights is None:
             weights = (1,) * len(names)
         weights = tuple(_as_int(w, "weight") for w in weights)
@@ -213,8 +212,23 @@ class VariableRegistry:
             raise ValueError("one weight per variable required")
         if any(w < 0 for w in weights):
             raise ValueError("grading weights must be nonnegative")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_packing", _Packing(len(names)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariableRegistry is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not VariableRegistry:
+            return NotImplemented
+        return self is other or (self.names == other.names and self.weights == other.weights)
+
+    def __hash__(self):
+        return hash((self.names, self.weights))
+
+    def __repr__(self) -> str:
+        return f"VariableRegistry(names={self.names!r}, weights={self.weights!r})"
 
     @property
     def size(self) -> int:
@@ -814,8 +828,7 @@ def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slic
 # -- prefactor bookkeeping ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrefactorLedger:
+class PrefactorLedger(namedtuple("PrefactorLedger", "i_power q_24ths var_halves")):
     """Exact bookkeeping for the scalar prefactors of classical q-series.
 
     Tracks ``i ** i_power`` (mod 4), the modular variable's exponent in
@@ -826,15 +839,13 @@ class PrefactorLedger:
     exponents are exactly zero.
     """
 
-    i_power: int = 0
-    q_24ths: int = 0
-    var_halves: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "i_power", _as_int(self.i_power, "power of i") % 4)
-        _as_int(self.q_24ths, "exponent")
-        halves = sorted((name, h) for name, h in self.var_halves if _as_int(h, "exponent"))
-        object.__setattr__(self, "var_halves", tuple(halves))
+    def __new__(cls, i_power: int = 0, q_24ths: int = 0, var_halves: tuple[tuple[str, int], ...] = ()):
+        i_power = _as_int(i_power, "power of i") % 4
+        q_24ths = _as_int(q_24ths, "exponent")
+        halves = sorted((name, h) for name, h in var_halves if _as_int(h, "exponent"))
+        return super().__new__(cls, i_power, q_24ths, tuple(halves))
 
     def combine(self, other: "PrefactorLedger") -> "PrefactorLedger":
         halves = dict(self.var_halves)

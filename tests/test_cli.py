@@ -2,12 +2,14 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bananagv
 from bananagv import gvpf
 from bananagv.cli import RunConfig, build_parser, main, run
 from bananagv.series import InvariantError
@@ -30,6 +32,16 @@ r0,s,value
 2,2,39
 3,1,8
 """
+
+
+def run_child(argv):
+    """Run a fresh interpreter that imports the ``bananagv`` under test."""
+    src = str(Path(bananagv.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    )
 
 
 def invoke(argv):
@@ -94,13 +106,17 @@ def test_json_output_is_deterministic_and_round_trips():
 def test_module_entry_point_matches_in_process_output():
     args = ["compute", "--shape", "2x2", "--order", "1"]
     _, expected, _ = invoke(args)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bananagv", *args],
-        capture_output=True,
-        text=True,
-        check=True,
+    assert run_child(["-m", "bananagv", *args]).stdout == expected
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up on every run; compared against the modules the
+    # child had loaded before the import, whatever its ``site`` brought in
+    probe = (
+        "import sys; before = set(sys.modules); import bananagv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    assert proc.stdout == expected
+    assert run_child(["-c", probe]).stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE["calls"]))
@@ -202,6 +218,14 @@ def test_run_config_validation():
         RunConfig("compute", 3, "2x2", fmt="xml")
     with pytest.raises(ValueError):
         RunConfig("crosscheck", 3).banana_shape()
+
+
+def test_run_config_order_and_width_must_be_ints():
+    for bad in (3.0, True):
+        with pytest.raises(TypeError, match="order must be an int"):
+            RunConfig("compute", bad, "2x2")
+        with pytest.raises(TypeError, match="width must be an int"):
+            RunConfig("crosscheck", 3, "1xW", w=bad)
 
 
 def test_main_returns_zero_on_success(capsys):

@@ -22,6 +22,16 @@ def test_shape_basics():
         BananaShape(0, 2)
 
 
+def test_shape_parameters_must_be_ints():
+    for bad in (1.0, True):
+        with pytest.raises(TypeError, match="shape parameter v must be an int"):
+            BananaShape(bad, 2)
+        with pytest.raises(TypeError, match="shape parameter w must be an int"):
+            BananaShape(2, bad)
+    with pytest.raises(TypeError):
+        parse_shape("1xW", w=2.0)
+
+
 def test_parse_shape():
     assert parse_shape("2x2") == TWO
     assert parse_shape("1xW", w=3) == BananaShape(1, 3)
