@@ -8,7 +8,7 @@ two-cell shape 1x2.
 """
 from bananagv import cross_check, naive_pf, behrend_twist, parse_shape
 from bananagv.gvpf import pf_for_shape
-from bananagv.oracle import branch_partitions
+from bananagv.oracle import admissible_profiles
 from bananagv.geometry import branch_specs
 
 ORDER = 5
@@ -16,7 +16,7 @@ shape = parse_shape("1xW", w=2)
 
 print("admissible thickening profiles by total size:")
 for n in range(5):
-    profiles = [bp.parts for bp in branch_partitions(n)]
+    profiles = list(admissible_profiles(n))
     print(f"  size {n}: {profiles}")
 
 print("\nbranch label sequences at B location 0:")

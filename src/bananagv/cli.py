@@ -32,7 +32,7 @@ from typing import IO
 from .geometry import BananaShape, parse_shape, registry_for
 from .gvpf import cross_check, gv_table
 from .qseries import check_identities
-from .series import InvariantError, _as_int
+from .series import InvariantError, _as_int, _as_order
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -54,11 +54,9 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
     ):
         if command not in ("compute", "verify", "crosscheck"):
             raise ValueError(f"unknown command {command!r}")
-        order = _as_int(order, "order")
+        order = _as_order(order)
         if w is not None:
             w = _as_int(w, "width")
-        if order < 0:
-            raise ValueError("order must be nonnegative")
         if command == "verify" and order < 1:
             raise ValueError("order must be at least 1 for verify")
         if order > MAX_ORDER[command]:

@@ -86,7 +86,7 @@ class BranchSpec(namedtuple("BranchSpec", "direction labels")):
     def __new__(cls, direction: str, labels: tuple[str, ...]):
         if not labels or len(labels) % 2:
             raise ValueError("branch period must be a positive even number")
-        kinds = [name[0] for name in labels]
+        kinds = [name[:1] for name in labels]
         if set(kinds) - {"r", "s"}:
             raise ValueError("labels must be r- or s-variables")
         if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
@@ -96,12 +96,6 @@ class BranchSpec(namedtuple("BranchSpec", "direction labels")):
     @property
     def period(self) -> int:
         return len(self.labels)
-
-    def label(self, j: int) -> str:
-        """Variable of the j-th edge from the B edge (1-based)."""
-        if j < 1:
-            raise ValueError("edge positions along a branch are 1-based")
-        return self.labels[(j - 1) % self.period]
 
 
 def _r(shape: BananaShape, i: int) -> str:
@@ -142,7 +136,7 @@ def branch_specs(shape: BananaShape, b_location: int) -> list[BranchSpec]:
     S reads r, s, ... down; SW reads s, r, ... down.  The period is
     ``2 lcm(v, w)``.
     """
-    if b_location not in b_locations(shape):
+    if _as_int(b_location, "B location") not in b_locations(shape):
         raise ValueError(f"invalid B location {b_location} for shape {shape}")
     k, steps = b_location, range(lcm(shape.v, shape.w))
     up = [(_r(shape, k + t), _s(shape, k + t)) for t in steps]

@@ -10,12 +10,16 @@ with phi the weight -2 index 1 weak Jacobi form.  ``pf_22`` assembles this
 directly (the ratio has constant leading term, so the square root is
 branch-free); ``pf_22_theta`` recomputes it from theta quotients,
 
-    pf = +-2 * eta(Q)^{-6} * theta(Q,r0) theta(Q,s0) theta(Q,r1) theta(Q,s1)
-              / ( theta(Q, r0 s0) theta(Q, r1 s1) ),
+    pf = 2 * eta(Q)^{-6} * theta(Q,r0) theta(Q,s0) theta(Q,r1) theta(Q,s1)
+              / ( theta(Q, r0 s0) theta(Q, r1 s1) )
 
-where the fractional prefactors cancel in the ledger up to the scalar -1
-(phi = -theta^2/eta^6) and the square-root branch is fixed by the constant
-term +2 — one contribution per B location.
+over the reduced products of :mod:`bananagv.qseries`.  With
+``phi = -theta^2/eta^6`` the square root is ``+-`` the same quotient of the
+full functions, whose fractional prefactors cancel by hand to a scalar:
+``eta^{-6}`` brings ``Q^{-1/4}``, the four thetas ``(-i)^4 Q^{1/2}
+(r0 s0 r1 s1)^{-1/2}`` and the two inverted ones ``(-i)^{-2} Q^{-1/4}
+(r0 s0 r1 s1)^{1/2}``, which leaves ``(-i)^2 = -1``.  The branch cancels
+that sign; the constant term +2, one contribution per B location, pins it.
 
 For ``(1, w)`` the function is a sum over the w locations of products of
 equivariant elliptic genus factors,
@@ -24,9 +28,9 @@ equivariant elliptic genus factors,
 
 with ``Q = prod_i (r_i s)`` and ``R_{i,k} = r_i r_{i+1} ... r_k s^{k-i+1}``
 (indices mod w), and ``Ell(Q, y, t) = theta(Q, yt) theta(Q, y^{-1} t) /
-theta(Q, t)^2`` the theta quotient of :mod:`bananagv.qseries`, whose
-prefactors cancel to +1.  At w = 1 the product is empty and pf reduces to
-``s * phi(Q, s)``, the single-banana answer.
+theta(Q, t)^2`` the theta quotient of :mod:`bananagv.qseries`.  At w = 1
+the product is empty and pf reduces to ``s * phi(Q, s)``, the single-banana
+answer.
 
 ``cross_check`` compares any of these against the sign-twisted enumerative
 route from :mod:`bananagv.oracle`.
@@ -42,6 +46,7 @@ from .series import (
     ExponentVector,
     InvariantError,
     TruncatedSeries,
+    _as_order,
     one,
 )
 
@@ -69,9 +74,7 @@ def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
 def pf_22(N: int) -> TruncatedSeries:
     """Closed-form generating function of the 2x2 shape, exact to total
     degree N over (r0, r1, s0, s1)."""
-    if N < 0:
-        raise ValueError("order must be nonnegative")
-    K = N + 2
+    K = _as_order(N) + 2
     reg = R22
     ratio = one(reg, K)
     for single in ("r0", "s0", "r1", "s1"):
@@ -87,32 +90,20 @@ def pf_22(N: int) -> TruncatedSeries:
 
 
 def pf_22_theta(N: int) -> TruncatedSeries:
-    """The same function assembled from theta quotients.
+    """The same function assembled from theta quotients,
+    ``2 * eta^{-6} * (four thetas) / (two thetas)``.
 
-    The series part is ``eta^{-6} * (four thetas) / (two thetas)``; the
-    ledger of fractional prefactors must cancel to the scalar -1 (this is
-    ``phi = -theta^2 / eta^6`` applied six times), and the square-root
-    branch is fixed by requiring constant term +2.  A residual fractional
-    ledger or a wrong constant term raises, signalling a broken convention.
+    The prefactors of the thetas and eta cancel to -1 (see the module
+    docstring), which the square-root branch cancels again; the constant
+    term +2 pins that sign, and any other constant term raises.
     """
-    if N < 0:
-        raise ValueError("order must be nonnegative")
     reg = R22
-    eta = eta_at(reg, _Q22, N)
-    ledger = eta.ledger.scale(-6)
-    series = eta.series.invert_unit() ** 6
+    series = eta_at(reg, _Q22, _as_order(N)).invert_unit() ** 6
     for single in ("r0", "s0", "r1", "s1"):
-        th = theta1_at(reg, _Q22, reg.exps(**{single: 1}), N)
-        series = series * th.series
-        ledger = ledger.combine(th.ledger)
+        series = series * theta1_at(reg, _Q22, reg.exps(**{single: 1}), N)
     for pair in ((1, 0, 1, 0), (0, 1, 0, 1)):
-        th = theta1_at(reg, _Q22, pair, N)
-        series = series * th.series.invert_unit()
-        ledger = ledger.combine(th.ledger.scale(-1))
-    if not ledger.is_scalar():
-        raise InvariantError(f"theta-route prefactors failed to cancel: {ledger}")
-    branch = -1  # sqrt branch: the location count fixes the sign of the total
-    pf = (2 * branch * ledger.scalar_sign()) * series
+        series = series * theta1_at(reg, _Q22, pair, N).invert_unit()
+    pf = 2 * series
     if pf.constant_term() != 2:
         raise InvariantError("theta-route constant term is not the location count")
     return pf.truncate(N)
@@ -123,8 +114,7 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
     degree N over (r0, ..., r_{w-1}, s)."""
     if w < 1:
         raise ValueError("w must be at least 1")
-    if N < 0:
-        raise ValueError("order must be nonnegative")
+    _as_order(N)
     reg = registry_for(BananaShape(1, w))
     q_img = (1,) * w + (w,)
     s_img = reg.exps(s=1)

@@ -6,12 +6,15 @@ closed-form product formulas, so the two routes can be checked against each
 other.
 
 A branch contributes a sum over *thickening profiles*: weakly decreasing
-positive tuples ``parts`` where ``parts[j-1]`` is the multiplicity of the
-j-th edge from the B edge.  A profile is admissible when its conjugate
+positive tuples ``parts`` where ``parts[j]`` is the multiplicity of the
+``(j+1)``-th edge from the B edge, the edge labelled
+``labels[j mod period]``.  A profile is admissible when its conjugate
 partition has all odd parts distinct; equivalently, consecutive pairs
 ``parts[2k] - parts[2k+1]`` differ by at most 1 (the conjugate's entry ``v``
 has multiplicity ``parts(v) - parts(v+1)``, so the dual condition is local).
-The profile's weight is ``prod_j label(j) ** parts[j-1]``.
+The profile's weight is ``prod_j labels[j mod period] ** parts[j]``.  The
+package uses only the local rule; the tests check it against the conjugate
+test.
 
 Every branch of a shape has the same period, ``2 lcm(v, w)``, and its
 profiles do not depend on its labels.  ``_profile_residues`` walks the
@@ -20,9 +23,8 @@ so no inadmissible partition is ever built, and tallies them by residue
 vector: the sums of ``parts[j]`` over each class of ``j`` mod the period.
 It caches its last table, so one walk serves every branch of a ``naive_pf``
 call, and ``branch_series`` folds that table through its own labels.
-``_admissible_profiles`` generates the same profiles one tuple at a time;
-it, the conjugate test (``BranchPartition.is_admissible``) and the plain
-partition generator ``partitions`` are kept as the test oracle.
+``admissible_profiles`` generates the same profiles one tuple at a time, in
+the order of the plain partition generator ``partitions``.
 
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
@@ -36,66 +38,27 @@ signed count by negating every tracking variable.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import ExponentVector, InvariantError, TruncatedSeries, VariableRegistry, one
+from .series import (
+    ExponentVector,
+    InvariantError,
+    TruncatedSeries,
+    VariableRegistry,
+    _as_order,
+    one,
+)
 
 __all__ = [
-    "BranchPartition",
     "partitions",
-    "branch_partitions",
+    "admissible_profiles",
     "count_distinct_odd_conjugate",
     "branch_series",
     "naive_pf",
     "behrend_twist",
 ]
-
-
-class BranchPartition(namedtuple("BranchPartition", "parts")):
-    """A weakly decreasing tuple of edge multiplicities along one branch."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: tuple[int, ...]):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("multiplicities must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("multiplicities must not increase along the branch")
-        return super().__new__(cls, parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> tuple[int, ...]:
-        if not self.parts:
-            return ()
-        return tuple(
-            sum(1 for p in self.parts if p >= v) for v in range(1, self.parts[0] + 1)
-        )
-
-    def is_admissible(self) -> bool:
-        """Conjugate partition has all odd parts distinct."""
-        conj = self.conjugate()
-        odd = [v for v in conj if v % 2]
-        return len(odd) == len(set(odd))
-
-    def satisfies_pairwise_rule(self) -> bool:
-        """Equivalent local form: each odd-indexed part exceeds its successor
-        by at most 1 (successor 0 past the end)."""
-        padded = self.parts + (0,)
-        return all(padded[i] - padded[i + 1] <= 1 for i in range(0, len(self.parts), 2))
-
-    def weight_exponents(self, spec: BranchSpec, registry: VariableRegistry) -> ExponentVector:
-        """Exponent vector of ``prod_j label(j) ** parts[j-1]``."""
-        vec = [0] * registry.size
-        for j, mult in enumerate(self.parts, start=1):
-            vec[registry.index(spec.label(j))] += mult
-        return tuple(vec)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -112,7 +75,7 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
-def _admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Admissible profiles of size n with parts at most ``max_part``, in
     descending lexicographic order (the order of ``partitions``).
 
@@ -133,13 +96,8 @@ def _admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[
                 if rest == 0:
                     yield (1,)
             elif rest >= 0:
-                for tail in _admissible_profiles(rest, b):
+                for tail in admissible_profiles(rest, b):
                     yield (a, b) + tail
-
-
-def branch_partitions(n: int) -> list[BranchPartition]:
-    """Admissible thickening profiles of total size n."""
-    return [BranchPartition(p) for p in _admissible_profiles(n)]
 
 
 @lru_cache(maxsize=None)
@@ -154,12 +112,6 @@ def count_distinct_odd_conjugate(n: int) -> int:
     return count
 
 
-def _check_order(N: int) -> None:
-    """Refuse a negative truncation order before any series is built."""
-    if N < 0:
-        raise ValueError("enumeration order must be nonnegative")
-
-
 @lru_cache(maxsize=1)
 def _profile_residues(period: int, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Admissible profiles of size at most N, each folded to its residue
@@ -167,7 +119,7 @@ def _profile_residues(period: int, N: int) -> tuple[tuple[tuple[int, ...], int],
     ``((residue vector, number of profiles), ...)``.
 
     The walk places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)`` at a
-    time, as ``_admissible_profiles`` does, updating one residue vector in
+    time, as ``admissible_profiles`` does, updating one residue vector in
     place; every prefix of whole pairs is itself a profile, and a lone ``1``
     closes one.  Each profile is visited exactly once.  One cached entry is
     enough because all branches of a shape share one period.
@@ -203,7 +155,7 @@ def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> Trunc
     The profiles' residue table is folded through the branch labels: slot
     ``r`` is the exponent of ``spec.labels[r]``.
     """
-    _check_order(N)
+    _as_order(N)
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
     idx = [registry.index(label) for label in spec.labels]
@@ -223,7 +175,7 @@ def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
     """Unsigned count generating function: product of the four branch series
     at each B location, summed over locations.  Coefficients are counts and
     must come out nonnegative."""
-    _check_order(N)
+    _as_order(N)
     registry = registry_for(shape)
     total = TruncatedSeries(registry, {}, N)
     for loc in b_locations(shape):

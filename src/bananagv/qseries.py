@@ -3,9 +3,11 @@
 The unsubstituted series live over the bivariate registry ``("q", "p")``
 with grading weights ``(1, 0)``: truncation is by q-order alone, and the
 elliptic variable ``p`` ranges over a finite window at each q-order.
-Fractional prefactors (``q^{1/8}``, ``p^{-1/2}``, ``q^{1/24}``, powers of
-``i``) are never stored in a series; they ride along in a
-:class:`PrefactorLedger` and must cancel before a result is exposed.
+The fractional prefactors, ``q^{1/24}`` of eta and ``-i q^{1/8} p^{-1/2}``
+of theta, are never stored in a series.  The builders return the reduced
+products, and each combination the package forms cancels the prefactors by
+hand: to ``-p^{-1}`` in ``theta^2 / eta^6``, so that ``phi = -theta^2 /
+eta^6 = p^{-1} thetatilde^2 / etatilde^6``, and to +1 in the elliptic genus.
 
 The module provides
 
@@ -16,7 +18,7 @@ The module provides
   ``phi(q, p) = p^{-1}(1-p)^2 prod ((1-q^m p^{-1})^2 (1-q^m p)^2 / (1-q^m)^4)``,
 * the equivariant elliptic genus of the plane, the theta quotient
   ``Ell(q, y, t) = thetatilde(q, yt) thetatilde(q, y^{-1} t) / thetatilde(q, t)^2``
-  (its prefactors cancel to +1; it squares to
+  (it squares to
   ``phi(q, yt) phi(q, y^{-1} t) / phi(q, t)^2``, with no root taken),
 * an identity suite checking the prefactor-free forms of the classical
   relations between these functions.
@@ -36,8 +38,7 @@ target degree ``deg Q * a(k) + deg P * n(k)``, which is strictly convex in
 minimum, both ways until the degree passes the order, writes every term of
 the result, exact by construction.  ``phi = P^{-1} thetatilde^2
 (etatilde^3)^{-2}`` is one inverse and three products in the target.  The
-unsubstituted ``eta_reduced``, ``theta1_reduced`` and ``jacobi_phi`` are the
-identity images over ``Q_ONLY`` and ``QP``.  The products themselves are
+unsubstituted ``jacobi_phi`` is the identity image over ``QP``.  The products themselves are
 multiplied out factor by factor only inside the identity suite, so its first
 check compares the sum-built phi against product-built eta and theta.
 """
@@ -49,9 +50,9 @@ from typing import Callable, NamedTuple
 from .series import (
     ExponentVector,
     InvariantError,
-    PrefactorLedger,
     TruncatedSeries,
     VariableRegistry,
+    _as_order,
     one,
     polynomial,
     zero,
@@ -60,11 +61,7 @@ from .series import (
 __all__ = [
     "QP",
     "Q_ONLY",
-    "ReducedEta",
-    "ReducedTheta",
     "IdentityCheck",
-    "eta_reduced",
-    "theta1_reduced",
     "jacobi_phi",
     "eta_at",
     "theta1_at",
@@ -79,25 +76,6 @@ QP = VariableRegistry(("q", "p"), (1, 0))
 
 #: Univariate registry for eta-like products.
 Q_ONLY = VariableRegistry(("q",))
-
-# The ledgers' exponents are integers in units of 1/24 for Q and 1/2 for
-# the target variables: eta carries q^{1/24}, theta i q^{1/8} p^{-1/2}.
-_ETA_LEDGER = PrefactorLedger(q_24ths=1)
-
-
-class ReducedEta(NamedTuple):
-    """Eta product with its ``q^{1/24}`` prefactor held in the ledger."""
-
-    series: TruncatedSeries
-    ledger: PrefactorLedger
-
-
-class ReducedTheta(NamedTuple):
-    """Theta product with its ``i q^{1/8} p^{-1/2}`` prefactor in the ledger."""
-
-    series: TruncatedSeries
-    ledger: PrefactorLedger
-
 
 def _sum_at(
     target: VariableRegistry,
@@ -152,22 +130,13 @@ def _eta_cubed_at(target: VariableRegistry, q_image: ExponentVector, order: int)
     )
 
 
-def eta_at(target: VariableRegistry, q_image: ExponentVector, order: int) -> ReducedEta:
+def eta_at(target: VariableRegistry, q_image: ExponentVector, order: int) -> TruncatedSeries:
     """Eta product with ``q`` sent to a positive-degree target monomial,
     exact to ``order``, from Euler's pentagonal sum."""
-    series = _sum_at(
+    return _sum_at(
         target, q_image, target.zero_exps(), order,
         lambda k: (k * (3 * k - 1) // 2, 0, (-1) ** (k % 2)),
     )
-    return ReducedEta(series, _ETA_LEDGER)
-
-
-def _ledger_for_p_image(i_power: int, target: VariableRegistry, p_image: ExponentVector) -> PrefactorLedger:
-    # p^{-1/2} with p -> monomial(exps) contributes -e halves per target
-    # variable; the q^{1/8} slot is tracked in units of the shared modular
-    # monomial
-    var_halves = tuple((name, -e) for name, e in zip(target.names, p_image))
-    return PrefactorLedger(i_power=i_power, q_24ths=3, var_halves=var_halves)
 
 
 def theta1_at(
@@ -175,14 +144,12 @@ def theta1_at(
     q_image: ExponentVector,
     p_image: ExponentVector,
     order: int,
-) -> ReducedTheta:
+) -> TruncatedSeries:
     """Theta product with ``q -> Q`` and ``p -> P``, exact to ``order``, from
-    the triple-product sum; the returned ledger records the substituted
-    ``i Q^{1/8} P^{-1/2}``."""
-    series = _sum_at(
+    the triple-product sum."""
+    return _sum_at(
         target, q_image, p_image, order, lambda n: (n * (n - 1) // 2, n, (-1) ** (n % 2))
     )
-    return ReducedTheta(series, _ledger_for_p_image(3, target, p_image))
 
 
 def jacobi_phi_at(
@@ -194,46 +161,25 @@ def jacobi_phi_at(
     """``phi(Q, P) = P^{-1} thetatilde(Q, P)^2 (etatilde(Q)^3)^{-2}``, exact
     to ``order`` in the target grading.
 
-    No ledger: the prefactors of the theta/eta presentation cancel in this
-    combination.  Factors built to ``K`` give a quotient exact to
-    ``K + 2F - deg P`` for theta floor ``F <= 0`` (eta cubed has floor 0),
-    so the pad is read off the floor of a first theta build.  Theta's
-    constant term 1 is stored at every order ``K >= 0``, so its floor does
-    not depend on the order it was built to.  Only at its zeros ``P = Q^k``
-    does theta lose that term, and there it and phi vanish identically.
+    Factors built to ``K`` give a quotient exact to ``K + 2F - deg P`` for
+    theta floor ``F <= 0`` (eta cubed has floor 0), so the pad is read off
+    the floor of a first theta build.  Theta's constant term 1 is stored at
+    every order ``K >= 0``, so its floor does not depend on the order it was
+    built to.  Only at its zeros ``P = Q^k`` does theta lose that term, and
+    there it and phi vanish identically.
     """
     base = max(order, 0)
-    theta = theta1_at(target, q_image, p_image, base).series
+    theta = theta1_at(target, q_image, p_image, base)
     if theta.is_zero():
         return zero(target, order)
     pad = target.degree(p_image) - 2 * theta.floor
     if pad:
-        theta = theta1_at(target, q_image, p_image, base + pad).series
+        theta = theta1_at(target, q_image, p_image, base + pad)
     inv = _eta_cubed_at(target, q_image, base + pad).invert_unit()
     phi = ((theta * theta) * (inv * inv)).shift_monomial(tuple(-e for e in p_image))
     if phi.order < order:
         raise InvariantError("phi order fell short of the floor pad")
     return phi.truncate(order)
-
-
-def eta_reduced(N: int) -> ReducedEta:
-    """``prod_{m=1}^{N} (1 - q^m)`` over ``Q_ONLY``, exact to q-order N;
-    ledger ``q^{1/24}``."""
-    if N < 0:
-        raise ValueError("order must be nonnegative")
-    return eta_at(Q_ONLY, (1,), N)
-
-
-def theta1_reduced(N: int) -> ReducedTheta:
-    """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` over ``QP``, exact to
-    q-order N.
-
-    The ledger carries the ``i q^{1/8} p^{-1/2}`` prefactor that turns this
-    into the odd Jacobi theta function.
-    """
-    if N < 0:
-        raise ValueError("order must be nonnegative")
-    return theta1_at(QP, (1, 0), (0, 1), N)
 
 
 def jacobi_phi(N: int) -> TruncatedSeries:
@@ -242,9 +188,7 @@ def jacobi_phi(N: int) -> TruncatedSeries:
     ``phi(q,p) = p^{-1}(1-p)^2 prod_m (1-q^m p^{-1})^2 (1-q^m p)^2 (1-q^m)^{-4}``
     over ``QP``, exact to q-order N.
     """
-    if N < 0:
-        raise ValueError("order must be nonnegative")
-    return jacobi_phi_at(QP, (1, 0), (0, 1), N)
+    return jacobi_phi_at(QP, (1, 0), (0, 1), _as_order(N))
 
 
 # -- product forms: the identity suite's independent reference ---------------
@@ -285,8 +229,9 @@ def elliptic_genus_c2_at(
     target monomials: the theta quotient
     ``thetatilde(Q, YT) thetatilde(Q, Y^{-1}T) / thetatilde(Q, T)^2``.
 
-    The eta factors of ``phi`` cancel from this quotient, and the thetas'
-    prefactor ledgers must combine to the scalar +1.  Thetas with floors
+    The eta factors of ``phi`` cancel from this quotient, and so do the
+    thetas' prefactors: ``(-i)^{1+1-2} Q^{(1+1-2)/8} (YT)^{-1/2}
+    (Y^{-1}T)^{-1/2} T^{+1} = 1``.  Thetas with floors
     ``Fa``, ``Fb``, ``Fd`` built to order ``K`` give a quotient exact to
     ``K + min(min(Fa, Fb) - 2*Fd, Fa + Fb - 3*Fd)``, so the pad over
     ``order`` is read off the floors of a first build, made at order 0 or
@@ -302,15 +247,12 @@ def elliptic_genus_c2_at(
     )
     base = max(order, 0)
     thetas = [theta1_at(target, q_image, p, base) for p in images]
-    fa, fb, fd = (th.series.floor for th in thetas)
+    fa, fb, fd = (th.floor for th in thetas)
     pad = max(0, 2 * fd - min(fa, fb), 3 * fd - fa - fb)
     if pad:
         thetas = [theta1_at(target, q_image, p, base + pad) for p in images]
     a, b, d = thetas
-    ledger = a.ledger.combine(b.ledger).combine(d.ledger.scale(-2))
-    if ledger != PrefactorLedger():
-        raise InvariantError(f"elliptic-genus prefactors failed to cancel to +1: {ledger}")
-    result = a.series * b.series * (d.series * d.series).invert_unit()
+    result = a * b * (d * d).invert_unit()
     if result.order < order:
         raise InvariantError("elliptic-genus order fell short of the floor pad")
     return result.truncate(order)
@@ -324,9 +266,7 @@ QYT = VariableRegistry(("q", "y", "t"), (2, 1, 1))
 def elliptic_genus_c2(N: int) -> TruncatedSeries:
     """The elliptic genus over ``("q","y","t")`` with weights ``(2,1,1)``,
     exact to weighted order 2N (so complete through q-order N)."""
-    if N < 0:
-        raise ValueError("order must be nonnegative")
-    return elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 2 * N)
+    return elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 2 * _as_order(N))
 
 
 class IdentityCheck(NamedTuple):
@@ -354,7 +294,7 @@ def check_identities(N: int) -> list[IdentityCheck]:
     products multiplied out factor by factor, so the first check compares
     the two presentations.  Failures are reported, not raised.
     """
-    if N < 1:
+    if _as_order(N) < 1:
         raise ValueError("order must be at least 1")
     phi = jacobi_phi(N)
     theta = _theta_product(N)

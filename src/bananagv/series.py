@@ -88,7 +88,6 @@ write their substituted sums straight into the target registry instead.
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
 from itertools import chain
 from math import isqrt
 from operator import add, mul
@@ -98,7 +97,6 @@ __all__ = [
     "ExponentVector",
     "VariableRegistry",
     "TruncatedSeries",
-    "PrefactorLedger",
     "InvariantError",
     "monomial",
     "polynomial",
@@ -140,6 +138,15 @@ def _as_int(x, what: str) -> int:
     if type(x) is int:
         return x
     raise TypeError(f"{what} must be an int, not {type(x).__name__} {x!r}")
+
+
+def _as_order(N) -> int:
+    """``N`` itself if it is a nonnegative ``int``: the one check of every
+    order a caller passes to a builder, so that a float or bool is refused
+    as passed, before any arithmetic on it."""
+    if _as_int(N, "order") < 0:
+        raise ValueError("order must be nonnegative")
+    return N
 
 
 def _check_exponent_bound(bound: int) -> None:
@@ -184,7 +191,7 @@ class _Packing:
 class InvariantError(AssertionError):
     """A computed result broke a property the mathematics guarantees (a
     negative count, an exponent outside the proven support, an order
-    shortfall, a mis-cancelled prefactor); this is a bug, not bad input."""
+    shortfall, a wrong constant term); this is a bug, not bad input."""
 
 
 class VariableRegistry:
@@ -823,55 +830,3 @@ def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slic
             raise ValueError("slice division is not exact over the integers")
         quot[k - den_key] = q
     return quot
-
-
-# -- prefactor bookkeeping ---------------------------------------------------
-
-
-class PrefactorLedger(namedtuple("PrefactorLedger", "i_power q_24ths var_halves")):
-    """Exact bookkeeping for the scalar prefactors of classical q-series.
-
-    Tracks ``i ** i_power`` (mod 4), the modular variable's exponent in
-    units of 1/24 (eta-like prefactors), and each tracked variable's
-    exponent in units of 1/2 (theta-like prefactors), all as ints.  Ledgers
-    multiply by adding componentwise; a computation may only expose a plain
-    series once its combined ledger has cancelled to a scalar, i.e. all
-    exponents are exactly zero.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, i_power: int = 0, q_24ths: int = 0, var_halves: tuple[tuple[str, int], ...] = ()):
-        i_power = _as_int(i_power, "power of i") % 4
-        q_24ths = _as_int(q_24ths, "exponent")
-        halves = sorted((name, h) for name, h in var_halves if _as_int(h, "exponent"))
-        return super().__new__(cls, i_power, q_24ths, tuple(halves))
-
-    def combine(self, other: "PrefactorLedger") -> "PrefactorLedger":
-        halves = dict(self.var_halves)
-        for name, h in other.var_halves:
-            halves[name] = halves.get(name, 0) + h
-        return PrefactorLedger(
-            self.i_power + other.i_power,
-            self.q_24ths + other.q_24ths,
-            tuple(halves.items()),
-        )
-
-    def scale(self, k: int) -> "PrefactorLedger":
-        """The ledger of the k-th power (k may be negative)."""
-        return PrefactorLedger(
-            self.i_power * k,
-            self.q_24ths * k,
-            tuple((name, h * k) for name, h in self.var_halves),
-        )
-
-    def is_scalar(self) -> bool:
-        return self.q_24ths == 0 and not self.var_halves
-
-    def scalar_sign(self) -> int:
-        """+1 or -1 for an even scalar ledger; raises otherwise."""
-        if not self.is_scalar():
-            raise ValueError("ledger has uncancelled fractional exponents")
-        if self.i_power % 2:
-            raise ValueError("ledger scalar is imaginary; branch conventions are inconsistent")
-        return -1 if self.i_power == 2 else 1

@@ -74,21 +74,8 @@ def test_branch_spec_validation():
         BranchSpec("NE", ("x0", "r0"))
     with pytest.raises(ValueError):
         BranchSpec("NE", ("r0", "r1"))
-
-
-def test_branch_spec_labels_are_1_based_and_cyclic():
-    spec = BranchSpec("NE", ("s0", "r0", "s1", "r1"))
-    assert spec.period == 4
-    assert [spec.label(j) for j in (1, 2, 3, 4, 5, 6)] == [
-        "s0",
-        "r0",
-        "s1",
-        "r1",
-        "s0",
-        "r0",
-    ]
     with pytest.raises(ValueError):
-        spec.label(0)
+        BranchSpec("NE", ("", "r0"))
 
 
 def test_2x2_branch_tables():
@@ -137,6 +124,11 @@ def test_branch_specs_reject_bad_locations():
     for unsupported in (BananaShape(2, 3), BananaShape(3, 3)):
         with pytest.raises(ValueError):
             branch_specs(unsupported, 0)
+    # 1.0 and True compare equal to valid locations; 1.0 would make the
+    # labels r1.0 and r0.0, which are not registry names
+    for bad in (1.0, True):
+        with pytest.raises(TypeError, match="B location must be an int"):
+            branch_specs(BananaShape(1, 2), bad)
 
 
 def test_branch_period_matches_shape():

@@ -1,4 +1,6 @@
 """Tests for the closed-form partition functions, tables, and cross-checks."""
+import re
+
 import pytest
 
 from bananagv import gvpf
@@ -17,6 +19,11 @@ from bananagv.qseries import jacobi_phi_at
 from bananagv.series import InvariantError, grlex_key, polynomial
 
 TWO = BananaShape(2, 2)
+
+
+def _not_an_int(bad):
+    """The refusal of a non-int order, naming the value as passed."""
+    return re.escape(f"order must be an int, not {type(bad).__name__} {bad!r}")
 
 
 # ------------------------------------------------------------------ (2,2)
@@ -65,11 +72,30 @@ def test_theta_route_agrees_with_sqrt_route():
     assert pf_22_theta(0).constant_term() == 2
 
 
+def test_theta_route_constant_term_pins_the_sign(monkeypatch):
+    # one theta of the wrong sign flips the whole quotient; the constant
+    # term is the only guard on the sign the prefactors and the branch leave
+    theta1_at = gvpf.theta1_at
+
+    def theta_r0_negated(target, q_image, p_image, order):
+        sign = -1 if p_image == target.exps(r0=1) else 1
+        return sign * theta1_at(target, q_image, p_image, order)
+
+    monkeypatch.setattr(gvpf, "theta1_at", theta_r0_negated)
+    with pytest.raises(InvariantError, match="location count"):
+        pf_22_theta(4)
+
+
 def test_pf_22_validation():
     with pytest.raises(ValueError):
         pf_22(-1)
     with pytest.raises(ValueError):
         pf_22_theta(-2)
+    # the refusal names the order passed, not the padded one
+    for bad in (2.0, True):
+        for route in (pf_22, pf_22_theta):
+            with pytest.raises(TypeError, match=_not_an_int(bad)):
+                route(bad)
 
 
 # ------------------------------------------------------------------ (1,w)
@@ -138,6 +164,9 @@ def test_pf_1w_validation():
         pf_1w(0, 4)
     with pytest.raises(ValueError):
         pf_1w(2, -1)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match=_not_an_int(bad)):
+            pf_1w(2, bad)
 
 
 def test_pf_for_shape_dispatch():

@@ -1,20 +1,21 @@
 """Tests for the brute-force profile enumeration and the unsigned counts."""
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bananagv.geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
 from bananagv.oracle import (
-    BranchPartition,
-    _admissible_profiles,
     _profile_residues,
+    admissible_profiles,
     behrend_twist,
-    branch_partitions,
     branch_series,
     count_distinct_odd_conjugate,
     naive_pf,
     partitions,
 )
 from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
+from profile_reference import conjugate, is_admissible, satisfies_pairwise_rule, weight_exponents
 
 TWO = BananaShape(2, 2)
 
@@ -37,35 +38,24 @@ def test_partitions_respect_max_part():
         list(partitions(-1))
 
 
-def test_branch_partition_validation():
-    with pytest.raises(ValueError):
-        BranchPartition((2, 3))
-    with pytest.raises(ValueError):
-        BranchPartition((1, 0))
-    assert BranchPartition(()).size == 0
-
-
 def test_conjugate_examples():
-    assert BranchPartition((3, 1)).conjugate() == (2, 1, 1)
-    assert BranchPartition((2, 2)).conjugate() == (2, 2)
-    assert BranchPartition(()).conjugate() == ()
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate((2, 2)) == (2, 2)
+    assert conjugate(()) == ()
 
 
 @given(profiles)
 def test_conjugation_is_an_involution(parts):
-    bp = BranchPartition(parts)
-    conj = bp.conjugate()
-    assert BranchPartition(conj).conjugate() == parts
+    assert conjugate(conjugate(parts)) == parts
 
 
 @given(profiles)
 def test_pairwise_rule_is_the_local_form_of_admissibility(parts):
-    bp = BranchPartition(parts)
-    assert bp.is_admissible() == bp.satisfies_pairwise_rule()
+    assert is_admissible(parts) == satisfies_pairwise_rule(parts)
 
 
 def test_admissible_profiles_of_size_four():
-    assert {bp.parts for bp in branch_partitions(4)} == {
+    assert set(admissible_profiles(4)) == {
         (2, 2),
         (2, 1, 1),
         (1, 1, 1, 1),
@@ -74,20 +64,20 @@ def test_admissible_profiles_of_size_four():
 
 def test_generated_profiles_are_the_filtered_partitions_in_order():
     for n in range(31):
-        filtered = [p for p in partitions(n) if BranchPartition(p).is_admissible()]
-        assert [bp.parts for bp in branch_partitions(n)] == filtered
+        filtered = [p for p in partitions(n) if is_admissible(p)]
+        assert list(admissible_profiles(n)) == filtered
 
 
 def test_admissible_profile_counts():
     assert [count_distinct_odd_conjugate(n) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
-    assert [len(branch_partitions(n)) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
+    assert [len(list(admissible_profiles(n))) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
 
 
 @given(st.sampled_from([2, 4, 6, 8, 12]), st.integers(0, 16))
 def test_profile_residues_fold_the_generated_profiles(period, N):
     want = {}
     for n in range(N + 1):
-        for parts in _admissible_profiles(n):
+        for parts in admissible_profiles(n):
             res = [0] * period
             for j, mult in enumerate(parts):
                 res[j % period] += mult
@@ -104,8 +94,9 @@ def test_profile_residues_fold_the_generated_profiles(period, N):
 def test_weight_exponents_follow_the_branch_labels():
     ne = branch_specs(TWO, 0)[0]  # labels s0, r0, s1, r1
     reg = registry_for(TWO)  # names r0, r1, s0, s1
-    bp = BranchPartition((3, 2, 1))
-    assert bp.weight_exponents(ne, reg) == (2, 0, 3, 1)
+    assert weight_exponents((3, 2, 1), ne, reg) == (2, 0, 3, 1)
+    # past the period the labels repeat: edges 5 and 6 are s0 and r0 again
+    assert weight_exponents((3, 2, 1, 1, 1, 1), ne, reg) == (3, 1, 4, 1)
 
 
 # ---------------------------------------------------------- branch series
@@ -116,20 +107,13 @@ def spec_registry(spec):
     return VariableRegistry(tuple(sorted(set(spec.labels))))
 
 
-def _first_labels_exponents(spec, j, registry):
-    vec = [0] * registry.size
-    for k in range(1, j + 1):
-        vec[registry.index(spec.label(k))] += 1
-    return tuple(vec)
-
-
 def branch_series_product(spec, N, registry):
     """The branch generating function from its product form:
     ``prod_odd (1 + m(j)) * prod_even 1/(1 - m(j))`` where m(j) is the
     product of the branch's first j labels."""
     acc = one(registry, N)
     for j in range(1, N + 1):
-        m_j = _first_labels_exponents(spec, j, registry)
+        m_j = weight_exponents((1,) * j, spec, registry)
         factor = polynomial(registry, {registry.zero_exps(): 1, m_j: -1 if j % 2 == 0 else 1}, N)
         acc = acc * (factor.invert_unit() if j % 2 == 0 else factor)
     return acc
@@ -194,9 +178,8 @@ def filtered_naive_pf(shape, N):
             acc = {}
             for n in range(N + 1):
                 for p in partitions(n):
-                    bp = BranchPartition(p)
-                    if bp.is_admissible():
-                        e = bp.weight_exponents(spec, registry)
+                    if is_admissible(p):
+                        e = weight_exponents(p, spec, registry)
                         acc[e] = acc.get(e, 0) + 1
             contribution = contribution * TruncatedSeries(registry, acc, N)
         total = total + contribution
@@ -227,6 +210,12 @@ def test_negative_order_is_refused():
         branch_series(spec, -1, spec_registry(spec))
     with pytest.raises(ValueError, match="order must be nonnegative"):
         naive_pf(shape, -1)
+    for bad in (2.0, True):
+        message = re.escape(f"order must be an int, not {type(bad).__name__} {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            branch_series(spec, bad, spec_registry(spec))
+        with pytest.raises(TypeError, match=message):
+            naive_pf(shape, bad)
 
 
 def test_naive_pf_2x2_spot_values():

@@ -1,4 +1,5 @@
 """Tests for the classical q-series, their builders, and the identity suite."""
+import re
 from functools import cache
 
 import pytest
@@ -17,13 +18,11 @@ from bananagv.qseries import (
     elliptic_genus_c2,
     elliptic_genus_c2_at,
     eta_at,
-    eta_reduced,
     jacobi_phi,
     jacobi_phi_at,
     theta1_at,
-    theta1_reduced,
 )
-from bananagv.series import InvariantError, TruncatedSeries, VariableRegistry, one, polynomial
+from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
 
 
 def q_slice(series, a):
@@ -31,20 +30,23 @@ def q_slice(series, a):
     return {e[1]: c for e, c in series.terms.items() if e[0] == a}
 
 
+def _not_an_int(bad):
+    """The refusal of a non-int order, naming the value as passed."""
+    return re.escape(f"order must be an int, not {type(bad).__name__} {bad!r}")
+
+
 # ------------------------------------------------------------------- eta
 
 
 def test_eta_is_the_pentagonal_number_series():
-    e = eta_reduced(12)
-    assert e.series.terms == {(0,): 1, (1,): -1, (2,): -1, (5,): 1, (7,): 1, (12,): -1}
-    assert e.ledger.q_24ths == 1  # q^{1/24}
-    assert e.ledger.i_power == 0 and e.ledger.var_halves == ()
+    e = eta_at(Q_ONLY, (1,), 12)
+    assert e.terms == {(0,): 1, (1,): -1, (2,): -1, (5,): 1, (7,): 1, (12,): -1}
 
 
 def test_eta_at_doubles_exponents():
-    doubled = eta_at(Q_ONLY, (2,), 12).series
+    doubled = eta_at(Q_ONLY, (2,), 12)
     assert doubled.order >= 12
-    base = eta_reduced(6).series
+    base = eta_at(Q_ONLY, (1,), 6)
     expected = {(2 * m,): c for (m,), c in base.terms.items() if 2 * m <= 12}
     assert doubled.truncate(12).terms == expected
 
@@ -59,16 +61,9 @@ def test_eta_at_rejects_degenerate_image():
 
 
 def test_theta_low_order_slices():
-    t = theta1_reduced(6).series
+    t = theta1_at(QP, (1, 0), (0, 1), 6)
     assert q_slice(t, 0) == {0: 1, 1: -1}
     assert q_slice(t, 1) == {-1: -1, 2: 1}
-
-
-def test_theta_ledger():
-    led = theta1_reduced(2).ledger
-    assert led.i_power == 3
-    assert led.q_24ths == 3  # q^{1/8}
-    assert led.var_halves == (("p", -1),)  # p^{-1/2}
 
 
 # ------------------------------------------------------------------- phi
@@ -134,8 +129,8 @@ def test_sum_forms_equal_the_product_builders():
     # stands for the order-N product with the same order and floor
     phi_reference = _phi_double_product(40)
     for N in range(41):
-        _assert_identical(eta_reduced(N).series, _eta_product(N))
-        _assert_identical(theta1_reduced(N).series, _theta_product(N))
+        _assert_identical(eta_at(Q_ONLY, (1,), N), _eta_product(N))
+        _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_product(N))
         _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
 
 
@@ -190,10 +185,10 @@ def test_sum_builders_match_the_mapped_products(images, order):
     M = max(0, (order + dp) // (dq - dp))
     eta, theta, phi = _products(M)
     _assert_identical(
-        eta_at(target, q_image, order).series, _mapped(eta, target, q_image, p_image, order)
+        eta_at(target, q_image, order), _mapped(eta, target, q_image, p_image, order)
     )
     _assert_identical(
-        theta1_at(target, q_image, p_image, order).series,
+        theta1_at(target, q_image, p_image, order),
         _mapped(theta, target, q_image, p_image, order),
     )
     _assert_identical(
@@ -210,10 +205,10 @@ def test_sum_builders_match_the_mapped_products(images, order):
 def test_theta_at_a_negative_order_is_the_truncation(target, q_image, p_image):
     # with |deg P| > deg Q the lowest terms sit at negative degree away from
     # the k = 0 term, so the walk must first find the minimum
-    full = theta1_at(target, q_image, p_image, 0).series
+    full = theta1_at(target, q_image, p_image, 0)
     assert full.floor < 0
     for order in range(full.floor - 1, 0):
-        assert theta1_at(target, q_image, p_image, order).series == full.truncate(order)
+        assert theta1_at(target, q_image, p_image, order) == full.truncate(order)
 
 
 # -------------------------------------------------------------- identities
@@ -236,6 +231,19 @@ def test_identity_suite_passes():
 def test_identity_suite_rejects_negative_order():
     with pytest.raises(ValueError):
         check_identities(-1)
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError, match=_not_an_int(bad)):
+            check_identities(bad)
+
+
+def test_unsubstituted_builders_refuse_bad_orders():
+    # elliptic_genus_c2 doubles its order; the refusal names the order passed
+    for builder in (jacobi_phi, elliptic_genus_c2):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            builder(-1)
+        for bad in (2.0, True):
+            with pytest.raises(TypeError, match=_not_an_int(bad)):
+                builder(bad)
 
 
 # ---------------------------------------------------------- elliptic genus
@@ -343,18 +351,6 @@ def test_elliptic_genus_at_a_negative_order_is_the_truncation():
     for order in range(-5, 0):
         got = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 3, 0), (0, 0, 1), order)
         assert got == full.truncate(order)
-
-
-def test_elliptic_genus_refuses_prefactors_that_do_not_cancel(monkeypatch):
-    # a ledger that forgets negative exponents of the p-image leaves y^{-1/2}
-    ledger_for_p_image = qseries._ledger_for_p_image
-
-    def positive_part_only(i_power, target, p_image):
-        return ledger_for_p_image(i_power, target, tuple(max(e, 0) for e in p_image))
-
-    monkeypatch.setattr(qseries, "_ledger_for_p_image", positive_part_only)
-    with pytest.raises(InvariantError, match="prefactors"):
-        elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 4)
 
 
 def test_elliptic_genus_sign_does_not_depend_on_variable_order():

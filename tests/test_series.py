@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bananagv.series import (
-    PrefactorLedger,
     TruncatedSeries,
     VariableRegistry,
     grlex_key,
@@ -281,32 +280,6 @@ def test_substitution_without_certificate_is_refused():
         f.substitute_monomials(XY, {"q": (2, 0), "p": (0, 0)})
     with pytest.raises(ValueError, match="degree-preserving"):
         f.substitute_monomials(XY, {"q": (1, 0), "p": (0, 1)})
-
-
-# ------------------------------------------------------------- prefactors
-
-
-def test_ledger_validation_and_combination():
-    # i^3 q^{3/24} p^{-1/2}: the q exponent in 24ths, the p exponent in halves
-    a = PrefactorLedger(3, 3, (("p", -1),))
-    b = a.combine(a)
-    assert b.i_power == 2 and b.q_24ths == 6 and b.var_halves == (("p", -2),)
-    assert b.scale(-2).q_24ths == -12
-    assert a.scale(2).combine(a.scale(-2)) == PrefactorLedger()
-    assert PrefactorLedger(0, 0, (("y", 0), ("p", 1))).var_halves == (("p", 1),)
-    with pytest.raises(TypeError):
-        PrefactorLedger(0, Fraction(1, 8))
-    with pytest.raises(TypeError):
-        PrefactorLedger(0, 0, (("p", 0.5),))
-
-
-def test_ledger_scalar_sign():
-    assert PrefactorLedger(2, 0, ()).scalar_sign() == -1
-    assert PrefactorLedger(0, 0, ()).scalar_sign() == 1
-    with pytest.raises(ValueError):
-        PrefactorLedger(1, 0, ()).scalar_sign()
-    with pytest.raises(ValueError):
-        PrefactorLedger(0, 1, ()).scalar_sign()
 
 
 # ------------------------------------------------------ property testing

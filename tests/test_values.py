@@ -5,23 +5,17 @@ import pytest
 from bananagv.cli import RunConfig
 from bananagv.geometry import BananaShape, BranchSpec
 from bananagv.gvpf import CrossCheckReport, GVTable
-from bananagv.oracle import BranchPartition
-from bananagv.qseries import IdentityCheck, ReducedEta, ReducedTheta
-from bananagv.series import PrefactorLedger, VariableRegistry, one
+from bananagv.qseries import IdentityCheck
+from bananagv.series import VariableRegistry
 
-Q = VariableRegistry(("q",))
 SHAPE = BananaShape(1, 2)
 
 #: Each class with field values, in field order, that construction keeps
 #: as they are.
 FIELDS = [
     (VariableRegistry, {"names": ("q", "p"), "weights": (1, 0)}),
-    (PrefactorLedger, {"i_power": 1, "q_24ths": 3, "var_halves": (("p", -1),)}),
     (BananaShape, {"v": 1, "w": 3}),
     (BranchSpec, {"direction": "NE", "labels": ("s0", "r0")}),
-    (BranchPartition, {"parts": (3, 1)}),
-    (ReducedEta, {"series": one(Q, 4), "ledger": PrefactorLedger(q_24ths=1)}),
-    (ReducedTheta, {"series": one(Q, 4), "ledger": PrefactorLedger(1, 3, (("p", -1),))}),
     (IdentityCheck, {"name": "index_one_shift", "passed": True, "detail": "exact to order 4"}),
     (
         CrossCheckReport,
@@ -31,7 +25,7 @@ FIELDS = [
     (RunConfig, {"command": "compute", "order": 3, "shape": "1xW", "w": 2, "fmt": "csv"}),
 ]
 
-HASHED = {VariableRegistry, PrefactorLedger, BananaShape, BranchSpec}
+HASHED = {VariableRegistry, BananaShape, BranchSpec}
 
 
 @pytest.mark.parametrize("cls, fields", FIELDS, ids=[cls.__name__ for cls, _ in FIELDS])
@@ -50,7 +44,6 @@ def test_value_class_contract(cls, fields):
 def test_value_class_defaults():
     assert RunConfig("verify", 3) == RunConfig("verify", 3, None, None, "json")
     assert VariableRegistry(("q",)) == VariableRegistry(("q",), (1,))
-    assert PrefactorLedger() == PrefactorLedger(0, 0, ())
     assert IdentityCheck("x", True).detail == ""
     assert CrossCheckReport(SHAPE, 4, True).first_mismatch is None
 
