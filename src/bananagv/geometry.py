@@ -44,9 +44,9 @@ class BananaShape(namedtuple("BananaShape", "v w")):
     __slots__ = ()
 
     def __new__(cls, v: int, w: int):
-        v, w = _as_int(v, "shape parameter v"), _as_int(w, "shape parameter w")
-        if v < 1 or w < 1:
-            raise ValueError("shape parameters must be positive")
+        for name, value in (("v", v), ("w", w)):
+            if _as_int(value, f"shape parameter {name}") < 1:
+                raise ValueError(f"shape parameter {name} must be at least 1")
         return super().__new__(cls, v, w)
 
     @property
@@ -66,8 +66,6 @@ def parse_shape(text: str, w: int | None = None) -> BananaShape:
     if text == "1xW":
         if w is None:
             raise ValueError("shape 1xW requires --w")
-        if w < 1:
-            raise ValueError("w must be at least 1")
         return BananaShape(1, w)
     raise ValueError(f"unknown shape selector {text!r}")
 

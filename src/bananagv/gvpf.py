@@ -32,6 +32,11 @@ theta(Q, t)^2`` the theta quotient of :mod:`bananagv.qseries`.  At w = 1
 the product is empty and pf reduces to ``s * phi(Q, s)``, the single-banana
 answer.
 
+The orders the factors are built to follow the width rule of
+:mod:`bananagv.series`.  The ``2x2`` ratio of phis built to N has floor 0
+and is exact to N, and so is its root; ``phi(Q, s)`` has floor -1, so
+built to ``N - 1`` and shifted by ``s`` it is exact to N.
+
 ``cross_check`` compares any of these against the sign-twisted enumerative
 route from :mod:`bananagv.oracle`.
 """
@@ -41,7 +46,7 @@ from typing import NamedTuple
 
 from .geometry import BananaShape, registry_for
 from .oracle import behrend_twist, naive_pf
-from .qseries import elliptic_genus_c2_at, eta_at, jacobi_phi_at, theta1_at
+from .qseries import _theta_quotient_at, elliptic_genus_c2_at, eta_at, jacobi_phi_at
 from .series import (
     ExponentVector,
     InvariantError,
@@ -63,6 +68,8 @@ __all__ = [
 
 R22 = registry_for(BananaShape(2, 2))
 _Q22 = (1, 1, 1, 1)
+_SINGLES = [R22.exps(**{single: 1}) for single in ("r0", "s0", "r1", "s1")]
+_PAIRS = [(1, 0, 1, 0), (0, 1, 0, 1)]  # r0 s0 and r1 s1
 
 
 def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
@@ -74,13 +81,11 @@ def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
 def pf_22(N: int) -> TruncatedSeries:
     """Closed-form generating function of the 2x2 shape, exact to total
     degree N over (r0, r1, s0, s1)."""
-    K = _as_order(N) + 2
-    reg = R22
-    ratio = one(reg, K)
-    for single in ("r0", "s0", "r1", "s1"):
-        ratio = ratio * jacobi_phi_at(reg, _Q22, reg.exps(**{single: 1}), K)
-    for pair in ((1, 0, 1, 0), (0, 1, 0, 1)):  # r0 s0 and r1 s1
-        ratio = ratio * jacobi_phi_at(reg, _Q22, pair, K).invert_unit()
+    ratio = one(R22, _as_order(N))
+    for single in _SINGLES:
+        ratio = ratio * jacobi_phi_at(R22, _Q22, single, N)
+    for pair in _PAIRS:
+        ratio = ratio * jacobi_phi_at(R22, _Q22, pair, N).invert_unit()
     pf = 2 * ratio.sqrt_unit()
     if pf.order < N:
         raise InvariantError("order propagation fell short; widen the pad")
@@ -97,28 +102,22 @@ def pf_22_theta(N: int) -> TruncatedSeries:
     docstring), which the square-root branch cancels again; the constant
     term +2 pins that sign, and any other constant term raises.
     """
-    reg = R22
-    series = eta_at(reg, _Q22, _as_order(N)).invert_unit() ** 6
-    for single in ("r0", "s0", "r1", "s1"):
-        series = series * theta1_at(reg, _Q22, reg.exps(**{single: 1}), N)
-    for pair in ((1, 0, 1, 0), (0, 1, 0, 1)):
-        series = series * theta1_at(reg, _Q22, pair, N).invert_unit()
-    pf = 2 * series
+    quotient = _theta_quotient_at(R22, _Q22, _SINGLES, _PAIRS, _as_order(N))
+    eta = eta_at(R22, _Q22, N - quotient.floor)
+    pf = 2 * (eta.invert_unit() ** 6 * quotient)
     if pf.constant_term() != 2:
         raise InvariantError("theta-route constant term is not the location count")
-    return pf.truncate(N)
+    return pf
 
 
 def pf_1w(w: int, N: int) -> TruncatedSeries:
     """Closed-form generating function of the 1xw shape, exact to total
     degree N over (r0, ..., r_{w-1}, s)."""
-    if w < 1:
-        raise ValueError("w must be at least 1")
     _as_order(N)
     reg = registry_for(BananaShape(1, w))
     q_img = (1,) * w + (w,)
     s_img = reg.exps(s=1)
-    base = jacobi_phi_at(reg, q_img, s_img, N + 1).shift_monomial(s_img)
+    base = jacobi_phi_at(reg, q_img, s_img, max(N - 1, 0)).shift_monomial(s_img)
     total = None
     for i in range(w):
         contribution = one(reg, base.order)

@@ -36,15 +36,21 @@ Each sum runs over an integer index ``k`` and puts ``Q^{a(k)} P^{n(k)}`` at
 target degree ``deg Q * a(k) + deg P * n(k)``, which is strictly convex in
 ``k`` because ``a`` is quadratic and ``n`` linear.  So one walk from the
 minimum, both ways until the degree passes the order, writes every term of
-the result, exact by construction.  ``phi = P^{-1} thetatilde^2
-(etatilde^3)^{-2}`` is one inverse and three products in the target.  The
-unsubstituted ``jacobi_phi`` is the identity image over ``QP``.  The products themselves are
-multiplied out factor by factor only inside the identity suite, so its first
-check compares the sum-built phi against product-built eta and theta.
+the result, exact by construction.  One private builder assembles every
+theta quotient the package uses (the elliptic genus, ``thetatilde^2`` in
+phi, and the ``2x2`` theta route), building each distinct theta once to the
+order the width rule of :mod:`bananagv.series` asks for.  ``phi = P^{-1}
+thetatilde^2 (etatilde^3)^{-2}`` takes the builder's ``thetatilde^2`` and
+one inverse of eta cubed.  The unsubstituted ``jacobi_phi`` is the identity
+image over ``QP``.  The products themselves are multiplied out factor by
+factor only inside the identity suite, so its first check compares the
+sum-built phi against product-built eta and theta.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import count
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .series import (
@@ -152,6 +158,31 @@ def theta1_at(
     )
 
 
+def _theta_quotient_at(
+    target: VariableRegistry, q_image: ExponentVector, numer: list, denom: list, order: int
+) -> TruncatedSeries:
+    """The product of ``thetatilde(Q, P)`` over the images ``P`` in ``numer``,
+    divided by the product over ``denom``, exact to ``order`` in the target
+    grading.
+
+    A build at order 0 reads off each distinct theta's floor: its constant
+    term 1 is stored at every order of 0 or more, and a theta that vanishes
+    (at ``P = Q^k``) reads 1.  Each distinct theta is then built once, to
+    the order that the width rule of :mod:`bananagv.series` asks for, and
+    the denominators are multiplied together before one inverse.
+    """
+    floors = {p: theta1_at(target, q_image, p, 0).floor for p in dict.fromkeys(numer + denom)}
+    floor = sum(floors[p] for p in numer) - sum(floors[p] for p in denom)
+    K = max(order - floor, 0) + max(floors.values())
+    thetas = {p: theta1_at(target, q_image, p, K) for p in floors}
+    result = reduce(mul, [thetas[p] for p in numer])
+    if denom:
+        result = result * reduce(mul, [thetas[p] for p in denom]).invert_unit()
+    if result.order < order:
+        raise InvariantError("theta-quotient order fell short of the width rule")
+    return result.truncate(order)
+
+
 def jacobi_phi_at(
     target: VariableRegistry,
     q_image: ExponentVector,
@@ -161,25 +192,15 @@ def jacobi_phi_at(
     """``phi(Q, P) = P^{-1} thetatilde(Q, P)^2 (etatilde(Q)^3)^{-2}``, exact
     to ``order`` in the target grading.
 
-    Factors built to ``K`` give a quotient exact to ``K + 2F - deg P`` for
-    theta floor ``F <= 0`` (eta cubed has floor 0), so the pad is read off
-    the floor of a first theta build.  Theta's constant term 1 is stored at
-    every order ``K >= 0``, so its floor does not depend on the order it was
-    built to.  Only at its zeros ``P = Q^k`` does theta lose that term, and
-    there it and phi vanish identically.
+    Where ``thetatilde^2`` has no term up to its order, so does phi: at the
+    zeros ``P = Q^k`` of theta, and at orders below phi's floor.
     """
-    base = max(order, 0)
-    theta = theta1_at(target, q_image, p_image, base)
-    if theta.is_zero():
+    shift = target.degree(p_image)
+    theta2 = _theta_quotient_at(target, q_image, [p_image, p_image], [], order + shift)
+    if theta2.is_zero():
         return zero(target, order)
-    pad = target.degree(p_image) - 2 * theta.floor
-    if pad:
-        theta = theta1_at(target, q_image, p_image, base + pad)
-    inv = _eta_cubed_at(target, q_image, base + pad).invert_unit()
-    phi = ((theta * theta) * (inv * inv)).shift_monomial(tuple(-e for e in p_image))
-    if phi.order < order:
-        raise InvariantError("phi order fell short of the floor pad")
-    return phi.truncate(order)
+    inv = _eta_cubed_at(target, q_image, order + shift - theta2.floor).invert_unit()
+    return (theta2 * (inv * inv)).shift_monomial(tuple(-e for e in p_image))
 
 
 def jacobi_phi(N: int) -> TruncatedSeries:
@@ -231,31 +252,11 @@ def elliptic_genus_c2_at(
 
     The eta factors of ``phi`` cancel from this quotient, and so do the
     thetas' prefactors: ``(-i)^{1+1-2} Q^{(1+1-2)/8} (YT)^{-1/2}
-    (Y^{-1}T)^{-1/2} T^{+1} = 1``.  Thetas with floors
-    ``Fa``, ``Fb``, ``Fd`` built to order ``K`` give a quotient exact to
-    ``K + min(min(Fa, Fb) - 2*Fd, Fa + Fb - 3*Fd)``, so the pad over
-    ``order`` is read off the floors of a first build, made at order 0 or
-    more.  A theta's constant term 1 is stored at every nonnegative order,
-    so its floor does not depend on the order it was built to; if a
-    degenerate image still falls short after the one rebuild,
-    InvariantError is raised.
+    (Y^{-1}T)^{-1/2} T^{+1} = 1``.
     """
-    images = (
-        tuple(a + b for a, b in zip(y_image, t_image)),
-        tuple(b - a for a, b in zip(y_image, t_image)),
-        t_image,
-    )
-    base = max(order, 0)
-    thetas = [theta1_at(target, q_image, p, base) for p in images]
-    fa, fb, fd = (th.floor for th in thetas)
-    pad = max(0, 2 * fd - min(fa, fb), 3 * fd - fa - fb)
-    if pad:
-        thetas = [theta1_at(target, q_image, p, base + pad) for p in images]
-    a, b, d = thetas
-    result = a * b * (d * d).invert_unit()
-    if result.order < order:
-        raise InvariantError("elliptic-genus order fell short of the floor pad")
-    return result.truncate(order)
+    yt = tuple(a + b for a, b in zip(y_image, t_image))
+    ymt = tuple(b - a for a, b in zip(y_image, t_image))
+    return _theta_quotient_at(target, q_image, [yt, ymt], [t_image, t_image], order)
 
 
 #: Trivariate home of the elliptic genus: q-order counts double so that the

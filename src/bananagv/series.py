@@ -19,6 +19,11 @@ two numbers drive exact order propagation:
 * ``a.invert_unit()`` with minimal term of degree ``m``  -> order ``Na - 2m``
 * ``a.sqrt_unit()`` with minimal slice at degree ``m``   -> order ``Na - m/2``
 
+With ``width = order - floor`` they make one rule, from which every pad
+in the package is read: a nonzero product's width is the smallest width
+among its factors, and an inverse, a square root or a monomial shift keeps
+the width.
+
 **Representation.**  The terms are kept grouped by weighted degree into
 *slices*, ``degree -> {key: coefficient}``.  A key is the exponent vector
 ``e`` of length ``n`` packed into one Python int (Monagan & Pearce,

@@ -18,8 +18,10 @@ def test_shape_basics():
     assert TWO.supported and BananaShape(1, 1).supported
     assert not BananaShape(2, 3).supported
     assert not BananaShape(3, 1).supported
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape parameter v must be at least 1"):
         BananaShape(0, 2)
+    with pytest.raises(ValueError, match="shape parameter w must be at least 1"):
+        BananaShape(1, 0)
 
 
 def test_shape_parameters_must_be_ints():
@@ -28,8 +30,9 @@ def test_shape_parameters_must_be_ints():
             BananaShape(bad, 2)
         with pytest.raises(TypeError, match="shape parameter w must be an int"):
             BananaShape(2, bad)
-    with pytest.raises(TypeError):
-        parse_shape("1xW", w=2.0)
+    for bad in (2.0, 0.5):
+        with pytest.raises(TypeError, match="shape parameter w must be an int"):
+            parse_shape("1xW", w=bad)
 
 
 def test_parse_shape():

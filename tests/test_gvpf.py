@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from bananagv import gvpf
+from bananagv import gvpf, qseries
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
@@ -75,13 +75,13 @@ def test_theta_route_agrees_with_sqrt_route():
 def test_theta_route_constant_term_pins_the_sign(monkeypatch):
     # one theta of the wrong sign flips the whole quotient; the constant
     # term is the only guard on the sign the prefactors and the branch leave
-    theta1_at = gvpf.theta1_at
+    theta1_at = qseries.theta1_at
 
     def theta_r0_negated(target, q_image, p_image, order):
         sign = -1 if p_image == target.exps(r0=1) else 1
         return sign * theta1_at(target, q_image, p_image, order)
 
-    monkeypatch.setattr(gvpf, "theta1_at", theta_r0_negated)
+    monkeypatch.setattr(qseries, "theta1_at", theta_r0_negated)
     with pytest.raises(InvariantError, match="location count"):
         pf_22_theta(4)
 
@@ -160,8 +160,10 @@ def test_pf_1w_supports_only_nonnegative_exponents():
 
 
 def test_pf_1w_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape parameter w must be at least 1"):
         pf_1w(0, 4)
+    with pytest.raises(TypeError, match="shape parameter w must be an int"):
+        pf_1w(0.5, 3)
     with pytest.raises(ValueError):
         pf_1w(2, -1)
     for bad in (2.0, True):

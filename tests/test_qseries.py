@@ -333,14 +333,60 @@ def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
         return theta1_at(target, q_image, p_image, order)
 
     monkeypatch.setattr(qseries, "theta1_at", recording_theta1_at)
+    # one order-0 probe per distinct theta reads its floor, then one build
+    # each at K = order - floor(quotient) + max floor
     plain = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 10)
-    assert requested == [10, 10, 10]
+    assert requested == [0, 0, 0, 10, 10, 10]
     requested.clear()
-    # thetatilde(Q, y^3 t) and thetatilde(Q, y^{-3} t) have floor -2, so the
-    # quotient needs a pad of 4
+    # thetatilde(Q, y^3 t) and thetatilde(Q, y^{-3} t) have floor -2 and
+    # thetatilde(Q, t) floor 0, so the quotient has floor -4
     cubed = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 3, 0), (0, 0, 1), 10)
-    assert requested == [10, 10, 10, 14, 14, 14]
+    assert requested == [0, 0, 0, 14, 14, 14]
     assert plain.order == cubed.order == 10
+    requested.clear()
+    # phi's pad comes from the same rule: thetatilde(q, q^{-2} p) has floor
+    # -3, so theta^2, needed to order 6 + deg P = 4, has floor -6 and its
+    # theta is built to 4 + 6 - 3
+    phi = jacobi_phi_at(QP, (1, 0), (-2, 1), 6)
+    assert requested == [0, 7]
+    # the index-one elliptic shift: phi(q, q^{-2} p) = q^{-4} p^4 phi(q, p)
+    assert phi == jacobi_phi(10).shift_monomial((-4, 4))
+
+
+def _quotient_reference(numer, denom, order, pad):
+    """The theta quotient built factor by factor, every theta to order + pad."""
+    acc = one(QYT, order + pad)
+    for p in numer:
+        acc = acc * theta1_at(QYT, (1, 0, 0), p, order + pad)
+    for p in denom:
+        acc = acc * theta1_at(QYT, (1, 0, 0), p, order + pad).invert_unit()
+    return acc
+
+
+_numerator_images = st.tuples(st.integers(0, 1), st.integers(-2, 2), st.integers(-2, 2))
+# with Q of degree 2, thetatilde(Q, T) is a unit only for T of odd degree
+_denominator_images = st.tuples(st.just(0), st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda p: sum(p) % 2
+)
+
+
+@given(
+    st.lists(_numerator_images, min_size=2, max_size=2),
+    st.lists(_denominator_images, min_size=2, max_size=2),
+    st.integers(-4, 8),
+)
+@example([(0, 3, 1), (0, -3, 1)], [(0, 0, 1), (0, 0, 1)], 10)  # the y-cubed genus
+@example([(1, 0, 0), (0, 1, 0)], [(0, 0, 1), (0, 1, 0)], 6)  # P = Q: theta vanishes
+@example([(0, 1, 0), (0, 1, 0)], [(0, 0, 1), (0, 0, 1)], 6)  # repeated thetas
+@example([(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (0, 1, 0)], 6)  # a theta cancels
+def test_theta_quotient_matches_the_factor_by_factor_reference(numer, denom, order):
+    # every theta floor here is at least -6, so a pad of 16 is generous; the
+    # kernel's own order tracking confirms it
+    reference = _quotient_reference(numer, denom, order, 16)
+    assert reference.order >= order
+    got = qseries._theta_quotient_at(QYT, (1, 0, 0), numer, denom, order)
+    assert got.order == order
+    assert got == reference.truncate(order)
 
 
 def test_elliptic_genus_at_a_negative_order_is_the_truncation():
