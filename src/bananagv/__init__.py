@@ -19,7 +19,7 @@ Layout:
 """
 from .geometry import BananaShape, BranchSpec, parse_shape
 from .gvpf import CrossCheckReport, GVTable, cross_check, gv_table, pf_1w, pf_22, pf_22_theta
-from .oracle import behrend_twist, count_distinct_odd_conjugate, naive_pf
+from .oracle import behrend_twist, naive_pf
 from .qseries import check_identities, elliptic_genus_c2, jacobi_phi
 from .series import InvariantError, TruncatedSeries, VariableRegistry
 
@@ -33,7 +33,6 @@ __all__ = [
     "VariableRegistry",
     "behrend_twist",
     "check_identities",
-    "count_distinct_odd_conjugate",
     "cross_check",
     "elliptic_genus_c2",
     "gv_table",

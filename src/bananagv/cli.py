@@ -20,6 +20,16 @@ Inputs are capped so that every accepted run finishes: ``--order`` at most 32
 for ``compute`` and ``crosscheck`` and at most 256 for ``verify``, and
 ``--w`` at most 6.  Larger values are a usage error.  The README's "Command
 line" section records the time and peak memory of runs at the caps.
+
+Each input is checked in one place.  ``argparse`` refuses an unknown
+subcommand, a missing or non-integer option and a ``--shape`` outside its
+choices.  ``RunConfig`` checks the rest when it is constructed: the command,
+the order's type, sign and cap, the width's type and cap, the format, and,
+for ``compute`` and ``crosscheck``, the shape itself through
+:func:`parse_shape`, which refuses a missing selector and a missing or
+stray ``--w`` and leaves a width below 1 to :class:`BananaShape`.  ``main``
+turns a ``ValueError`` from the constructor into a usage error, so every
+``RunConfig`` that ``run`` receives is valid.
 """
 from __future__ import annotations
 
@@ -45,7 +55,8 @@ MAX_W = 6
 
 class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
     """One validated invocation: ``command`` is "compute", "verify" or
-    "crosscheck", ``shape`` a selector for :func:`parse_shape`."""
+    "crosscheck", ``shape`` a selector for :func:`parse_shape`, which
+    ``compute`` and ``crosscheck`` require and construction parses."""
 
     __slots__ = ()
 
@@ -65,11 +76,11 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
             raise ValueError(f"width must be at most {MAX_W}")
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
+        if command != "verify":
+            parse_shape(shape, w)
         return super().__new__(cls, command, order, shape, w, fmt)
 
     def banana_shape(self) -> BananaShape:
-        if self.shape is None:
-            raise ValueError(f"{self.command} requires --shape")
         return parse_shape(self.shape, self.w)
 
 
@@ -152,8 +163,6 @@ def main(argv: list[str] | None = None) -> int:
             w=getattr(ns, "w", None),
             fmt=getattr(ns, "format", "json"),
         )
-        if config.command != "verify":
-            config.banana_shape()
     except ValueError as exc:
         parser.error(str(exc))
     try:

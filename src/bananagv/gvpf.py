@@ -52,6 +52,7 @@ from .series import (
     InvariantError,
     TruncatedSeries,
     _as_order,
+    _exact_to,
     one,
 )
 
@@ -86,10 +87,7 @@ def pf_22(N: int) -> TruncatedSeries:
         ratio = ratio * jacobi_phi_at(R22, _Q22, single, N)
     for pair in _PAIRS:
         ratio = ratio * jacobi_phi_at(R22, _Q22, pair, N).invert_unit()
-    pf = 2 * ratio.sqrt_unit()
-    if pf.order < N:
-        raise InvariantError("order propagation fell short; widen the pad")
-    pf = pf.truncate(N)
+    pf = _exact_to(2 * ratio.sqrt_unit(), N)
     _assert_nonnegative_orthant(pf, "pf_22")
     return pf
 
@@ -130,10 +128,7 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
                 reg, q_img, s_img, tuple(r_span), N
             )
         total = contribution if total is None else total + contribution
-    pf = base * total
-    if pf.order < N:
-        raise InvariantError("order propagation fell short; widen the pad")
-    pf = pf.truncate(N)
+    pf = _exact_to(base * total, N)
     _assert_nonnegative_orthant(pf, "pf_1w")
     if pf.constant_term() != w:
         raise InvariantError("constant term must count the B locations")

@@ -24,7 +24,7 @@ vector: the sums of ``parts[j]`` over each class of ``j`` mod the period.
 It caches its last table, so one walk serves every branch of a ``naive_pf``
 call, and ``branch_series`` folds that table through its own labels.
 ``admissible_profiles`` generates the same profiles one tuple at a time, in
-the order of the plain partition generator ``partitions``.
+descending lexicographic order.
 
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
@@ -33,7 +33,10 @@ same product with ``x^j`` replaced by the product of the branch's first j
 labels, which the tests build as a second route.
 
 The full naive partition function multiplies the four branch series at each
-B location and sums over locations.  ``behrend_twist`` converts it to the
+B location and sums over locations.  It pairs them by direction,
+``(NE * N) * (S * SW)``: NE and N read the same pairs walking up, so their
+product stays small, and a left-to-right ``NE * N * S`` would be several
+times larger at the same order.  ``behrend_twist`` converts the sum to the
 signed count by negating every tracking variable.
 """
 from __future__ import annotations
@@ -48,36 +51,19 @@ from .series import (
     TruncatedSeries,
     VariableRegistry,
     _as_order,
-    one,
 )
 
 __all__ = [
-    "partitions",
     "admissible_profiles",
-    "count_distinct_odd_conjugate",
     "branch_series",
     "naive_pf",
     "behrend_twist",
 ]
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All weakly decreasing positive tuples summing to n."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
 def admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Admissible profiles of size n with parts at most ``max_part``, in
-    descending lexicographic order (the order of ``partitions``).
+    descending lexicographic order.
 
     Each step places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)``; a
     lone ``1`` closes the profile, being paired with the implicit 0.
@@ -98,18 +84,6 @@ def admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[i
             elif rest >= 0:
                 for tail in admissible_profiles(rest, b):
                     yield (a, b) + tail
-
-
-@lru_cache(maxsize=None)
-def count_distinct_odd_conjugate(n: int) -> int:
-    """Number of partitions of n whose odd parts are distinct (equal, by
-    conjugation, to the number whose conjugate has distinct odd parts)."""
-    count = 0
-    for p in partitions(n):
-        odd = [x for x in p if x % 2]
-        if len(odd) == len(set(odd)):
-            count += 1
-    return count
 
 
 @lru_cache(maxsize=1)
@@ -174,15 +148,12 @@ def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> Trunc
 def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
     """Unsigned count generating function: product of the four branch series
     at each B location, summed over locations.  Coefficients are counts and
-    must come out nonnegative."""
-    _as_order(N)
+    must come out nonnegative.  ``branch_series`` checks the order."""
     registry = registry_for(shape)
     total = TruncatedSeries(registry, {}, N)
     for loc in b_locations(shape):
-        contribution = one(registry, N)
-        for spec in branch_specs(shape, loc):
-            contribution = contribution * branch_series(spec, N, registry)
-        total = total + contribution
+        ne, n, s, sw = (branch_series(spec, N, registry) for spec in branch_specs(shape, loc))
+        total = total + (ne * n) * (s * sw)
     if any(c < 0 for c in total.coefficients()):
         raise InvariantError("naive count came out negative; enumeration bug")
     return total

@@ -55,10 +55,10 @@ from typing import Callable, NamedTuple
 
 from .series import (
     ExponentVector,
-    InvariantError,
     TruncatedSeries,
     VariableRegistry,
     _as_order,
+    _exact_to,
     one,
     polynomial,
     zero,
@@ -178,9 +178,7 @@ def _theta_quotient_at(
     result = reduce(mul, [thetas[p] for p in numer])
     if denom:
         result = result * reduce(mul, [thetas[p] for p in denom]).invert_unit()
-    if result.order < order:
-        raise InvariantError("theta-quotient order fell short of the width rule")
-    return result.truncate(order)
+    return _exact_to(result, order)
 
 
 def jacobi_phi_at(

@@ -154,6 +154,17 @@ def _as_order(N) -> int:
     return N
 
 
+def _exact_to(series: "TruncatedSeries", order: int) -> "TruncatedSeries":
+    """``series`` truncated to ``order``, which its proven order must reach.
+    Builders return through this: a shortfall means a pad broke the width
+    rule, a bug that InvariantError reports."""
+    if series.order < order:
+        raise InvariantError(
+            f"order propagation fell short: exact to {series.order}, {order} needed"
+        )
+    return series.truncate(order)
+
+
 def _check_exponent_bound(bound: int) -> None:
     if bound >= _EXP_LIMIT:
         raise ValueError(
@@ -410,11 +421,10 @@ class TruncatedSeries:
         there is none.  Slices are compared whole, and only the one key
         reported is unpacked.
         """
-        if self.registry != other.registry:
-            raise ValueError("registry mismatch")
+        self._check_registry(other)
         bound = min(self.order, other.order)
         if up_to is not None:
-            if up_to > bound:
+            if _as_int(up_to, "up_to") > bound:
                 raise ValueError("comparison beyond the common guaranteed order")
             bound = up_to
         a, b = self._slices, other._slices
@@ -434,6 +444,8 @@ class TruncatedSeries:
             raise ValueError("cannot combine series over different registries")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_registry(other)
         order = min(self.order, other.order)
         a, b = self._slices, other._slices
@@ -461,6 +473,8 @@ class TruncatedSeries:
         return self._scaled(-1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self + (-other)
 
     def _scaled(self, k: int) -> "TruncatedSeries":
@@ -693,32 +707,6 @@ class TruncatedSeries:
                 bucket[key] = bucket.get(key, 0) + c
         return TruncatedSeries._from_slices(target, _nonzero_slices(acc), self.order, emax)
 
-    # -- presentation ------------------------------------------------------
-
-    def _format_term(self, exps: ExponentVector, coeff: int) -> str:
-        parts = []
-        for name, e in zip(self.registry.names, exps):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        if not parts:
-            return str(coeff)
-        body = "*".join(parts)
-        if coeff == 1:
-            return body
-        if coeff == -1:
-            return f"-{body}"
-        return f"{coeff}*{body}"
-
-    def __str__(self) -> str:
-        items = self.sorted_terms()
-        if not items:
-            return f"0 + O(deg {self.order + 1})"
-        shown = " + ".join(self._format_term(e, c) for e, c in items[:12]).replace("+ -", "- ")
-        if len(items) > 12:
-            shown += " + ..."
-        return f"{shown} + O(deg {self.order + 1})"
-
     def __repr__(self) -> str:
         return (
             f"TruncatedSeries({sum(map(len, self._slices.values()))} terms, order={self.order}, "
@@ -750,14 +738,6 @@ def _result_emax(combine: Callable[..., int], *operands: TruncatedSeries) -> int
 # -- constructors ----------------------------------------------------------
 
 
-def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order: int) -> TruncatedSeries:
-    """Single-term series ``coeff * X^exps``, exact to the given order."""
-    exps = _int_exps(exps)
-    if registry.degree(exps) > order:
-        raise ValueError("order must be at least the degree of the monomial")
-    return TruncatedSeries(registry, {exps: coeff}, order)
-
-
 def polynomial(registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int) -> TruncatedSeries:
     """Series from explicit terms; raises if any term exceeds the order.
 
@@ -765,9 +745,14 @@ def polynomial(registry: VariableRegistry, terms: Mapping[ExponentVector, int], 
     constructor silently truncates instead.
     """
     for exps in terms:
-        if registry.degree(tuple(exps)) > order:
+        if registry.degree(_int_exps(exps)) > order:
             raise ValueError("polynomial term beyond the requested order")
     return TruncatedSeries(registry, terms, order)
+
+
+def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order: int) -> TruncatedSeries:
+    """Single-term series ``coeff * X^exps``, exact to the given order."""
+    return polynomial(registry, {tuple(exps): coeff}, order)
 
 
 def one(registry: VariableRegistry, order: int) -> TruncatedSeries:

@@ -14,9 +14,10 @@ import time
 from bananagv.cli import RunConfig, run
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import cross_check, pf_1w, pf_22, pf_22_theta
-from bananagv.oracle import behrend_twist, count_distinct_odd_conjugate, naive_pf
+from bananagv.oracle import behrend_twist, naive_pf
 from bananagv.qseries import QYT, check_identities, elliptic_genus_c2_at, jacobi_phi_at
 from bananagv.series import VariableRegistry
+from profile_reference import count_distinct_odd_conjugate
 
 
 def _report(label: str, ok: bool, started: float) -> None:

@@ -148,12 +148,20 @@ def test_crosscheck_single_banana():
 # ------------------------------------------------------------- exit codes
 
 
+# usage errors in the shape or the width, each with the RunConfig arguments
+# it names
+BAD_SHAPES = [
+    (["compute", "--shape", "1xW", "--order", "3"], ("compute", 3, "1xW")),  # missing --w
+    # stray --w
+    (["compute", "--shape", "2x2", "--w", "2", "--order", "3"], ("compute", 3, "2x2", 2)),
+    (["compute", "--shape", "3x3", "--order", "3"], ("compute", 3, "3x3")),  # unknown shape
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["compute", "--shape", "1xW", "--order", "3"],  # missing --w
-        ["compute", "--shape", "2x2", "--w", "2", "--order", "3"],  # stray --w
-        ["compute", "--shape", "3x3", "--order", "3"],  # unknown shape
+    [argv for argv, _ in BAD_SHAPES]
+    + [
         ["compute", "--shape", "2x2", "--order", "-1"],  # negative order
         ["compute", "--shape", "2x2"],  # missing --order
         ["verify", "--order", "0"],  # verify needs a positive order
@@ -165,6 +173,12 @@ def test_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()  # swallow argparse noise
+
+
+@pytest.mark.parametrize("args", [args for _, args in BAD_SHAPES], ids=str)
+def test_bad_shapes_are_refused_at_construction(args):
+    with pytest.raises(ValueError):
+        RunConfig(*args)
 
 
 def test_zero_width_is_a_usage_error(capsys):
@@ -216,8 +230,13 @@ def test_run_config_validation():
         RunConfig("verify", 0)
     with pytest.raises(ValueError):
         RunConfig("compute", 3, "2x2", fmt="xml")
+    # compute and crosscheck parse their shape when the config is built
     with pytest.raises(ValueError):
-        RunConfig("crosscheck", 3).banana_shape()
+        RunConfig("compute", 3, "2x2", w=0)
+    with pytest.raises(ValueError):
+        RunConfig("compute", 3, "1xW")
+    with pytest.raises(ValueError):
+        RunConfig("crosscheck", 3)
 
 
 def test_run_config_order_and_width_must_be_ints():

@@ -10,12 +10,17 @@ from bananagv.oracle import (
     admissible_profiles,
     behrend_twist,
     branch_series,
-    count_distinct_odd_conjugate,
     naive_pf,
-    partitions,
 )
 from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
-from profile_reference import conjugate, is_admissible, satisfies_pairwise_rule, weight_exponents
+from profile_reference import (
+    conjugate,
+    count_distinct_odd_conjugate,
+    is_admissible,
+    partitions,
+    satisfies_pairwise_rule,
+    weight_exponents,
+)
 
 TWO = BananaShape(2, 2)
 

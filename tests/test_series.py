@@ -87,6 +87,10 @@ def test_constructor_drops_zero_coefficients_and_truncates():
         pytest.param(lambda: VariableRegistry(("q",), (True,)), id="registry-weight-bool"),
         pytest.param(lambda: TruncatedSeries(XY, {(1, 0): 1}, 2.9), id="constructor-order"),
         pytest.param(lambda: one(XY, 4).truncate(2.5), id="truncate-order"),
+        pytest.param(lambda: one(XY, 4).same_series(one(XY, 4), up_to=2.5), id="same-up-to"),
+        pytest.param(lambda: one(XY, 4).same_series(one(XY, 4), up_to=True), id="same-up-to-bool"),
+        pytest.param(lambda: one(XY, 4).first_difference(one(XY, 4), 2.5), id="diff-up-to"),
+        pytest.param(lambda: one(XY, 4).first_difference(one(XY, 4), True), id="diff-up-to-bool"),
     ],
 )
 def test_non_integer_coefficients_and_exponents_are_refused(build_bad):
@@ -254,6 +258,16 @@ def test_same_series_respects_comparison_window():
 def test_registry_mismatch_is_an_error():
     with pytest.raises(ValueError):
         one(QP, 3) + one(XY, 3)
+    with pytest.raises(ValueError):
+        one(QP, 3).first_difference(one(XY, 3))
+
+
+@pytest.mark.parametrize("other", [1, 0, 1.5, None])
+def test_adding_a_non_series_is_a_type_error(other):
+    s = one(XY, 3)
+    for combine in (lambda: s + other, lambda: other + s, lambda: s - other, lambda: other - s):
+        with pytest.raises(TypeError):
+            combine()
 
 
 # ---------------------------------------------------------- substitution
