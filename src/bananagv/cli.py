@@ -22,13 +22,14 @@ for ``compute`` and ``crosscheck`` and at most 256 for ``verify``, and
 line" section records the time and peak memory of runs at the caps.
 
 Each input is checked in one place.  ``argparse`` refuses an unknown
-subcommand, a missing or non-integer option and a ``--shape`` outside its
-choices.  ``RunConfig`` checks the rest when it is constructed: the command,
-the order's type, sign and cap, the width's type and cap, the format, and,
-for ``compute`` and ``crosscheck``, the shape itself through
-:func:`parse_shape`, which refuses a missing selector and a missing or
-stray ``--w`` and leaves a width below 1 to :class:`BananaShape`.  ``main``
-turns a ``ValueError`` from the constructor into a usage error, so every
+subcommand and a missing or non-integer option.  ``RunConfig`` checks the
+rest when it is constructed: the command, the order's type, sign and cap,
+and the format; ``verify`` refuses a shape or a width, and ``compute`` and
+``crosscheck`` parse theirs through :meth:`RunConfig.banana_shape`.  There
+:func:`parse_shape` refuses an unknown or missing selector and a missing or
+stray ``--w``, :class:`BananaShape` refuses a width that is not an int or
+is below 1, and the cap is applied to the parsed width.  ``main`` turns a
+``ValueError`` from the constructor into a usage error, so every
 ``RunConfig`` that ``run`` receives is valid.
 """
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import IO
 from .geometry import BananaShape, parse_shape, registry_for
 from .gvpf import cross_check, gv_table
 from .qseries import check_identities
-from .series import InvariantError, _as_int, _as_order
+from .series import InvariantError, _as_order
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -66,19 +67,19 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
         if command not in ("compute", "verify", "crosscheck"):
             raise ValueError(f"unknown command {command!r}")
         order = _as_order(order)
-        if w is not None:
-            w = _as_int(w, "width")
         if command == "verify" and order < 1:
             raise ValueError("order must be at least 1 for verify")
         if order > MAX_ORDER[command]:
             raise ValueError(f"order must be at most {MAX_ORDER[command]} for {command}")
-        if w is not None and w > MAX_W:
-            raise ValueError(f"width must be at most {MAX_W}")
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
-        if command != "verify":
-            parse_shape(shape, w)
-        return super().__new__(cls, command, order, shape, w, fmt)
+        self = super().__new__(cls, command, order, shape, w, fmt)
+        if command == "verify":
+            if shape is not None or w is not None:
+                raise ValueError("verify takes no shape")
+        elif self.banana_shape().w > MAX_W:
+            raise ValueError(f"width must be at most {MAX_W}")
+        return self
 
     def banana_shape(self) -> BananaShape:
         return parse_shape(self.shape, self.w)
@@ -142,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         "crosscheck", help="compare closed form against brute-force enumeration"
     )
     for p in (compute, crosscheck):
-        p.add_argument("--shape", required=True, choices=["2x2", "1xW"])
+        p.add_argument("--shape", required=True, metavar="{2x2,1xW}")
         p.add_argument("--w", type=int, help="width parameter (required for 1xW)")
         p.add_argument("--order", type=int, required=True, help="total-degree truncation")
-    compute.add_argument("--format", choices=["json", "csv"], default="json")
+    compute.add_argument("--format", metavar="{json,csv}", default="json")
 
     verify = sub.add_parser("verify", help="run the q-series identity suite")
     verify.add_argument("--order", type=int, required=True, help="q-order of the checks")

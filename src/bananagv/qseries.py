@@ -66,7 +66,6 @@ from .series import (
 
 __all__ = [
     "QP",
-    "Q_ONLY",
     "IdentityCheck",
     "jacobi_phi",
     "eta_at",
@@ -80,8 +79,6 @@ __all__ = [
 #: Bivariate home of the classical series: q carries the grading, p does not.
 QP = VariableRegistry(("q", "p"), (1, 0))
 
-#: Univariate registry for eta-like products.
-Q_ONLY = VariableRegistry(("q",))
 
 def _sum_at(
     target: VariableRegistry,
@@ -218,10 +215,10 @@ def _one_minus(registry: VariableRegistry, exps: ExponentVector, order: int) -> 
 
 
 def _eta_product(N: int) -> TruncatedSeries:
-    """``prod_{m=1}^{N} (1 - q^m)`` over ``Q_ONLY`` by multiplying out the factors."""
-    acc = one(Q_ONLY, N)
+    """``prod_{m=1}^{N} (1 - q^m)`` over ``QP`` by multiplying out the factors."""
+    acc = one(QP, N)
     for m in range(1, N + 1):
-        acc = acc * _one_minus(Q_ONLY, (m,), N)
+        acc = acc * _one_minus(QP, (m, 0), N)
     return acc
 
 
@@ -293,11 +290,10 @@ def check_identities(N: int) -> list[IdentityCheck]:
     products multiplied out factor by factor, so the first check compares
     the two presentations.  Failures are reported, not raised.
     """
-    if _as_order(N) < 1:
-        raise ValueError("order must be at least 1")
+    N = _as_order(N)
     phi = jacobi_phi(N)
     theta = _theta_product(N)
-    eta6 = _eta_product(N).substitute_monomials(QP, {"q": (1, 0)}) ** 6
+    eta6 = _eta_product(N) ** 6
 
     lhs1 = eta6 * phi
     rhs1 = (theta * theta).shift_monomial((0, -1))

@@ -469,20 +469,6 @@ class TruncatedSeries:
         emax = max(self._emax, other._emax)
         return TruncatedSeries._from_slices(self.registry, slices, order, emax)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return self._scaled(-1)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def _scaled(self, k: int) -> "TruncatedSeries":
-        slices = (
-            {d: {e: k * c for e, c in s.items()} for d, s in self._slices.items()} if k else {}
-        )
-        return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
-
     def sign_by_degree(self) -> "TruncatedSeries":
         """The series with its degree-``d`` slice multiplied by ``(-1)**d``."""
         slices = {
@@ -492,7 +478,11 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._scaled(_as_int(other, "scale"))
+            k = _as_int(other, "scale")
+            slices = (
+                {d: {e: k * c for e, c in s.items()} for d, s in self._slices.items()} if k else {}
+            )
+            return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if other is self:

@@ -1,4 +1,5 @@
 """Tests for the command-line front end: formats, determinism, exit codes."""
+import contextlib
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 import bananagv
 from bananagv import gvpf
-from bananagv.cli import RunConfig, build_parser, main, run
+from bananagv.cli import RunConfig, main, run
 from bananagv.series import InvariantError
 
 REFERENCE = json.loads(
@@ -45,17 +46,10 @@ def run_child(argv):
 
 
 def invoke(argv):
+    """Run ``main`` in process; returns its exit status, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        order=ns.order,
-        shape=getattr(ns, "shape", None),
-        w=getattr(ns, "w", None),
-        fmt=getattr(ns, "format", "json"),
-    )
-    code = run(config, out=out, err=err)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -131,10 +125,13 @@ def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
 # ------------------------------------------------------- verify, crosscheck
 
 
-def test_verify_all_identities_pass():
-    code, out, err = invoke(["verify", "--order", "3"])
-    assert code == 0 and err == ""
-    lines = out.splitlines()
+def test_verify_all_identities_pass(capsys):
+    # ``run`` writes to the streams it is given, not to sys.stdout
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig("verify", 3), out=out, err=err) == 0
+    assert capsys.readouterr() == ("", "")
+    assert err.getvalue() == ""
+    lines = out.getvalue().splitlines()
     assert len(lines) == 4
     assert all(line.startswith("PASS ") for line in lines)
 
@@ -166,6 +163,7 @@ BAD_SHAPES = [
         ["compute", "--shape", "2x2"],  # missing --order
         ["verify", "--order", "0"],  # verify needs a positive order
         ["frobnicate"],  # unknown subcommand
+        ["compute", "--shape", "2x2", "--order", "3", "--format", "xml"],  # unknown format
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -204,6 +202,11 @@ def test_zero_width_is_a_usage_error(capsys):
         (["verify", "--order", "257"], "order must be at most 256 for verify"),
         (["compute", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
         (["crosscheck", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
+        # a stray --w is refused as stray, whatever its value
+        (
+            ["compute", "--shape", "2x2", "--w", "7", "--order", "3"],
+            "--w is only meaningful for shape 1xW",
+        ),
     ],
 )
 def test_values_above_the_caps_exit_2(argv, message, capsys):
@@ -237,13 +240,18 @@ def test_run_config_validation():
         RunConfig("compute", 3, "1xW")
     with pytest.raises(ValueError):
         RunConfig("crosscheck", 3)
+    # verify refuses a shape and a width, whatever their values
+    with pytest.raises(ValueError, match="verify takes no shape"):
+        RunConfig("verify", 3, "2x2")
+    with pytest.raises(ValueError, match="verify takes no shape"):
+        RunConfig("verify", 3, None, 9)
 
 
 def test_run_config_order_and_width_must_be_ints():
     for bad in (3.0, True):
         with pytest.raises(TypeError, match="order must be an int"):
             RunConfig("compute", bad, "2x2")
-        with pytest.raises(TypeError, match="width must be an int"):
+        with pytest.raises(TypeError, match="shape parameter w must be an int"):
             RunConfig("crosscheck", 3, "1xW", w=bad)
 
 

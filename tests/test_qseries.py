@@ -13,7 +13,6 @@ from bananagv.qseries import (
     _theta_product,
     QP,
     QYT,
-    Q_ONLY,
     check_identities,
     elliptic_genus_c2,
     elliptic_genus_c2_at,
@@ -23,6 +22,9 @@ from bananagv.qseries import (
     theta1_at,
 )
 from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
+
+#: Univariate registry for eta-like series.
+Q_ONLY = VariableRegistry(("q",))
 
 
 def q_slice(series, a):
@@ -129,14 +131,14 @@ def test_sum_forms_equal_the_product_builders():
     # stands for the order-N product with the same order and floor
     phi_reference = _phi_double_product(40)
     for N in range(41):
-        _assert_identical(eta_at(Q_ONLY, (1,), N), _eta_product(N))
+        _assert_identical(eta_at(QP, (1, 0), N), _eta_product(N))
         _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_product(N))
         _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
 
 
 def test_eta_cubed_sum_is_the_cube_of_eta():
     for N in range(41):
-        eta = _eta_product(N).substitute_monomials(QP, {"q": (1, 0)})
+        eta = _eta_product(N)
         _assert_identical(_eta_cubed_at(QP, (1, 0), N), eta * eta * eta)
 
 
@@ -149,11 +151,10 @@ def _products(M):
 
 
 def _mapped(product, target, q_image, p_image, order):
-    """A product over ``(q)`` or ``(q, p)`` with ``q -> Q`` and ``p -> P``,
-    term by term; the constructor keeps the terms of degree <= order."""
+    """A product over ``(q, p)`` with ``q -> Q`` and ``p -> P``, term by
+    term; the constructor keeps the terms of degree <= order."""
     terms = {}
-    for (a, *p), c in product.terms.items():
-        n = p[0] if p else 0
+    for (a, n), c in product.terms.items():
         image = tuple(a * x + n * y for x, y in zip(q_image, p_image))
         terms[image] = terms.get(image, 0) + c
     return TruncatedSeries(target, terms, order)

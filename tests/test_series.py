@@ -265,7 +265,7 @@ def test_registry_mismatch_is_an_error():
 @pytest.mark.parametrize("other", [1, 0, 1.5, None])
 def test_adding_a_non_series_is_a_type_error(other):
     s = one(XY, 3)
-    for combine in (lambda: s + other, lambda: other + s, lambda: s - other, lambda: other - s):
+    for combine in (lambda: s + other, lambda: other + s):
         with pytest.raises(TypeError):
             combine()
 
