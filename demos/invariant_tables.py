@@ -1,4 +1,5 @@
-"""Print small genus-0 invariant tables for the supported shapes.
+"""Print small genus-0 invariant tables for the shapes with closed forms,
+``1xW`` and ``2x2``, the shapes the CLI offers.
 
 Every class carries B-degree 1; rows list the A- and C-multidegrees in
 graded-lex order with the invariant value.

@@ -3,8 +3,10 @@
 The package computes generating functions of genus-0 invariants for the
 ``(1, w)`` and ``(2, 2)`` banana shapes two independent ways — closed-form
 Jacobi-form products and brute-force enumeration of thickening profiles —
-and cross-checks them against each other.  All arithmetic is exact over the
-integers via truncated multivariate Laurent series.
+and cross-checks them against each other.  The enumeration serves every
+shape ``(v, w)``; the closed forms, and the CLI, cover only those two.  All
+arithmetic is exact over the integers via truncated multivariate Laurent
+series.
 
 Layout:
 

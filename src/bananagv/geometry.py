@@ -17,8 +17,18 @@ read off that lattice by one walk:
   four branches leaving the B edge (NE, N, S, SW, by the direction of
   departure) read these pairs with the diagonal or the horizontal first.
 
-Only the shapes with closed-form product formulas, ``(1, w)`` and ``(2, 2)``,
-are offered, so that every enumeration has a second route to check it.
+Every function here accepts every shape ``(v, w)``.  Only ``(1, w)`` and
+``(2, 2)`` have closed-form product formulas, so only there does the
+enumeration have an independent second route;
+:func:`bananagv.gvpf.pf_for_shape` alone decides which shapes those are, and
+the CLI offers only them.  On the other shapes nothing independent checks
+these tables.  What checks the walk there are two identities that hold by
+its construction, tested on every shape with ``v, w <= 4``: sending every
+``s_j`` to ``s`` turns the twisted enumeration of VxW into ``lcm(v, w) / w``
+copies of the ``1xW`` closed form, and exchanging r and s turns VxW into
+WxV.  They exercise the lcm period, the r indices mod w and the s indices
+mod v, and tie every shape to the ``1xW`` closed form; they are not a second
+route for the other shapes.
 """
 from __future__ import annotations
 
@@ -38,8 +48,10 @@ __all__ = [
 
 
 class BananaShape(namedtuple("BananaShape", "v w")):
-    """Shape parameters of the configuration; only (1, w) and (2, 2) are
-    supported, being the shapes with closed forms."""
+    """Shape parameters ``(v, w)`` of the configuration, any positive ints.
+
+    The enumeration serves every shape; the closed forms, and with them the
+    CLI, cover ``(1, w)`` and ``(2, 2)``."""
 
     __slots__ = ()
 
@@ -48,10 +60,6 @@ class BananaShape(namedtuple("BananaShape", "v w")):
             if _as_int(value, f"shape parameter {name}") < 1:
                 raise ValueError(f"shape parameter {name} must be at least 1")
         return super().__new__(cls, v, w)
-
-    @property
-    def supported(self) -> bool:
-        return self.v == 1 or (self.v, self.w) == (2, 2)
 
     def __str__(self) -> str:
         return f"{self.v}x{self.w}"
@@ -107,20 +115,13 @@ def _s(shape: BananaShape, j: int) -> str:
 def registry_for(shape: BananaShape) -> VariableRegistry:
     """Tracking variables of the shape, in canonical output order:
     ``r0 ... r_{w-1}``, then ``s0 ... s_{v-1}`` (a lone ``s`` when v = 1)."""
-    _require_supported(shape)
     names = [_r(shape, i) for i in range(shape.w)] + [_s(shape, j) for j in range(shape.v)]
     return VariableRegistry(tuple(names))
-
-
-def _require_supported(shape: BananaShape):
-    if not shape.supported:
-        raise ValueError(f"no configuration tables for shape {shape}")
 
 
 def b_locations(shape: BananaShape) -> list[int]:
     """Inequivalent positions of the distinguished degree-1 B edge: the
     residues mod ``lcm(v, w)`` (w for ``(1, w)``, two for ``(2, 2)``)."""
-    _require_supported(shape)
     return list(range(lcm(shape.v, shape.w)))
 
 

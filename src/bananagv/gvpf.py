@@ -136,7 +136,10 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
 
 
 def pf_for_shape(shape: BananaShape, N: int) -> TruncatedSeries:
-    """Dispatch to the closed form for a supported shape."""
+    """The closed form of a shape, and the one place that decides which
+    shapes have one: ``(1, w)`` and ``(2, 2)``.  The enumeration serves every
+    shape, but any other shape raises here, so ``cross_check`` and
+    ``gv_table`` refuse it before enumerating anything."""
     if (shape.v, shape.w) == (2, 2):
         return pf_22(N)
     if shape.v == 1:

@@ -298,10 +298,9 @@ class TruncatedSeries:
     weighted degree above ``order`` are dropped (the latter lie in the
     unknown region and may not be reported).  Coefficients, exponents and
     the order must be ``int``; a stored exponent must have ``|e| < 2**15``.
-    Do not mutate ``terms``.
     """
 
-    __slots__ = ("registry", "order", "floor", "_slices", "_emax", "_terms")
+    __slots__ = ("registry", "order", "floor", "_slices", "_emax")
 
     def __init__(self, registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int):
         order = _as_int(order, "order")
@@ -347,7 +346,6 @@ class TruncatedSeries:
         # and must never be mutated once adopted
         object.__setattr__(self, "_slices", slices)
         object.__setattr__(self, "_emax", emax)
-        object.__setattr__(self, "_terms", None)
 
     def _exact_emax(self) -> int:
         """The largest stored ``|exponent|``, read off the keys; it replaces
@@ -358,12 +356,9 @@ class TruncatedSeries:
 
     @property
     def terms(self) -> dict[ExponentVector, int]:
-        """All stored terms as one flat dict, built on first use."""
-        if self._terms is None:
-            unpack = self.registry._packing.unpack
-            terms = {unpack(k): c for s in self._slices.values() for k, c in s.items()}
-            object.__setattr__(self, "_terms", terms)
-        return self._terms
+        """All stored terms as one flat dict, a new one on every call."""
+        unpack = self.registry._packing.unpack
+        return {unpack(k): c for s in self._slices.values() for k, c in s.items()}
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("TruncatedSeries is immutable")

@@ -1,4 +1,6 @@
 """Tests for shapes, registries, B locations, and branch tables."""
+from math import lcm
+
 import pytest
 
 from bananagv.geometry import (
@@ -9,15 +11,14 @@ from bananagv.geometry import (
     parse_shape,
     registry_for,
 )
+from bananagv.gvpf import pf_1w
+from bananagv.oracle import behrend_twist, naive_pf
 
 TWO = BananaShape(2, 2)
 
 
 def test_shape_basics():
     assert str(TWO) == "2x2"
-    assert TWO.supported and BananaShape(1, 1).supported
-    assert not BananaShape(2, 3).supported
-    assert not BananaShape(3, 1).supported
     with pytest.raises(ValueError, match="shape parameter v must be at least 1"):
         BananaShape(0, 2)
     with pytest.raises(ValueError, match="shape parameter w must be at least 1"):
@@ -52,17 +53,17 @@ def test_registries():
     assert registry_for(TWO).names == ("r0", "r1", "s0", "s1")
     assert registry_for(BananaShape(1, 3)).names == ("r0", "r1", "r2", "s")
     assert all(w == 1 for w in registry_for(TWO).weights)
-    with pytest.raises(ValueError):
-        registry_for(BananaShape(2, 5))
+    assert registry_for(BananaShape(2, 5)).names == (
+        "r0", "r1", "r2", "r3", "r4", "s0", "s1"
+    )
 
 
 def test_b_locations():
     assert b_locations(TWO) == [0, 1]
     assert b_locations(BananaShape(1, 4)) == [0, 1, 2, 3]
     assert b_locations(BananaShape(1, 1)) == [0]
-    for unsupported in (BananaShape(2, 3), BananaShape(3, 3)):
-        with pytest.raises(ValueError):
-            b_locations(unsupported)
+    assert b_locations(BananaShape(2, 3)) == [0, 1, 2, 3, 4, 5]
+    assert b_locations(BananaShape(3, 3)) == [0, 1, 2]
 
 
 # ----------------------------------------------------------- branch specs
@@ -124,9 +125,8 @@ def test_branch_specs_reject_bad_locations():
         branch_specs(TWO, 2)
     with pytest.raises(ValueError):
         branch_specs(BananaShape(1, 3), -1)
-    for unsupported in (BananaShape(2, 3), BananaShape(3, 3)):
-        with pytest.raises(ValueError):
-            branch_specs(unsupported, 0)
+    with pytest.raises(ValueError, match="invalid B location 6 for shape 2x3"):
+        branch_specs(BananaShape(2, 3), 6)
     # 1.0 and True compare equal to valid locations; 1.0 would make the
     # labels r1.0 and r0.0, which are not registry names
     for bad in (1.0, True):
@@ -139,3 +139,43 @@ def test_branch_period_matches_shape():
     for w in (1, 2, 3):
         assert all(b.period == 2 * w for b in branch_specs(BananaShape(1, w), 0))
 
+
+# ------------------------------------------- identities of the walk, all shapes
+
+SHAPES = [BananaShape(v, w) for v in range(1, 5) for w in range(1, 5)]
+
+
+def _s(j, v):
+    """Name of s_j on a shape with v diagonal variables; a lone s is s_0."""
+    return "s" if v == 1 else f"s{j}"
+
+
+def _renamed(series, target, rename):
+    images = {a: target.exps(**{b: 1}) for a, b in rename.items()}
+    return series.substitute_monomials(target, images)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_enumeration_with_one_s_covers_the_1xw_closed_form(shape):
+    """Sending every s_j to s folds location k of VxW onto location k mod w
+    of 1xW, so the twisted enumeration becomes lcm(v, w) / w copies of the
+    1xW closed form.  This checks the lcm period and the r indices mod w on
+    every shape, against a formula the walk does not build."""
+    v, w = shape
+    want = lcm(v, w) // w * pf_1w(w, 8)
+    rename = {f"r{i}": f"r{i}" for i in range(w)} | {_s(j, v): "s" for j in range(v)}
+    twisted = behrend_twist(naive_pf(shape, 8))
+    assert _renamed(twisted, want.registry, rename) == want
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_enumeration_exchanges_r_and_s_between_vxw_and_wxv(shape):
+    """Sending r_i to s_i and s_j to r_j turns the branches of VxW into
+    those of WxV (NE and N trade places, and so do S and SW), so the
+    twisted enumerations agree.  This checks the s indices mod v against
+    the r indices mod w."""
+    v, w = shape
+    mirror = behrend_twist(naive_pf(BananaShape(w, v), 8))
+    rename = {f"r{i}": _s(i, w) for i in range(w)} | {_s(j, v): f"r{j}" for j in range(v)}
+    twisted = behrend_twist(naive_pf(shape, 8))
+    assert _renamed(twisted, mirror.registry, rename) == mirror

@@ -171,11 +171,16 @@ def test_pf_1w_validation():
             pf_1w(2, bad)
 
 
-def test_pf_for_shape_dispatch():
+def test_pf_for_shape_dispatch(monkeypatch):
     assert pf_for_shape(TWO, 3) == pf_22(3)
     assert pf_for_shape(BananaShape(1, 2), 3) == pf_1w(2, 3)
-    with pytest.raises(ValueError):
-        pf_for_shape(BananaShape(2, 3), 3)
+    # the enumeration serves these shapes, but the closed form refuses them
+    # before any enumeration runs
+    monkeypatch.setattr(gvpf, "naive_pf", None)
+    for shape in (BananaShape(2, 3), BananaShape(3, 1)):
+        for call in (pf_for_shape, cross_check, gv_table):
+            with pytest.raises(ValueError, match=f"no closed form for shape {shape}"):
+                call(shape, 3)
 
 
 # ------------------------------------------------------- cover identities

@@ -59,6 +59,15 @@ def test_constructor_drops_zero_coefficients_and_truncates():
     assert s.floor == 0
 
 
+def test_terms_hands_out_a_copy():
+    x = polynomial(XY, {(0, 0): 1, (1, 0): 2}, 3)
+    x.terms[(0, 0)] = 5
+    x.terms[(0, 1)] = 7
+    assert x.terms == {(0, 0): 1, (1, 0): 2}
+    assert x.coefficient((0, 0)) == 1
+    assert x == polynomial(XY, {(0, 0): 1, (1, 0): 2}, 3)
+
+
 @pytest.mark.parametrize(
     "build_bad",
     [
