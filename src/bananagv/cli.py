@@ -12,6 +12,12 @@ term order, canonical JSON separators), and the JSON document round-trips:
 Coefficients are serialized as decimal strings so arbitrary-precision values
 survive any JSON reader.
 
+``compute`` writes its table as it goes: the head (shape, order and
+variables), then one coefficient row at a time, then the close, so the
+output is never held as one document or one string.  The table itself is
+built in full before the first write, so an ``InvariantError`` leaves
+standard output empty.
+
 Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
 when a computation breaks an internal invariant (``InvariantError``); the
 last prints one line on standard error.
@@ -81,27 +87,34 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
             raise ValueError(f"width must be at most {MAX_W}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own skips __new__, and so would _replace, which calls it
+        return cls(*iterable)
+
     def banana_shape(self) -> BananaShape:
         return parse_shape(self.shape, self.w)
 
 
-def _serialize_json(config: RunConfig, shape: BananaShape, table) -> str:
-    doc: dict = {"shape": config.shape}
+def _write_json(out: IO[str], config: RunConfig, shape: BananaShape, table) -> None:
+    head: dict = {"shape": config.shape}
     if shape.v == 1:
-        doc["w"] = shape.w
-    doc["order"] = table.order
-    doc["variables"] = list(registry_for(shape).names)
-    doc["coefficients"] = [
-        {"exponents": list(exps), "value": str(value)} for exps, value in table.entries
-    ]
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _serialize_csv(shape: BananaShape, table) -> str:
-    lines = [",".join(registry_for(shape).names) + ",value"]
+        head["w"] = shape.w
+    head["order"] = table.order
+    head["variables"] = list(registry_for(shape).names)
+    # the head without its closing brace, then one row at a time
+    out.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"coefficients":[')
+    sep = ""
     for exps, value in table.entries:
-        lines.append(",".join(str(e) for e in exps) + f",{value}")
-    return "\n".join(lines) + "\n"
+        out.write(f'{sep}{{"exponents":[{",".join(map(str, exps))}],"value":"{value}"}}')
+        sep = ","
+    out.write("]}\n")
+
+
+def _write_csv(out: IO[str], shape: BananaShape, table) -> None:
+    out.write(",".join(registry_for(shape).names) + ",value\n")
+    for exps, value in table.entries:
+        out.write(f"{','.join(map(str, exps))},{value}\n")
 
 
 def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = None) -> int:
@@ -113,9 +126,9 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
         shape = config.banana_shape()
         table = gv_table(shape, config.order)
         if config.fmt == "json":
-            out.write(_serialize_json(config, shape, table))
+            _write_json(out, config, shape, table)
         else:
-            out.write(_serialize_csv(shape, table))
+            _write_csv(out, shape, table)
         return 0
     if config.command == "verify":
         checks = check_identities(config.order)

@@ -61,6 +61,11 @@ class BananaShape(namedtuple("BananaShape", "v w")):
                 raise ValueError(f"shape parameter {name} must be at least 1")
         return super().__new__(cls, v, w)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own skips __new__, and so would _replace, which calls it
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"{self.v}x{self.w}"
 
@@ -98,6 +103,11 @@ class BranchSpec(namedtuple("BranchSpec", "direction labels")):
         if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
             raise ValueError("labels must alternate between r- and s-variables")
         return super().__new__(cls, direction, labels)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own skips __new__, and so would _replace, which calls it
+        return cls(*iterable)
 
     @property
     def period(self) -> int:

@@ -776,13 +776,14 @@ def _add_square(acc: Slice, a: Slice, scale: int) -> None:
 
 
 def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
-    """Drop zero coefficients, then empty slices."""
-    out = {}
-    for d, s in slices.items():
-        s = {e: c for e, c in s.items() if c}
-        if s:
-            out[d] = s
-    return out
+    """Delete zero coefficients, then empty slices, in place; returns
+    ``slices``.  Callers pass fresh accumulators that nothing else holds."""
+    for d, s in list(slices.items()):
+        for e in [e for e, c in s.items() if not c]:
+            del s[e]
+        if not s:
+            del slices[d]
+    return slices
 
 
 def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slice:

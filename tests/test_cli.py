@@ -13,6 +13,8 @@ import pytest
 import bananagv
 from bananagv import gvpf
 from bananagv.cli import RunConfig, main, run
+from bananagv.geometry import registry_for
+from bananagv.gvpf import gv_table
 from bananagv.series import InvariantError
 
 REFERENCE = json.loads(
@@ -95,6 +97,42 @@ def test_json_output_is_deterministic_and_round_trips():
     _, second, _ = invoke(args)
     assert first == second
     assert json.dumps(json.loads(first), separators=(",", ":")) == first.strip()
+
+
+def _whole_document_json(config, shape, table):
+    doc = {"shape": config.shape}
+    if shape.v == 1:
+        doc["w"] = shape.w
+    doc["order"] = table.order
+    doc["variables"] = list(registry_for(shape).names)
+    doc["coefficients"] = [
+        {"exponents": list(exps), "value": str(value)} for exps, value in table.entries
+    ]
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _whole_document_csv(config, shape, table):
+    lines = [",".join(registry_for(shape).names) + ",value"]
+    for exps, value in table.entries:
+        lines.append(",".join(str(e) for e in exps) + f",{value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "shape,w,top",
+    [("1xW", w, 8) for w in range(1, 7)] + [("2x2", None, 12)],
+    ids=[f"1x{w}" for w in range(1, 7)] + ["2x2"],
+)
+def test_streamed_tables_match_the_whole_document_serializers(shape, w, top):
+    # ``run`` writes row by row; the reference builds each document whole
+    for order in range(top + 1):
+        for fmt, reference in (("json", _whole_document_json), ("csv", _whole_document_csv)):
+            config = RunConfig("compute", order, shape, w, fmt)
+            banana = config.banana_shape()
+            out = io.StringIO()
+            assert run(config, out=out) == 0
+            expected = reference(config, banana, gv_table(banana, order))
+            assert out.getvalue() == expected, (order, fmt)
 
 
 def test_module_entry_point_matches_in_process_output():
@@ -247,6 +285,18 @@ def test_run_config_validation():
         RunConfig("verify", 3, None, 9)
 
 
+def test_replace_and_make_validate_run_configs():
+    # namedtuple's own _make, which _replace calls, skips __new__
+    config = RunConfig("compute", 3, "2x2")
+    assert config._replace(order=32).order == 32
+    with pytest.raises(ValueError, match="order must be at most 32 for compute"):
+        config._replace(order=10**6)
+    with pytest.raises(ValueError, match="verify takes no shape"):
+        config._replace(command="verify")
+    with pytest.raises(ValueError, match="width must be at most 6"):
+        RunConfig._make(("crosscheck", 3, "1xW", 7, "json"))
+
+
 def test_run_config_order_and_width_must_be_ints():
     for bad in (3.0, True):
         with pytest.raises(TypeError, match="order must be an int"):
@@ -260,12 +310,14 @@ def test_main_returns_zero_on_success(capsys):
     capsys.readouterr()
 
 
-def test_invariant_violation_exits_3_with_one_line(monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_invariant_violation_exits_3_with_one_line(fmt, monkeypatch, capsys):
     def broken(w, N):
         raise InvariantError("constant term must count the B locations")
 
     monkeypatch.setattr(gvpf, "pf_1w", broken)
-    assert main(["compute", "--shape", "1xW", "--w", "2", "--order", "3"]) == 3
+    argv = ["compute", "--shape", "1xW", "--w", "2", "--order", "3", "--format", fmt]
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1

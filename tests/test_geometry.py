@@ -36,6 +36,15 @@ def test_shape_parameters_must_be_ints():
             parse_shape("1xW", w=bad)
 
 
+def test_replace_and_make_validate_shapes():
+    # namedtuple's own _make, which _replace calls, skips __new__
+    assert TWO._replace(w=3) == BananaShape(2, 3)
+    with pytest.raises(ValueError, match="shape parameter v must be at least 1"):
+        BananaShape._make((0, -1))
+    with pytest.raises(ValueError, match="shape parameter w must be at least 1"):
+        TWO._replace(w=0)
+
+
 def test_parse_shape():
     assert parse_shape("2x2") == TWO
     assert parse_shape("1xW", w=3) == BananaShape(1, 3)
@@ -80,6 +89,15 @@ def test_branch_spec_validation():
         BranchSpec("NE", ("r0", "r1"))
     with pytest.raises(ValueError):
         BranchSpec("NE", ("", "r0"))
+
+
+def test_replace_and_make_validate_branch_specs():
+    spec = BranchSpec("NE", ("s", "r"))
+    assert spec._replace(labels=("r0", "s0")).period == 2
+    with pytest.raises(ValueError, match="positive even"):
+        spec._replace(labels=())
+    with pytest.raises(ValueError, match="alternate"):
+        BranchSpec._make(("NE", ("r0", "r1")))
 
 
 def test_2x2_branch_tables():
