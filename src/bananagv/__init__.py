@@ -18,12 +18,33 @@ Layout:
 * :mod:`bananagv.oracle` — enumerative route (naive counts + sign twist).
 * :mod:`bananagv.gvpf` — the closed forms and the cross-check engine.
 * :mod:`bananagv.cli` — ``python -m bananagv`` front end.
+
+``import bananagv`` loads :mod:`bananagv.series` and nothing else of the
+package; every other public name is imported from its home module on first
+access, so a command loads only the modules it runs.  ``series`` is loaded
+first because it is the largest module: compiled from source on the smallest
+heap, it sets a lower peak memory than after the CLI and ``argparse``.
 """
-from .geometry import BananaShape, BranchSpec, parse_shape
-from .gvpf import CrossCheckReport, GVTable, cross_check, gv_table, pf_1w, pf_22, pf_22_theta
-from .oracle import behrend_twist, naive_pf
-from .qseries import check_identities, elliptic_genus_c2, jacobi_phi
 from .series import InvariantError, TruncatedSeries, VariableRegistry
+
+#: Home module of each public name that is imported on first access.
+_LAZY = {
+    "BananaShape": "geometry",
+    "BranchSpec": "geometry",
+    "parse_shape": "geometry",
+    "CrossCheckReport": "gvpf",
+    "GVTable": "gvpf",
+    "cross_check": "gvpf",
+    "gv_table": "gvpf",
+    "pf_1w": "gvpf",
+    "pf_22": "gvpf",
+    "pf_22_theta": "gvpf",
+    "behrend_twist": "oracle",
+    "naive_pf": "oracle",
+    "check_identities": "qseries",
+    "elliptic_genus_c2": "qseries",
+    "jacobi_phi": "qseries",
+}
 
 __all__ = [
     "BananaShape",
@@ -47,3 +68,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -35,21 +35,27 @@ and the format; ``verify`` refuses a shape or a width, and ``compute`` and
 :func:`parse_shape` refuses an unknown or missing selector and a missing or
 stray ``--w``, :class:`BananaShape` refuses a width that is not an int or
 is below 1, and the cap is applied to the parsed width.  ``main`` turns a
-``ValueError`` from the constructor into a usage error, so every
+``ValueError`` from the constructor into a usage error, printed under the
+subcommand's usage line as ``argparse``'s own errors are, so every
 ``RunConfig`` that ``run`` receives is valid.
+
+Each subcommand imports only the modules it runs, inside the function that
+runs it: ``verify`` loads :mod:`bananagv.qseries`; ``compute`` and
+``crosscheck`` load :mod:`bananagv.geometry` to parse their shape and
+:mod:`bananagv.gvpf` (with ``qseries`` and ``oracle``) to run; only
+``compute --format json`` loads ``json``.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from .geometry import BananaShape, parse_shape, registry_for
-from .gvpf import cross_check, gv_table
-from .qseries import check_identities
 from .series import InvariantError, _as_order
+
+if TYPE_CHECKING:
+    from .geometry import BananaShape
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -93,10 +99,16 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
         return cls(*iterable)
 
     def banana_shape(self) -> BananaShape:
+        from .geometry import parse_shape
+
         return parse_shape(self.shape, self.w)
 
 
 def _write_json(out: IO[str], config: RunConfig, shape: BananaShape, table) -> None:
+    import json
+
+    from .geometry import registry_for
+
     head: dict = {"shape": config.shape}
     if shape.v == 1:
         head["w"] = shape.w
@@ -112,6 +124,8 @@ def _write_json(out: IO[str], config: RunConfig, shape: BananaShape, table) -> N
 
 
 def _write_csv(out: IO[str], shape: BananaShape, table) -> None:
+    from .geometry import registry_for
+
     out.write(",".join(registry_for(shape).names) + ",value\n")
     for exps, value in table.entries:
         out.write(f"{','.join(map(str, exps))},{value}\n")
@@ -123,6 +137,8 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     if config.command == "compute":
+        from .gvpf import gv_table
+
         shape = config.banana_shape()
         table = gv_table(shape, config.order)
         if config.fmt == "json":
@@ -131,6 +147,8 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
             _write_csv(out, shape, table)
         return 0
     if config.command == "verify":
+        from .qseries import check_identities
+
         checks = check_identities(config.order)
         for check in checks:
             out.write(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}\n")
@@ -139,6 +157,8 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
             err.write(f"{len(failed)} identity check(s) failed\n")
             return 1
         return 0
+    from .gvpf import cross_check
+
     report = cross_check(config.banana_shape(), config.order)
     out.write(("PASS " if report.passed else "FAIL ") + report.describe() + "\n")
     return 0 if report.passed else 1
@@ -163,12 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the q-series identity suite")
     verify.add_argument("--order", type=int, required=True, help="q-order of the checks")
+    for p in sub.choices.values():
+        # main reports what RunConfig refuses under the subcommand's usage line
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         config = RunConfig(
             command=ns.command,
@@ -178,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
             fmt=getattr(ns, "format", "json"),
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        ns.command_parser.error(str(exc))
     try:
         return run(config)
     except InvariantError as exc:

@@ -1,6 +1,9 @@
-"""Tests for the command-line front end: formats, determinism, exit codes."""
+"""Tests for the command-line front end: formats, determinism, exit codes,
+and the modules each entry point loads."""
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -136,19 +139,17 @@ def test_streamed_tables_match_the_whole_document_serializers(shape, w, top):
 
 
 def test_module_entry_point_matches_in_process_output():
-    args = ["compute", "--shape", "2x2", "--order", "1"]
-    _, expected, _ = invoke(args)
-    assert run_child(["-m", "bananagv", *args]).stdout == expected
-
-
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up on every run; compared against the modules the
-    # child had loaded before the import, whatever its ``site`` brought in
-    probe = (
-        "import sys; before = set(sys.modules); import bananagv.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
-    assert run_child(["-c", probe]).stdout == "[]\n"
+    # a fresh interpreter imports each subcommand's modules itself, so an
+    # import that went missing from ``cli`` fails here and not in process
+    for args in (
+        ["compute", "--shape", "2x2", "--order", "1"],
+        ["compute", "--shape", "1xW", "--w", "2", "--order", "5", "--format", "csv"],
+        ["crosscheck", "--shape", "1xW", "--w", "2", "--order", "6"],
+        ["verify", "--order", "4"],
+    ):
+        code, expected, _ = invoke(args)
+        child = run_child(["-m", "bananagv", *args])
+        assert (child.returncode, child.stdout) == (code, expected), args
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE["calls"]))
@@ -158,6 +159,98 @@ def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
     out = capsys.readouterr().out.encode()
     assert len(out) == call["bytes"]
     assert hashlib.sha256(out).hexdigest() == call["sha256"]
+
+
+# ------------------------------------------------ what each entry point loads
+
+# ``site`` preloads different modules on each Python, so only the package's
+# modules and these are compared; ``dataclasses`` and ``inspect`` would cost
+# start-up on every run, and ``json`` on every run but ``compute``'s JSON
+WATCHED = ("bananagv", "json", "dataclasses", "inspect")
+
+CORE = ["bananagv", "bananagv.series"]
+ENGINE = ["bananagv.geometry", "bananagv.gvpf", "bananagv.oracle", "bananagv.qseries"]
+RUN_MAIN = (
+    "import runpy; sys.argv = ['bananagv', {}]\n"
+    "try: runpy.run_module('bananagv', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit: pass"
+)
+
+
+@pytest.mark.parametrize(
+    "code,expected",
+    [
+        ("import bananagv", CORE),
+        ("import bananagv.cli", CORE + ["bananagv.cli"]),
+        (
+            RUN_MAIN.format("'verify', '--order', '4'"),
+            CORE + ["bananagv.cli", "bananagv.qseries"],
+        ),
+        (
+            RUN_MAIN.format("'crosscheck', '--shape', '1xW', '--w', '1', '--order', '3'"),
+            CORE + ["bananagv.cli"] + ENGINE,
+        ),
+        (
+            RUN_MAIN.format("'compute', '--shape', '2x2', '--order', '1', '--format', 'csv'"),
+            CORE + ["bananagv.cli"] + ENGINE,
+        ),
+    ],
+    ids=["import bananagv", "import bananagv.cli", "verify", "crosscheck", "compute csv"],
+)
+def test_each_entry_point_loads_only_the_modules_it_runs(code, expected):
+    # compared against the modules the child had loaded before ``code``
+    probe = (
+        f"import sys\nbefore = set(sys.modules)\n{code}\n"
+        f"sys.stderr.write(repr(sorted(m for m in set(sys.modules) - before "
+        f"if m.split('.')[0] in {WATCHED!r})))"
+    )
+    assert run_child(["-c", probe]).stderr == repr(sorted(expected))
+
+
+def test_every_public_name_is_its_home_modules_object():
+    homes = {
+        "series": ["InvariantError", "TruncatedSeries", "VariableRegistry"],
+        "geometry": ["BananaShape", "BranchSpec", "parse_shape"],
+        "gvpf": ["CrossCheckReport", "GVTable", "cross_check", "gv_table", "pf_1w", "pf_22",
+                 "pf_22_theta"],
+        "oracle": ["behrend_twist", "naive_pf"],
+        "qseries": ["check_identities", "elliptic_genus_c2", "jacobi_phi"],
+    }
+    assert sorted(n for names in homes.values() for n in names) == sorted(bananagv.__all__)
+    for module, names in homes.items():
+        home = importlib.import_module(f"bananagv.{module}")
+        for name in names:
+            assert getattr(bananagv, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir_cover_the_public_names():
+    namespace: dict = {}
+    exec("from bananagv import *", namespace)
+    assert set(bananagv.__all__) <= set(namespace)
+    assert set(bananagv.__all__) <= set(dir(bananagv))
+    assert {"__version__", "series"} <= set(dir(bananagv))
+
+
+def test_an_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'bananagv' has no attribute 'frobnicate'"):
+        bananagv.frobnicate
+
+
+def test_from_import_still_loads_a_submodule():
+    probe = "from bananagv import gvpf; print(gvpf.__name__, gvpf.gv_table.__name__)"
+    assert run_child(["-c", probe]).stdout == "bananagv.gvpf gv_table\n"
+
+
+def test_version_is_a_literal_that_needs_no_import():
+    # ``pyproject.toml`` reads it with ``attr =``, which parses the source
+    tree = ast.parse(Path(bananagv.__file__).read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+    ]
+    assert ast.literal_eval(value) == bananagv.__version__
 
 
 # ------------------------------------------------------- verify, crosscheck
@@ -215,6 +308,19 @@ def test_usage_errors_exit_2(argv, capsys):
 def test_bad_shapes_are_refused_at_construction(args):
     with pytest.raises(ValueError):
         RunConfig(*args)
+
+
+def test_usage_errors_after_parsing_print_the_subcommands_usage_line(capsys):
+    # as argparse's own errors do, not the top-level ``bananagv {compute,...}``
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--shape", "2X2", "--order", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bananagv compute [-h] --shape")
+    assert "bananagv compute: error: unknown shape selector '2X2'" in err
+    with pytest.raises(SystemExit):
+        main(["verify", "--order", "0"])
+    assert capsys.readouterr().err.startswith("usage: bananagv verify [-h] --order ORDER\n")
 
 
 def test_zero_width_is_a_usage_error(capsys):
