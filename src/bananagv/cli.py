@@ -4,7 +4,8 @@ Three subcommands, all writing to standard output:
 
 * ``compute``: emit the invariant table of a shape as JSON (default) or CSV.
 * ``verify``: run the q-series identity suite at a given order.
-* ``crosscheck``: compare closed form and sign-twisted enumeration.
+* ``crosscheck``: compare the closed form (on ``2x2`` both of its routes)
+  with the sign-twisted enumeration.
 
 Output for a fixed invocation is byte-deterministic (canonical graded-lex
 term order, canonical JSON separators), and the JSON document round-trips:
@@ -22,28 +23,33 @@ Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
 when a computation breaks an internal invariant (``InvariantError``); the
 last prints one line on standard error.
 
-Inputs are capped so that every accepted run finishes: ``--order`` at most 32
-for ``compute`` and ``crosscheck`` and at most 256 for ``verify``, and
-``--w`` at most 6.  Larger values are a usage error.  The README's "Command
-line" section records the time and peak memory of runs at the caps.
+Inputs are capped so that every accepted run finishes.  ``MAX_ORDER`` is
+the one table of ``--order`` caps, keyed by command and shape: 64 for
+``compute --shape 2x2``, which runs the theta form, 32 for ``compute
+--shape 1xW`` and for ``crosscheck`` on both shapes (``2x2``'s is set by
+the square-root route it also checks), and 256 for ``verify``.  ``--w`` is
+at most 6.  Larger values are a usage error.  The README's "Command line"
+section records the time and peak memory of runs at the caps.
 
 Each input is checked in one place.  ``argparse`` refuses an unknown
 subcommand and a missing or non-integer option.  ``RunConfig`` checks the
-rest when it is constructed: the command, the order's type, sign and cap,
-and the format; ``verify`` refuses a shape or a width, and ``compute`` and
+rest when it is constructed: the command, the order's type and sign, and
+the format; ``verify`` refuses a shape or a width, and ``compute`` and
 ``crosscheck`` parse theirs through :meth:`RunConfig.banana_shape`.  There
 :func:`parse_shape` refuses an unknown or missing selector and a missing or
 stray ``--w``, :class:`BananaShape` refuses a width that is not an int or
-is below 1, and the cap is applied to the parsed width.  ``main`` turns a
-``ValueError`` from the constructor into a usage error, printed under the
-subcommand's usage line as ``argparse``'s own errors are, so every
-``RunConfig`` that ``run`` receives is valid.
+is below 1, and the caps are applied to the parsed width and then, by
+command and shape, to the order.  ``main`` turns a ``ValueError`` from the
+constructor into a usage error, printed under the subcommand's usage line
+as ``argparse``'s own errors are, so every ``RunConfig`` that ``run``
+receives is valid.
 
 Each subcommand imports only the modules it runs, inside the function that
 runs it: ``verify`` loads :mod:`bananagv.qseries`; ``compute`` and
 ``crosscheck`` load :mod:`bananagv.geometry` to parse their shape and
-:mod:`bananagv.gvpf` (with ``qseries`` and ``oracle``) to run; only
-``compute --format json`` loads ``json``.
+:mod:`bananagv.gvpf` (with ``qseries`` and ``oracle``) to run.  No
+subcommand loads ``json``: ``compute`` writes its JSON head by hand, as it
+writes every row.
 """
 from __future__ import annotations
 
@@ -59,8 +65,15 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
-#: Largest accepted ``--order`` per command (see the module docstring).
-MAX_ORDER = {"compute": 32, "crosscheck": 32, "verify": 256}
+#: Largest accepted ``--order`` per command and shape selector (see the
+#: module docstring); ``verify`` takes no shape.
+MAX_ORDER = {
+    ("compute", "2x2"): 64,
+    ("compute", "1xW"): 32,
+    ("crosscheck", "2x2"): 32,
+    ("crosscheck", "1xW"): 32,
+    ("verify", None): 256,
+}
 
 #: Largest accepted ``--w``.
 MAX_W = 6
@@ -81,8 +94,6 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
         order = _as_order(order)
         if command == "verify" and order < 1:
             raise ValueError("order must be at least 1 for verify")
-        if order > MAX_ORDER[command]:
-            raise ValueError(f"order must be at most {MAX_ORDER[command]} for {command}")
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
         self = super().__new__(cls, command, order, shape, w, fmt)
@@ -91,6 +102,11 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
                 raise ValueError("verify takes no shape")
         elif self.banana_shape().w > MAX_W:
             raise ValueError(f"width must be at most {MAX_W}")
+        # the shape is parsed by now, so ``shape`` is a key of the table
+        cap = MAX_ORDER[command, shape]
+        if order > cap:
+            where = "" if shape is None else f" --shape {shape}"
+            raise ValueError(f"order must be at most {cap} for {command}{where}")
         return self
 
     @classmethod
@@ -105,17 +121,16 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
 
 
 def _write_json(out: IO[str], config: RunConfig, shape: BananaShape, table) -> None:
-    import json
-
     from .geometry import registry_for
 
-    head: dict = {"shape": config.shape}
-    if shape.v == 1:
-        head["w"] = shape.w
-    head["order"] = table.order
-    head["variables"] = list(registry_for(shape).names)
-    # the head without its closing brace, then one row at a time
-    out.write(json.dumps(head, separators=(",", ":"))[:-1] + ',"coefficients":[')
+    # the head holds ints, the parsed selector and variable names such as
+    # ``r0``, none of which needs escaping; then one row at a time
+    w = f',"w":{shape.w}' if shape.v == 1 else ""
+    names = ",".join(f'"{name}"' for name in registry_for(shape).names)
+    out.write(
+        f'{{"shape":"{config.shape}"{w},"order":{table.order},'
+        f'"variables":[{names}],"coefficients":['
+    )
     sep = ""
     for exps, value in table.entries:
         out.write(f'{sep}{{"exponents":[{",".join(map(str, exps))}],"value":"{value}"}}')

@@ -18,7 +18,7 @@ from bananagv import gvpf
 from bananagv.cli import RunConfig, main, run
 from bananagv.geometry import registry_for
 from bananagv.gvpf import gv_table
-from bananagv.series import InvariantError
+from bananagv.series import InvariantError, polynomial
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
@@ -152,6 +152,26 @@ def test_module_entry_point_matches_in_process_output():
         assert (child.returncode, child.stdout) == (code, expected), args
 
 
+# sha256 and byte length of ``compute --shape 2x2 --order 32`` as the
+# square-root route wrote it, before ``compute`` served the theta form
+ORDER_32_2X2 = {
+    "json": ("20ee34aade7ed37c63678fbc095dea44caf70bfc455a3b48093d614f1ff31536", 211454),
+    "csv": ("84b0d67b55f535d64db4901206e0916522286d4c49775065c3aa059cafd2553e", 71904),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ORDER_32_2X2))
+def test_compute_2x2_serves_the_theta_form_with_the_square_root_bytes(fmt, monkeypatch):
+    def square_root_route(N):
+        raise AssertionError("compute reached pf_22")
+
+    monkeypatch.setattr(gvpf, "pf_22", square_root_route)
+    out = io.StringIO()
+    assert run(RunConfig("compute", 32, "2x2", fmt=fmt), out=out) == 0
+    data = out.getvalue().encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == ORDER_32_2X2[fmt]
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE["calls"]))
 def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
     call = REFERENCE["calls"][name]
@@ -164,8 +184,8 @@ def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
 # ------------------------------------------------ what each entry point loads
 
 # ``site`` preloads different modules on each Python, so only the package's
-# modules and these are compared; ``dataclasses`` and ``inspect`` would cost
-# start-up on every run, and ``json`` on every run but ``compute``'s JSON
+# modules and these are compared; each would cost start-up on every run, and
+# no entry point loads any of them (``compute`` writes its JSON by hand)
 WATCHED = ("bananagv", "json", "dataclasses", "inspect")
 
 CORE = ["bananagv", "bananagv.series"]
@@ -194,8 +214,15 @@ RUN_MAIN = (
             RUN_MAIN.format("'compute', '--shape', '2x2', '--order', '1', '--format', 'csv'"),
             CORE + ["bananagv.cli"] + ENGINE,
         ),
+        (
+            RUN_MAIN.format("'compute', '--shape', '1xW', '--w', '2', '--order', '1'"),
+            CORE + ["bananagv.cli"] + ENGINE,
+        ),
     ],
-    ids=["import bananagv", "import bananagv.cli", "verify", "crosscheck", "compute csv"],
+    ids=[
+        "import bananagv", "import bananagv.cli", "verify", "crosscheck", "compute csv",
+        "compute json",
+    ],
 )
 def test_each_entry_point_loads_only_the_modules_it_runs(code, expected):
     # compared against the modules the child had loaded before ``code``
@@ -273,6 +300,34 @@ def test_crosscheck_single_banana():
     assert out.startswith("PASS ")
 
 
+def test_crosscheck_2x2_passes_on_both_routes():
+    code, out, _ = invoke(["crosscheck", "--shape", "2x2", "--order", "5"])
+    assert (code, out) == (
+        0,
+        "PASS shape 2x2 order 5: closed form (theta and square-root routes) matches "
+        "sign-twisted enumeration\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "name,route", [("pf_22_theta", "theta route"), ("pf_22", "square-root route")]
+)
+def test_crosscheck_2x2_names_the_route_that_mismatches(name, route, monkeypatch):
+    original = getattr(gvpf, name)
+
+    def perturbed(N):
+        pf = original(N)
+        return pf + polynomial(pf.registry, {(1, 0, 1, 0): 1}, N)
+
+    monkeypatch.setattr(gvpf, name, perturbed)
+    code, out, _ = invoke(["crosscheck", "--shape", "2x2", "--order", "5"])
+    assert (code, out) == (
+        1,
+        f"FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form ({route}) 7 "
+        "vs twisted enumeration 6\n",
+    )
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -331,14 +386,17 @@ def test_zero_width_is_a_usage_error(capsys):
     assert err.startswith("usage:") and "w must be at least 1" in err
 
 
-# The documented input caps: --order 32 for compute and crosscheck, 256 for
-# verify, --w 6.
+# The documented input caps: --order 64 for compute on 2x2, 32 for compute on
+# 1xW and for crosscheck, 256 for verify, --w 6.
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["compute", "--shape", "2x2", "--order", "33"], "order must be at most 32 for compute"),
+        (
+            ["compute", "--shape", "1xW", "--w", "1", "--order", "33"],
+            "order must be at most 32 for compute",
+        ),
         (
             ["crosscheck", "--shape", "1xW", "--w", "1", "--order", "33"],
             "order must be at most 32 for crosscheck",
@@ -351,6 +409,16 @@ def test_zero_width_is_a_usage_error(capsys):
             ["compute", "--shape", "2x2", "--w", "7", "--order", "3"],
             "--w is only meaningful for shape 1xW",
         ),
+        # compute serves 2x2 from the theta form; crosscheck also runs the
+        # square-root route
+        (
+            ["compute", "--shape", "2x2", "--order", "65"],
+            "order must be at most 64 for compute --shape 2x2",
+        ),
+        (
+            ["crosscheck", "--shape", "2x2", "--order", "33"],
+            "order must be at most 32 for crosscheck --shape 2x2",
+        ),
     ],
 )
 def test_values_above_the_caps_exit_2(argv, message, capsys):
@@ -362,7 +430,8 @@ def test_values_above_the_caps_exit_2(argv, message, capsys):
 
 
 def test_values_at_the_caps_build_a_run_config():
-    assert RunConfig("compute", 32, "2x2").order == 32
+    assert RunConfig("compute", 64, "2x2").order == 64
+    assert RunConfig("crosscheck", 32, "2x2").order == 32
     assert RunConfig("crosscheck", 32, "1xW", w=6).banana_shape().w == 6
     assert RunConfig("compute", 32, "1xW", w=6).banana_shape().w == 6
     assert RunConfig("verify", 256).order == 256
@@ -395,7 +464,7 @@ def test_replace_and_make_validate_run_configs():
     # namedtuple's own _make, which _replace calls, skips __new__
     config = RunConfig("compute", 3, "2x2")
     assert config._replace(order=32).order == 32
-    with pytest.raises(ValueError, match="order must be at most 32 for compute"):
+    with pytest.raises(ValueError, match="order must be at most 64 for compute --shape 2x2"):
         config._replace(order=10**6)
     with pytest.raises(ValueError, match="verify takes no shape"):
         config._replace(command="verify")

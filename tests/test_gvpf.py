@@ -68,8 +68,30 @@ def test_pf_22_symmetries():
 
 
 def test_theta_route_agrees_with_sqrt_route():
-    assert pf_22_theta(12) == pf_22(12)
+    # ``==`` compares registry, order and every slice
+    for N in range(25):
+        assert pf_22_theta(N) == pf_22(N), N
     assert pf_22_theta(0).constant_term() == 2
+
+
+def test_theta_route_certifies_its_exponents_and_order(monkeypatch):
+    # the quotient's floor and the eta it is multiplied by set the order, and
+    # its exponents must stay in the nonnegative orthant
+    theta_quotient_at = gvpf._theta_quotient_at
+
+    def with_negative_exponent(*args):
+        quotient = theta_quotient_at(*args)
+        return quotient + polynomial(quotient.registry, {(2, -1, 0, 0): 1}, quotient.order)
+
+    monkeypatch.setattr(gvpf, "_theta_quotient_at", with_negative_exponent)
+    with pytest.raises(InvariantError, match="pf_22_theta kept a negative exponent"):
+        pf_22_theta(4)
+    monkeypatch.undo()
+
+    eta_at = gvpf.eta_at
+    monkeypatch.setattr(gvpf, "eta_at", lambda reg, q, order: eta_at(reg, q, order - 1))
+    with pytest.raises(InvariantError, match="order propagation fell short"):
+        pf_22_theta(4)
 
 
 def test_theta_route_constant_term_pins_the_sign(monkeypatch):
@@ -172,7 +194,7 @@ def test_pf_1w_validation():
 
 
 def test_pf_for_shape_dispatch(monkeypatch):
-    assert pf_for_shape(TWO, 3) == pf_22(3)
+    assert pf_for_shape(TWO, 3) == pf_22_theta(3)
     assert pf_for_shape(BananaShape(1, 2), 3) == pf_1w(2, 3)
     # the enumeration serves these shapes, but the closed form refuses them
     # before any enumeration runs
