@@ -32,10 +32,12 @@ theta(Q, t)^2`` the theta quotient of :mod:`bananagv.qseries`.  At w = 1
 the product is empty and pf reduces to ``s * phi(Q, s)``, the single-banana
 answer.
 
-The orders the factors are built to follow the width rule of
-:mod:`bananagv.series`.  The ``2x2`` ratio of phis built to N has floor 0
-and is exact to N, and so is its root; ``phi(Q, s)`` has floor -1, so
-built to ``N - 1`` and shifted by ``s`` it is exact to N.
+The ``2x2`` ratio of phis built to N has floor 0 and is exact to N, and
+so is its root.  The theta route and ``s phi(Q, s) = thetatilde(Q, s)^2 /
+etatilde(Q)^6`` are one call each of the quotient builder of
+:mod:`bananagv.qseries`, which sets every pad.  Each closed form returns
+through one certificate: exact to N, exponents in the nonnegative orthant,
+and constant term the number of B locations.
 
 ``pf_for_shape`` serves ``2x2`` from the theta form, the paper's
 presentation and by far the cheaper route, so ``compute`` runs it.
@@ -49,7 +51,7 @@ from typing import NamedTuple
 
 from .geometry import BananaShape, registry_for
 from .oracle import behrend_twist, naive_pf
-from .qseries import _theta_quotient_at, elliptic_genus_c2_at, eta_at, jacobi_phi_at
+from .qseries import _theta_quotient_at, elliptic_genus_c2_at, jacobi_phi_at
 from .series import (
     ExponentVector,
     InvariantError,
@@ -76,10 +78,16 @@ _SINGLES = [R22.exps(**{single: 1}) for single in ("r0", "s0", "r1", "s1")]
 _PAIRS = [(1, 0, 1, 0), (0, 1, 0, 1)]  # r0 s0 and r1 s1
 
 
-def _assert_nonnegative_orthant(series: TruncatedSeries, what: str):
-    if series.has_negative_exponent():
-        exps = next(e for e in series.terms if min(e) < 0)
-        raise InvariantError(f"{what} kept a negative exponent at {exps}")
+def _certified(pf: TruncatedSeries, N: int, route: str, locations: int) -> TruncatedSeries:
+    """``pf`` truncated to N, which its proven order must reach, with every
+    exponent nonnegative and constant term the number of B locations."""
+    pf = _exact_to(pf, N)
+    if pf.has_negative_exponent():
+        exps = next(e for e in pf.terms if min(e) < 0)
+        raise InvariantError(f"{route} kept a negative exponent at {exps}")
+    if pf.constant_term() != locations:
+        raise InvariantError(f"{route} constant term is not the location count {locations}")
+    return pf
 
 
 def pf_22(N: int) -> TruncatedSeries:
@@ -90,9 +98,7 @@ def pf_22(N: int) -> TruncatedSeries:
         ratio = ratio * jacobi_phi_at(R22, _Q22, single, N)
     for pair in _PAIRS:
         ratio = ratio * jacobi_phi_at(R22, _Q22, pair, N).invert_unit()
-    pf = _exact_to(2 * ratio.sqrt_unit(), N)
-    _assert_nonnegative_orthant(pf, "pf_22")
-    return pf
+    return _certified(2 * ratio.sqrt_unit(), N, "pf_22", 2)
 
 
 def pf_22_theta(N: int) -> TruncatedSeries:
@@ -101,15 +107,10 @@ def pf_22_theta(N: int) -> TruncatedSeries:
 
     The prefactors of the thetas and eta cancel to -1 (see the module
     docstring), which the square-root branch cancels again; the constant
-    term +2 pins that sign, and any other constant term raises.
+    term +2 pins that sign.
     """
-    quotient = _theta_quotient_at(R22, _Q22, _SINGLES, _PAIRS, _as_order(N))
-    eta = eta_at(R22, _Q22, N - quotient.floor)
-    pf = _exact_to(2 * (eta.invert_unit() ** 6 * quotient), N)
-    _assert_nonnegative_orthant(pf, "pf_22_theta")
-    if pf.constant_term() != 2:
-        raise InvariantError("theta-route constant term is not the location count")
-    return pf
+    quotient = _theta_quotient_at(R22, _Q22, _SINGLES, _PAIRS, _as_order(N), True)
+    return _certified(2 * quotient, N, "pf_22_theta", 2)
 
 
 def pf_1w(w: int, N: int) -> TruncatedSeries:
@@ -119,10 +120,10 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
     reg = registry_for(BananaShape(1, w))
     q_img = (1,) * w + (w,)
     s_img = reg.exps(s=1)
-    base = jacobi_phi_at(reg, q_img, s_img, max(N - 1, 0)).shift_monomial(s_img)
+    base = _theta_quotient_at(reg, q_img, [s_img, s_img], [], N, True)
     total = None
     for i in range(w):
-        contribution = one(reg, base.order)
+        contribution = one(reg, N)
         for k in range(i, i + w - 1):
             r_span = [0] * (w + 1)
             for j in range(i, k + 1):
@@ -132,11 +133,7 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
                 reg, q_img, s_img, tuple(r_span), N
             )
         total = contribution if total is None else total + contribution
-    pf = _exact_to(base * total, N)
-    _assert_nonnegative_orthant(pf, "pf_1w")
-    if pf.constant_term() != w:
-        raise InvariantError("constant term must count the B locations")
-    return pf
+    return _certified(base * total, N, "pf_1w", w)
 
 
 def pf_for_shape(shape: BananaShape, N: int) -> TruncatedSeries:

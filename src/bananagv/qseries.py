@@ -11,7 +11,6 @@ eta^6 = p^{-1} thetatilde^2 / etatilde^6``, and to +1 in the elliptic genus.
 
 The module provides
 
-* the reduced Dedekind eta product ``etatilde = prod (1 - q^m)``,
 * the reduced Jacobi theta product
   ``thetatilde = prod (1 - q^m)(1 - q^{m-1} p)(1 - q^m p^{-1})``,
 * the weight -2 index 1 weak Jacobi form
@@ -24,11 +23,10 @@ The module provides
   relations between these functions.
 
 Every builder takes a target registry and the target monomials ``Q`` and
-``P`` that ``q`` and ``p`` are sent to, with ``deg Q >= 1``.  Eta, eta cubed
+``P`` that ``q`` and ``p`` are sent to, with ``deg Q >= 1``.  Eta cubed
 and theta are written term by term from their classical sums, which are
 sparse (O(sqrt N) terms to order N):
 
-* Euler's pentagonal theorem, ``etatilde = sum_k (-1)^k q^{k(3k-1)/2}``,
 * Jacobi's identity, ``etatilde^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}``,
 * the Jacobi triple product, ``thetatilde = sum_n (-1)^n q^{n(n-1)/2} p^n``.
 
@@ -37,11 +35,10 @@ target degree ``deg Q * a(k) + deg P * n(k)``, which is strictly convex in
 ``k`` because ``a`` is quadratic and ``n`` linear.  So one walk from the
 minimum, both ways until the degree passes the order, writes every term of
 the result, exact by construction.  One private builder assembles every
-theta quotient the package uses (the elliptic genus, ``thetatilde^2`` in
-phi, and the ``2x2`` theta route), building each distinct theta once to the
-order the width rule of :mod:`bananagv.series` asks for.  ``phi = P^{-1}
-thetatilde^2 (etatilde^3)^{-2}`` takes the builder's ``thetatilde^2`` and
-one inverse of eta cubed.  The unsubstituted ``jacobi_phi`` is the identity
+theta quotient the package uses (the elliptic genus, phi ``= P^{-1}
+thetatilde^2 / etatilde^6``, and both closed forms' eta and theta
+factors), and it alone sets their pads.  Eta enters only there, as one
+inverse of eta cubed.  The unsubstituted ``jacobi_phi`` is the identity
 image over ``QP``.  The products themselves are multiplied out factor by
 factor only inside the identity suite, so its first check compares the
 sum-built phi against product-built eta and theta.
@@ -61,14 +58,12 @@ from .series import (
     _exact_to,
     one,
     polynomial,
-    zero,
 )
 
 __all__ = [
     "QP",
     "IdentityCheck",
     "jacobi_phi",
-    "eta_at",
     "theta1_at",
     "jacobi_phi_at",
     "elliptic_genus_c2",
@@ -133,15 +128,6 @@ def _eta_cubed_at(target: VariableRegistry, q_image: ExponentVector, order: int)
     )
 
 
-def eta_at(target: VariableRegistry, q_image: ExponentVector, order: int) -> TruncatedSeries:
-    """Eta product with ``q`` sent to a positive-degree target monomial,
-    exact to ``order``, from Euler's pentagonal sum."""
-    return _sum_at(
-        target, q_image, target.zero_exps(), order,
-        lambda k: (k * (3 * k - 1) // 2, 0, (-1) ** (k % 2)),
-    )
-
-
 def theta1_at(
     target: VariableRegistry,
     q_image: ExponentVector,
@@ -156,25 +142,35 @@ def theta1_at(
 
 
 def _theta_quotient_at(
-    target: VariableRegistry, q_image: ExponentVector, numer: list, denom: list, order: int
+    target: VariableRegistry,
+    q_image: ExponentVector,
+    numer: list,
+    denom: list,
+    order: int,
+    over_eta6: bool,
 ) -> TruncatedSeries:
     """The product of ``thetatilde(Q, P)`` over the images ``P`` in ``numer``,
-    divided by the product over ``denom``, exact to ``order`` in the target
-    grading.
+    divided by the product over ``denom``, and by ``etatilde(Q)^6`` if
+    ``over_eta6``, exact to ``order`` in the target grading.
 
     A build at order 0 reads off each distinct theta's floor: its constant
     term 1 is stored at every order of 0 or more, and a theta that vanishes
-    (at ``P = Q^k``) reads 1.  Each distinct theta is then built once, to
-    the order that the width rule of :mod:`bananagv.series` asks for, and
-    the denominators are multiplied together before one inverse.
+    (at ``P = Q^k``) reads 1.  By the width rule of :mod:`bananagv.series`,
+    each distinct theta is built once to the quotient's width plus the
+    largest floor, and eta cubed, of floor 0, to the width; the
+    denominators are multiplied together before one inverse.
     """
     floors = {p: theta1_at(target, q_image, p, 0).floor for p in dict.fromkeys(numer + denom)}
     floor = sum(floors[p] for p in numer) - sum(floors[p] for p in denom)
-    K = max(order - floor, 0) + max(floors.values())
-    thetas = {p: theta1_at(target, q_image, p, K) for p in floors}
+    width = max(order - floor, 0)
+    thetas = {p: theta1_at(target, q_image, p, width + max(floors.values())) for p in floors}
     result = reduce(mul, [thetas[p] for p in numer])
     if denom:
         result = result * reduce(mul, [thetas[p] for p in denom]).invert_unit()
+    if over_eta6:
+        # on the left: the product's inner loop runs over the right operand
+        inv = _eta_cubed_at(target, q_image, width).invert_unit()
+        result = inv * inv * result
     return _exact_to(result, order)
 
 
@@ -184,18 +180,12 @@ def jacobi_phi_at(
     p_image: ExponentVector,
     order: int,
 ) -> TruncatedSeries:
-    """``phi(Q, P) = P^{-1} thetatilde(Q, P)^2 (etatilde(Q)^3)^{-2}``, exact
-    to ``order`` in the target grading.
-
-    Where ``thetatilde^2`` has no term up to its order, so does phi: at the
-    zeros ``P = Q^k`` of theta, and at orders below phi's floor.
-    """
-    shift = target.degree(p_image)
-    theta2 = _theta_quotient_at(target, q_image, [p_image, p_image], [], order + shift)
-    if theta2.is_zero():
-        return zero(target, order)
-    inv = _eta_cubed_at(target, q_image, order + shift - theta2.floor).invert_unit()
-    return (theta2 * (inv * inv)).shift_monomial(tuple(-e for e in p_image))
+    """``phi(Q, P) = P^{-1} thetatilde(Q, P)^2 / etatilde(Q)^6``, exact to
+    ``order`` in the target grading."""
+    quotient = _theta_quotient_at(
+        target, q_image, [p_image, p_image], [], order + target.degree(p_image), True
+    )
+    return quotient.shift_monomial(tuple(-e for e in p_image))
 
 
 def jacobi_phi(N: int) -> TruncatedSeries:
@@ -251,7 +241,7 @@ def elliptic_genus_c2_at(
     """
     yt = tuple(a + b for a, b in zip(y_image, t_image))
     ymt = tuple(b - a for a, b in zip(y_image, t_image))
-    return _theta_quotient_at(target, q_image, [yt, ymt], [t_image, t_image], order)
+    return _theta_quotient_at(target, q_image, [yt, ymt], [t_image, t_image], order, False)
 
 
 #: Trivariate home of the elliptic genus: q-order counts double so that the

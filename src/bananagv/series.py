@@ -106,7 +106,6 @@ __all__ = [
     "monomial",
     "polynomial",
     "one",
-    "zero",
     "grlex_key",
 ]
 
@@ -742,10 +741,6 @@ def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order
 
 def one(registry: VariableRegistry, order: int) -> TruncatedSeries:
     return monomial(registry, registry.zero_exps(), 1, order)
-
-
-def zero(registry: VariableRegistry, order: int) -> TruncatedSeries:
-    return TruncatedSeries(registry, {}, order)
 
 
 # -- homogeneous-slice helpers (packed-key dicts, no truncation data) --------

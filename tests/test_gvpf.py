@@ -7,7 +7,7 @@ from bananagv import gvpf, qseries
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
-    _assert_nonnegative_orthant,
+    _certified,
     cross_check,
     gv_table,
     pf_1w,
@@ -16,7 +16,7 @@ from bananagv.gvpf import (
     pf_for_shape,
 )
 from bananagv.qseries import jacobi_phi_at
-from bananagv.series import InvariantError, grlex_key, polynomial
+from bananagv.series import InvariantError, TruncatedSeries, grlex_key, polynomial
 
 TWO = BananaShape(2, 2)
 
@@ -49,9 +49,16 @@ def test_pf_22_supports_only_nonnegative_exponents():
 
 
 def test_negative_exponent_guard_raises_invariant_error():
-    bad = polynomial(pf_22(1).registry, {(0, 0, 0, 0): 2, (1, -1, 0, 0): 1}, 1)
-    with pytest.raises(InvariantError, match="negative exponent"):
-        _assert_nonnegative_orthant(bad, "probe")
+    reg = pf_22(1).registry
+    bad = polynomial(reg, {(0, 0, 0, 0): 2, (1, -1, 0, 0): 1}, 1)
+    with pytest.raises(InvariantError, match="probe kept a negative exponent at"):
+        _certified(bad, 1, "probe", 2)
+    good = polynomial(reg, {(0, 0, 0, 0): 2, (1, 0, 0, 0): 1}, 1)
+    assert _certified(good, 0, "probe", 2) == good.truncate(0)
+    with pytest.raises(InvariantError, match="order propagation fell short"):
+        _certified(good, 2, "probe", 2)
+    with pytest.raises(InvariantError, match="probe constant term is not the location count 3"):
+        _certified(good, 1, "probe", 3)
     assert issubclass(InvariantError, AssertionError)
 
 
@@ -88,8 +95,10 @@ def test_theta_route_certifies_its_exponents_and_order(monkeypatch):
         pf_22_theta(4)
     monkeypatch.undo()
 
-    eta_at = gvpf.eta_at
-    monkeypatch.setattr(gvpf, "eta_at", lambda reg, q, order: eta_at(reg, q, order - 1))
+    eta_cubed_at = qseries._eta_cubed_at
+    monkeypatch.setattr(
+        qseries, "_eta_cubed_at", lambda reg, q, order: eta_cubed_at(reg, q, order - 1)
+    )
     with pytest.raises(InvariantError, match="order propagation fell short"):
         pf_22_theta(4)
 
@@ -106,6 +115,14 @@ def test_theta_route_constant_term_pins_the_sign(monkeypatch):
     monkeypatch.setattr(qseries, "theta1_at", theta_r0_negated)
     with pytest.raises(InvariantError, match="location count"):
         pf_22_theta(4)
+
+
+def test_square_root_route_constant_term_pins_the_branch(monkeypatch):
+    # the negated root is as good a root; only the constant term refuses it
+    sqrt_unit = TruncatedSeries.sqrt_unit
+    monkeypatch.setattr(TruncatedSeries, "sqrt_unit", lambda self: -1 * sqrt_unit(self))
+    with pytest.raises(InvariantError, match="pf_22 constant term is not the location count"):
+        pf_22(4)
 
 
 def test_pf_22_validation():

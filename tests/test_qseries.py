@@ -16,7 +16,6 @@ from bananagv.qseries import (
     check_identities,
     elliptic_genus_c2,
     elliptic_genus_c2_at,
-    eta_at,
     jacobi_phi,
     jacobi_phi_at,
     theta1_at,
@@ -40,15 +39,10 @@ def _not_an_int(bad):
 # ------------------------------------------------------------------- eta
 
 
-def test_eta_is_the_pentagonal_number_series():
-    e = eta_at(Q_ONLY, (1,), 12)
-    assert e.terms == {(0,): 1, (1,): -1, (2,): -1, (5,): 1, (7,): 1, (12,): -1}
-
-
 def test_eta_at_doubles_exponents():
-    doubled = eta_at(Q_ONLY, (2,), 12)
+    doubled = _eta_cubed_at(Q_ONLY, (2,), 12)
     assert doubled.order >= 12
-    base = eta_at(Q_ONLY, (1,), 6)
+    base = _eta_cubed_at(Q_ONLY, (1,), 6)
     expected = {(2 * m,): c for (m,), c in base.terms.items() if 2 * m <= 12}
     assert doubled.truncate(12).terms == expected
 
@@ -56,7 +50,7 @@ def test_eta_at_doubles_exponents():
 def test_eta_at_rejects_degenerate_image():
     reg = VariableRegistry(("q", "p"), (1, 0))
     with pytest.raises(ValueError):
-        eta_at(reg, (0, 1), 4)
+        _eta_cubed_at(reg, (0, 1), 4)
 
 
 # ----------------------------------------------------------------- theta
@@ -81,8 +75,7 @@ def test_phi_vanishes_at_p_equal_one():
     f = jacobi_phi(8)
     collapsed = f.substitute_monomials(Q_ONLY, {"q": (1,), "p": (0,)})
     assert collapsed.is_zero()
-    # theta, and with it phi, vanishes at every p = q^k; the builder returns
-    # zero even where the floors of the vanished theta would say nothing
+    # theta, and with it phi, vanishes at every p = q^k, at every order
     for k in range(-3, 4):
         for order in (-2, 0, 1, 5):
             assert jacobi_phi_at(QP, (1, 0), (k, 0), order) == TruncatedSeries(QP, {}, order)
@@ -131,15 +124,9 @@ def test_sum_forms_equal_the_product_builders():
     # stands for the order-N product with the same order and floor
     phi_reference = _phi_double_product(40)
     for N in range(41):
-        _assert_identical(eta_at(QP, (1, 0), N), _eta_product(N))
+        _assert_identical(_eta_cubed_at(QP, (1, 0), N), _eta_product(N) ** 3)
         _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_product(N))
         _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
-
-
-def test_eta_cubed_sum_is_the_cube_of_eta():
-    for N in range(41):
-        eta = _eta_product(N)
-        _assert_identical(_eta_cubed_at(QP, (1, 0), N), eta * eta * eta)
 
 
 # ------------------------------- substituted sums vs mapped product forms
@@ -147,7 +134,7 @@ def test_eta_cubed_sum_is_the_cube_of_eta():
 
 @cache
 def _products(M):
-    return _eta_product(M), _theta_product(M), _phi_double_product(M)
+    return _eta_product(M) ** 3, _theta_product(M), _phi_double_product(M)
 
 
 def _mapped(product, target, q_image, p_image, order):
@@ -178,24 +165,28 @@ def _sum_images(draw):
 @example((QYT, (1, 0, 0), (0, 0, 0)), 8)  # y = t in Y^{-1} T: every theta term cancels
 @example((Q_ONLY, (2,), (-1,)), 8)  # Q = P^{-2}: terms collide
 @example((QYT, (0, 2, 1), (0, -2, 1)), -2)  # the order is below the k = 0 term
+@example((QP, (1, 0), (1, 0)), 8)  # P = Q: theta and phi vanish
+@example((QYT, (1, 0, 0), (2, 0, 0)), 7)  # P = Q^2
 def test_sum_builders_match_the_mapped_products(images, order):
     target, q_image, p_image = images
     dq, dp = target.degree(q_image), abs(target.degree(p_image))
+    # only the examples P = Q^k, k >= 1, reach dp >= dq
+    vanishing = dp >= dq
     # theta and phi have |p| <= a + 1 at q-order a, so a term beyond q-order
     # M lands above degree (M + 1)(dq - dp) - dp > order
-    M = max(0, (order + dp) // (dq - dp))
-    eta, theta, phi = _products(M)
+    M = max(0, order // dq if vanishing else (order + dp) // (dq - dp))
+    eta_cubed, theta, phi = _products(M)
     _assert_identical(
-        eta_at(target, q_image, order), _mapped(eta, target, q_image, p_image, order)
+        _eta_cubed_at(target, q_image, order),
+        _mapped(eta_cubed, target, q_image, p_image, order),
     )
-    _assert_identical(
-        theta1_at(target, q_image, p_image, order),
-        _mapped(theta, target, q_image, p_image, order),
-    )
-    _assert_identical(
-        jacobi_phi_at(target, q_image, p_image, order),
-        _mapped(phi, target, q_image, p_image, order),
-    )
+    for builder, product in ((theta1_at, theta), (jacobi_phi_at, phi)):
+        expected = (
+            TruncatedSeries(target, {}, order)
+            if vanishing
+            else _mapped(product, target, q_image, p_image, order)
+        )
+        _assert_identical(builder(target, q_image, p_image, order), expected)
 
 
 @pytest.mark.parametrize(
@@ -354,13 +345,17 @@ def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
     assert phi == jacobi_phi(10).shift_monomial((-4, 4))
 
 
-def _quotient_reference(numer, denom, order, pad):
-    """The theta quotient built factor by factor, every theta to order + pad."""
+def _quotient_reference(numer, denom, order, pad, over_eta6):
+    """The theta quotient built factor by factor, every theta and eta cubed
+    to order + pad."""
     acc = one(QYT, order + pad)
     for p in numer:
         acc = acc * theta1_at(QYT, (1, 0, 0), p, order + pad)
     for p in denom:
         acc = acc * theta1_at(QYT, (1, 0, 0), p, order + pad).invert_unit()
+    if over_eta6:
+        inv = _eta_cubed_at(QYT, (1, 0, 0), order + pad).invert_unit()
+        acc = acc * inv * inv
     return acc
 
 
@@ -375,17 +370,18 @@ _denominator_images = st.tuples(st.just(0), st.integers(-2, 2), st.integers(-2, 
     st.lists(_numerator_images, min_size=2, max_size=2),
     st.lists(_denominator_images, min_size=2, max_size=2),
     st.integers(-4, 8),
+    st.booleans(),
 )
-@example([(0, 3, 1), (0, -3, 1)], [(0, 0, 1), (0, 0, 1)], 10)  # the y-cubed genus
-@example([(1, 0, 0), (0, 1, 0)], [(0, 0, 1), (0, 1, 0)], 6)  # P = Q: theta vanishes
-@example([(0, 1, 0), (0, 1, 0)], [(0, 0, 1), (0, 0, 1)], 6)  # repeated thetas
-@example([(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (0, 1, 0)], 6)  # a theta cancels
-def test_theta_quotient_matches_the_factor_by_factor_reference(numer, denom, order):
+@example([(0, 3, 1), (0, -3, 1)], [(0, 0, 1), (0, 0, 1)], 10, False)  # the y-cubed genus
+@example([(1, 0, 0), (0, 1, 0)], [(0, 0, 1), (0, 1, 0)], 6, True)  # P = Q: theta vanishes
+@example([(0, 1, 0), (0, 1, 0)], [(0, 0, 1), (0, 0, 1)], 6, True)  # repeated thetas
+@example([(0, 0, 1), (0, 1, 1)], [(0, 0, 1), (0, 1, 0)], 6, False)  # a theta cancels
+def test_theta_quotient_matches_the_factor_by_factor_reference(numer, denom, order, over_eta6):
     # every theta floor here is at least -6, so a pad of 16 is generous; the
     # kernel's own order tracking confirms it
-    reference = _quotient_reference(numer, denom, order, 16)
+    reference = _quotient_reference(numer, denom, order, 16, over_eta6)
     assert reference.order >= order
-    got = qseries._theta_quotient_at(QYT, (1, 0, 0), numer, denom, order)
+    got = qseries._theta_quotient_at(QYT, (1, 0, 0), numer, denom, order, over_eta6)
     assert got.order == order
     assert got == reference.truncate(order)
 

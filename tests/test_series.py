@@ -11,7 +11,6 @@ from bananagv.series import (
     monomial,
     one,
     polynomial,
-    zero,
 )
 
 QP = VariableRegistry(("q", "p"), (1, 0))
@@ -116,7 +115,7 @@ def test_coefficient_beyond_order_raises():
 
 
 def test_floor_of_empty_series_is_order_plus_one():
-    assert zero(XY, 5).floor == 6
+    assert TruncatedSeries(XY, {}, 5).floor == 6
 
 
 def test_immutability():
