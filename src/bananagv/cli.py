@@ -27,7 +27,7 @@ Inputs are capped so that every accepted run finishes.  ``MAX_ORDER`` is
 the one table of ``--order`` caps, keyed by command and shape: 64 for
 ``compute --shape 2x2``, which runs the theta form, 32 for ``compute
 --shape 1xW`` and for ``crosscheck`` on both shapes (``2x2``'s is set by
-the square-root route it also checks), and 256 for ``verify``.  ``--w`` is
+the square-root route it also checks), and 512 for ``verify``.  ``--w`` is
 at most 6.  Larger values are a usage error.  The README's "Command line"
 section records the time and peak memory of runs at the caps.
 
@@ -72,7 +72,7 @@ MAX_ORDER = {
     ("compute", "1xW"): 32,
     ("crosscheck", "2x2"): 32,
     ("crosscheck", "1xW"): 32,
-    ("verify", None): 256,
+    ("verify", None): 512,
 }
 
 #: Largest accepted ``--w``.

@@ -39,9 +39,9 @@ theta quotient the package uses (the elliptic genus, phi ``= P^{-1}
 thetatilde^2 / etatilde^6``, and both closed forms' eta and theta
 factors), and it alone sets their pads.  Eta enters only there, as one
 inverse of eta cubed.  The unsubstituted ``jacobi_phi`` is the identity
-image over ``QP``.  The products themselves are multiplied out factor by
-factor only inside the identity suite, so its first check compares the
-sum-built phi against product-built eta and theta.
+image over ``QP``.  The products are multiplied out only for the identity
+suite, by shifts and sums, so its first check compares the sum-built phi,
+made with the product kernel, against eta and theta made without it.
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ from .series import (
     _as_order,
     _exact_to,
     one,
-    polynomial,
 )
 
 __all__ = [
@@ -200,28 +199,24 @@ def jacobi_phi(N: int) -> TruncatedSeries:
 # -- product forms: the identity suite's independent reference ---------------
 
 
-def _one_minus(registry: VariableRegistry, exps: ExponentVector, order: int) -> TruncatedSeries:
-    return polynomial(registry, {registry.zero_exps(): 1, exps: -1}, order)
-
-
 def _eta_product(N: int) -> TruncatedSeries:
-    """``prod_{m=1}^{N} (1 - q^m)`` over ``QP`` by multiplying out the factors."""
+    """``prod_{m=1}^{N} (1 - q^m)`` over ``QP``: each factor ``1 - X`` is a
+    shift and a subtraction, ``acc - X acc``, largest ``m`` first, so the
+    accumulator stays sparse until the last factors."""
     acc = one(QP, N)
-    for m in range(1, N + 1):
-        acc = acc * _one_minus(QP, (m, 0), N)
+    for m in range(N, 0, -1):
+        acc = acc + acc.shift_monomial((m, 0), -1)
     return acc
 
 
 def _theta_product(N: int) -> TruncatedSeries:
-    """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` over ``QP`` by multiplying
-    out the factors."""
+    """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` over ``QP``, multiplied
+    out as :func:`_eta_product`, from q-degree N down to ``1 - p``."""
     acc = one(QP, N)
-    for m in range(1, N + 2):
-        if m <= N:
-            acc = acc * _one_minus(QP, (m, 0), N)
-            acc = acc * _one_minus(QP, (m, -1), N)
-        acc = acc * _one_minus(QP, (m - 1, 1), N)
-    return acc
+    for m in range(N, 0, -1):
+        for x in (m, 0), (m, -1), (m, 1):
+            acc = acc + acc.shift_monomial(x, -1)
+    return acc + acc.shift_monomial((0, 1), -1)
 
 
 def elliptic_genus_c2_at(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import bananagv
-from bananagv import gvpf
+from bananagv import gvpf, qseries
 from bananagv.cli import RunConfig, main, run
 from bananagv.geometry import registry_for
 from bananagv.gvpf import gv_table
@@ -294,6 +294,24 @@ def test_verify_all_identities_pass(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_reports_each_failed_identity(monkeypatch):
+    original = qseries._theta_product
+
+    def perturbed(N):
+        return original(N) + polynomial(qseries.QP, {(1, 0): 1}, N)
+
+    monkeypatch.setattr(qseries, "_theta_product", perturbed)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig("verify", 6), out=out, err=err) == 1
+    assert out.getvalue().splitlines() == [
+        "FAIL eta6_phi_equals_theta_squared: series differ",
+        "PASS index_one_shift: exact to order 6",
+        "PASS p_inversion_symmetry: exact to order 6",
+        "FAIL theta_oddness: series differ",
+    ]
+    assert err.getvalue() == "2 identity check(s) failed\n"
+
+
 def test_crosscheck_single_banana():
     code, out, _ = invoke(["crosscheck", "--shape", "1xW", "--w", "1", "--order", "5"])
     assert code == 0
@@ -387,7 +405,7 @@ def test_zero_width_is_a_usage_error(capsys):
 
 
 # The documented input caps: --order 64 for compute on 2x2, 32 for compute on
-# 1xW and for crosscheck, 256 for verify, --w 6.
+# 1xW and for crosscheck, 512 for verify, --w 6.
 
 
 @pytest.mark.parametrize(
@@ -401,7 +419,7 @@ def test_zero_width_is_a_usage_error(capsys):
             ["crosscheck", "--shape", "1xW", "--w", "1", "--order", "33"],
             "order must be at most 32 for crosscheck",
         ),
-        (["verify", "--order", "257"], "order must be at most 256 for verify"),
+        (["verify", "--order", "513"], "order must be at most 512 for verify"),
         (["compute", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
         (["crosscheck", "--shape", "1xW", "--w", "7", "--order", "3"], "width must be at most 6"),
         # a stray --w is refused as stray, whatever its value
@@ -434,7 +452,7 @@ def test_values_at_the_caps_build_a_run_config():
     assert RunConfig("crosscheck", 32, "2x2").order == 32
     assert RunConfig("crosscheck", 32, "1xW", w=6).banana_shape().w == 6
     assert RunConfig("compute", 32, "1xW", w=6).banana_shape().w == 6
-    assert RunConfig("verify", 256).order == 256
+    assert RunConfig("verify", 512).order == 512
 
 
 def test_run_config_validation():

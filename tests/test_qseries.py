@@ -1,6 +1,7 @@
 """Tests for the classical q-series, their builders, and the identity suite."""
 import re
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -9,7 +10,6 @@ from bananagv import qseries
 from bananagv.qseries import (
     _eta_cubed_at,
     _eta_product,
-    _one_minus,
     _theta_product,
     QP,
     QYT,
@@ -101,16 +101,20 @@ def test_phi_at_with_negative_image_degree_matches_inversion():
 # ------------------------------------------------- sum forms vs products
 
 
+def _one_minus(exps, N):
+    return polynomial(QP, {(0, 0): 1, exps: -1}, N)
+
+
 def _phi_double_product(N):
     """``p^{-1}(1-p)^2 prod_m (1-q^m p^{-1})^2 (1-q^m p)^2 (1-q^m)^{-4}`` by
     multiplying out the factors: an independent reference for ``jacobi_phi``."""
     acc = polynomial(QP, {(0, -1): 1, (0, 0): -2, (0, 1): 1}, N)
     eta_like = one(QP, N)
     for m in range(1, N + 1):
-        f = _one_minus(QP, (m, -1), N)
-        g = _one_minus(QP, (m, 1), N)
+        f = _one_minus((m, -1), N)
+        g = _one_minus((m, 1), N)
         acc = acc * f * f * g * g
-        eta_like = eta_like * _one_minus(QP, (m, 0), N)
+        eta_like = eta_like * _one_minus((m, 0), N)
     inv = eta_like.invert_unit()
     return acc * inv * inv * inv * inv
 
@@ -131,6 +135,21 @@ def test_sum_forms_equal_the_product_builders():
     for N in range(41):
         _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_product(N))
         _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
+
+
+def _ascending_product(factors, N):
+    """``prod (1 - X)`` over ``factors``, by the product kernel in that order."""
+    return reduce(mul, [_one_minus(x, N) for x in factors], one(QP, N))
+
+
+def test_product_builders_equal_the_ascending_products():
+    # the builders shift and subtract, largest factor first; the reference
+    # multiplies two-term series, smallest first
+    for N in range(41):
+        eta = [(m, 0) for m in range(1, N + 1)]
+        theta = [x for m in range(1, N + 1) for x in ((m, 0), (m, -1), (m - 1, 1))]
+        _assert_identical(_eta_product(N), _ascending_product(eta, N))
+        _assert_identical(_theta_product(N), _ascending_product(theta + [(N, 1)], N))
 
 
 # ------------------------------- substituted sums vs mapped product forms
