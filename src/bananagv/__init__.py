@@ -23,7 +23,7 @@ Layout:
 package; every other public name is imported from its home module on first
 access, so a command loads only the modules it runs.  ``series`` is loaded
 first because it is the largest module: compiled from source on the smallest
-heap, it sets a lower peak memory than after the CLI and ``argparse``.
+heap, it sets a lower peak memory than after the CLI.
 """
 from .series import InvariantError, TruncatedSeries, VariableRegistry
 

@@ -31,39 +31,40 @@ the square-root route it also checks), and 512 for ``verify``.  ``--w`` is
 at most 6.  Larger values are a usage error.  The README's "Command line"
 section records the time and peak memory of runs at the caps.
 
-Each input is checked in one place.  ``argparse`` refuses an unknown
-subcommand and a missing or non-integer option.  ``RunConfig`` checks the
-rest when it is constructed: the command, the order's type and sign, and
-the format; ``verify`` refuses a shape or a width, and ``compute`` and
-``crosscheck`` parse theirs through :meth:`RunConfig.banana_shape`.  There
-:func:`parse_shape` refuses an unknown or missing selector and a missing or
-stray ``--w``, :class:`BananaShape` refuses a width that is not an int or
-is below 1, and the caps are applied to the parsed width and then, by
-command and shape, to the order.  ``main`` turns a ``ValueError`` from the
-constructor into a usage error, printed under the subcommand's usage line
-as ``argparse``'s own errors are, so every ``RunConfig`` that ``run``
-receives is valid.
+Each input is checked in one place.  :func:`parse_args` reads the options
+of :data:`COMMANDS` (``--opt VALUE``, ``--opt=VALUE`` or a unique prefix of
+the option's name; the last of a repeated option wins) and refuses an
+unknown subcommand, an unknown option or stray argument, and a missing or
+non-integer option.  ``RunConfig`` checks the rest when it is constructed:
+the command, the order's type and sign, and the format; ``verify`` refuses
+a shape or a width, and ``compute`` and ``crosscheck`` parse theirs through
+:meth:`RunConfig.banana_shape`.  There :func:`parse_shape` refuses an
+unknown or missing selector and a missing or stray ``--w``,
+:class:`BananaShape` refuses a width that is not an int or is below 1, and
+the caps are applied to the parsed width and then, by command and shape, to
+the order.  ``parse_args`` prints a ``ValueError`` from the constructor, as
+it prints its own errors, under the subcommand's usage line and exits 2,
+so every ``RunConfig`` that ``run`` receives is valid.
 
 Each subcommand imports only the modules it runs, inside the function that
 runs it: ``verify`` loads :mod:`bananagv.qseries`; ``compute`` and
 ``crosscheck`` load :mod:`bananagv.geometry` to parse their shape and
-:mod:`bananagv.gvpf` (with ``qseries`` and ``oracle``) to run.  No
-subcommand loads ``json``: ``compute`` writes its JSON head by hand, as it
-writes every row.
+:mod:`bananagv.gvpf` (with ``qseries``) to run, and ``crosscheck`` loads
+:mod:`bananagv.oracle` for the enumeration.  No subcommand loads ``json``:
+``compute`` writes its JSON head by hand, as it writes every row.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import namedtuple
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, NoReturn
 
 from .series import InvariantError, _as_order
 
 if TYPE_CHECKING:
     from .geometry import BananaShape
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["RunConfig", "parse_args", "run", "main"]
 
 #: Largest accepted ``--order`` per command and shape selector (see the
 #: module docstring); ``verify`` takes no shape.
@@ -77,6 +78,28 @@ MAX_ORDER = {
 
 #: Largest accepted ``--w``.
 MAX_W = 6
+
+_DESCRIPTION = "Genus-0 invariant tables and consistency checks for banana configurations"
+
+_SHAPE = ("--shape", "{2x2,1xW}", "", True)
+_W = ("--w", "W", "width parameter (required for 1xW)", False)
+_ORDER = ("--order", "ORDER", "total-degree truncation", True)
+
+#: Each subcommand's one-line description and its options, as (flag,
+#: metavar, help, required), in the order of the help; ``--order`` and
+#: ``--w`` take ints.
+COMMANDS = {
+    "compute": (
+        "emit the invariant table of a shape",
+        (_SHAPE, _W, _ORDER, ("--format", "{json,csv}", "", False)),
+    ),
+    "crosscheck": ("compare closed form against brute-force enumeration", (_SHAPE, _W, _ORDER)),
+    "verify": (
+        "run the q-series identity suite",
+        (("--order", "ORDER", "q-order of the checks", True),),
+    ),
+}
+_CHOICES = "{" + ",".join(COMMANDS) + "}"
 
 
 class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
@@ -179,43 +202,102 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bananagv",
-        description="Genus-0 invariant tables and consistency checks for banana configurations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: bananagv [-h] {_CHOICES} ..."
+    words = [f"usage: bananagv {command} [-h]"]
+    for flag, metavar, _, required in COMMANDS[command][1]:
+        words.append(f"{flag} {metavar}" if required else f"[{flag} {metavar}]")
+    return " ".join(words)
 
-    compute = sub.add_parser("compute", help="emit the invariant table of a shape")
-    crosscheck = sub.add_parser(
-        "crosscheck", help="compare closed form against brute-force enumeration"
-    )
-    for p in (compute, crosscheck):
-        p.add_argument("--shape", required=True, metavar="{2x2,1xW}")
-        p.add_argument("--w", type=int, help="width parameter (required for 1xW)")
-        p.add_argument("--order", type=int, required=True, help="total-degree truncation")
-    compute.add_argument("--format", metavar="{json,csv}", default="json")
 
-    verify = sub.add_parser("verify", help="run the q-series identity suite")
-    verify.add_argument("--order", type=int, required=True, help="q-order of the checks")
-    for p in sub.choices.values():
-        # main reports what RunConfig refuses under the subcommand's usage line
-        p.set_defaults(command_parser=p)
-    return parser
+def _help(command: str | None) -> str:
+    """argparse's layout: usage, the description, then each section with
+    every help text in one column."""
+    text = [_usage(command)]
+    sections = {"options:": [("-h, --help", "show this help message and exit")]}
+    if command is None:
+        text += ["", _DESCRIPTION]
+        choices = [(f"  {name}", line) for name, (line, _) in COMMANDS.items()]
+        sections = {"positional arguments:": [(_CHOICES, ""), *choices], **sections}
+    else:
+        sections["options:"] += [(f"{f} {m}", line) for f, m, line, _ in COMMANDS[command][1]]
+    # help texts start by column 24 at the latest; a longer name gets a line
+    width = min(max(len(name) for rows in sections.values() for name, _ in rows), 20)
+    for title, rows in sections.items():
+        text += ["", title]
+        for name, line in rows:
+            fits = len(name) <= width
+            text.append(f"  {name:<{width}}  {line}".rstrip() if fits else f"  {name}")
+    return "\n".join(text) + "\n"
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    prog = "bananagv" if command is None else f"bananagv {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> RunConfig:
+    """The configuration a command line asks for.  After printing help it
+    raises ``SystemExit(0)``, and on a usage error ``SystemExit(2)`` with the
+    usage line of the subcommand, or of ``bananagv`` before one is named."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        # ``--h`` and ``--he`` abbreviate ``--help``; ``--`` alone does not
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            sys.stdout.write(_help(None))
+            raise SystemExit(0)
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = COMMANDS[command][1]
+    flags = ["--help"] + [flag for flag, *_ in options]
+    values: dict[str, str | int] = {}
+    # as argparse does, an unknown token is reported only after the rest
+    # parsed, so a later ``-h`` still prints help
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        matches = [flag for flag in flags if flag.startswith(name)] if name[:2] == "--" else []
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if token == "-h" or matches == ["--help"]:
+            if eq:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if not matches:
+            unrecognized.append(token)
+            continue
+        (flag,) = matches
+        if not eq:
+            # the next token is the value even when it looks like ``-1``
+            value = next(tokens, None)
+            if value is None:
+                _fail(command, f"argument {flag}: expected one argument")
+        if flag in ("--order", "--w"):
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"argument {flag}: invalid int value: {value!r}")
+        values[flag[2:]] = value
+    missing = [flag for flag, _, _, required in options if required and flag[2:] not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _fail(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    fmt = values.get("format", "json")
+    try:
+        return RunConfig(command, values["order"], values.get("shape"), values.get("w"), fmt)
+    except ValueError as exc:
+        _fail(command, str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            command=ns.command,
-            order=ns.order,
-            shape=getattr(ns, "shape", None),
-            w=getattr(ns, "w", None),
-            fmt=getattr(ns, "format", "json"),
-        )
-    except ValueError as exc:
-        ns.command_parser.error(str(exc))
+    config = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return run(config)
     except InvariantError as exc:

@@ -43,14 +43,13 @@ and constant term the number of B locations.
 presentation and by far the cheaper route, so ``compute`` runs it.
 ``pf_22`` (with ``sqrt_unit``) stays as the independent square-root check:
 ``cross_check`` compares both ``2x2`` routes with the sign-twisted
-enumeration of :mod:`bananagv.oracle`.
+enumeration of :mod:`bananagv.oracle`, which only ``cross_check`` imports.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .geometry import BananaShape, registry_for
-from .oracle import behrend_twist, naive_pf
 from .qseries import _theta_quotient_at, elliptic_genus_c2_at, jacobi_phi_at
 from .series import (
     ExponentVector,
@@ -177,6 +176,9 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
     slice by slice up to total degree N; a failed report carries the
     graded-lex first mismatch.  On ``2x2`` the theta route that
     ``pf_for_shape`` serves is compared first, then ``pf_22``."""
+    # imported here, so that ``compute`` does not load the enumeration
+    from .oracle import behrend_twist, naive_pf
+
     closed = pf_for_shape(shape, N)
     routes = {"closed form": closed}
     if (shape.v, shape.w) == (2, 2):

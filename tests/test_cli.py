@@ -1,5 +1,7 @@
 """Tests for the command-line front end: formats, determinism, exit codes,
-and the modules each entry point loads."""
+help, the parser against the argparse one it replaced, and the modules each
+entry point loads."""
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -7,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,7 @@ import pytest
 
 import bananagv
 from bananagv import gvpf, qseries
-from bananagv.cli import RunConfig, main, run
+from bananagv.cli import RunConfig, main, parse_args, run
 from bananagv.geometry import registry_for
 from bananagv.gvpf import gv_table
 from bananagv.series import InvariantError, polynomial
@@ -186,10 +189,10 @@ def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
 # ``site`` preloads different modules on each Python, so only the package's
 # modules and these are compared; each would cost start-up on every run, and
 # no entry point loads any of them (``compute`` writes its JSON by hand)
-WATCHED = ("bananagv", "json", "dataclasses", "inspect")
+WATCHED = ("bananagv", "json", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
 CORE = ["bananagv", "bananagv.series"]
-ENGINE = ["bananagv.geometry", "bananagv.gvpf", "bananagv.oracle", "bananagv.qseries"]
+ENGINE = ["bananagv.geometry", "bananagv.gvpf", "bananagv.qseries"]
 RUN_MAIN = (
     "import runpy; sys.argv = ['bananagv', {}]\n"
     "try: runpy.run_module('bananagv', run_name='__main__', alter_sys=True)\n"
@@ -208,7 +211,7 @@ RUN_MAIN = (
         ),
         (
             RUN_MAIN.format("'crosscheck', '--shape', '1xW', '--w', '1', '--order', '3'"),
-            CORE + ["bananagv.cli"] + ENGINE,
+            CORE + ["bananagv.cli", "bananagv.oracle"] + ENGINE,
         ),
         (
             RUN_MAIN.format("'compute', '--shape', '2x2', '--order', '1', '--format', 'csv'"),
@@ -368,13 +371,14 @@ BAD_SHAPES = [
         ["verify", "--order", "0"],  # verify needs a positive order
         ["frobnicate"],  # unknown subcommand
         ["compute", "--shape", "2x2", "--order", "3", "--format", "xml"],  # unknown format
+        [],  # no subcommand
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()  # swallow argparse noise
+    capsys.readouterr()  # swallow the usage message
 
 
 @pytest.mark.parametrize("args", [args for _, args in BAD_SHAPES], ids=str)
@@ -384,13 +388,20 @@ def test_bad_shapes_are_refused_at_construction(args):
 
 
 def test_usage_errors_after_parsing_print_the_subcommands_usage_line(capsys):
-    # as argparse's own errors do, not the top-level ``bananagv {compute,...}``
+    # as the parser's own errors do, not the top-level ``bananagv {compute,...}``
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--shape", "2X2", "--order", "3"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: bananagv compute [-h] --shape")
     assert "bananagv compute: error: unknown shape selector '2X2'" in err
+    # a stray argument, which argparse reported under the top-level line
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--shape", "2x2", "--order", "3", "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bananagv compute [-h] --shape")
+    assert "bananagv compute: error: unrecognized arguments: extra" in err
     with pytest.raises(SystemExit):
         main(["verify", "--order", "0"])
     assert capsys.readouterr().err.startswith("usage: bananagv verify [-h] --order ORDER\n")
@@ -515,3 +526,190 @@ def test_invariant_violation_exits_3_with_one_line(fmt, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "constant term must count the B locations" in captured.err
+
+
+# ------------------------------------------------------------------ help
+
+DESCRIPTIONS = {
+    "compute": "emit the invariant table of a shape",
+    "crosscheck": "compare closed form against brute-force enumeration",
+    "verify": "run the q-series identity suite",
+}
+SHAPE_OPTIONS = [
+    ("--shape {2x2,1xW}", ""),
+    ("--w W", "width parameter (required for 1xW)"),
+    ("--order ORDER", "total-degree truncation"),
+]
+OPTIONS = {
+    "compute": SHAPE_OPTIONS + [("--format {json,csv}", "")],
+    "crosscheck": SHAPE_OPTIONS,
+    "verify": [("--order ORDER", "q-order of the checks")],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"]] + [[command, "-h"] for command in DESCRIPTIONS], ids=" ".join
+)
+def test_help_exits_0_and_writes_only_to_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = f"{argv[0]} " if len(argv) == 2 else ""
+    assert out.startswith(f"usage: bananagv {command}[-h]")
+
+
+def test_top_level_help_lists_each_subcommand_with_its_description(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bananagv [-h] {compute,crosscheck,verify} ...\n")
+    listed = re.findall(r"^    (\S+) +(.+)$", out, re.M)
+    assert listed == list(DESCRIPTIONS.items())
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_help_lists_every_option_with_its_help(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    rows = [re.split(r"  +", line.strip()) for line in out.splitlines() if line.startswith("  -")]
+    assert rows[0] == ["-h, --help", "show this help message and exit"]
+    assert [(row[0], row[1] if len(row) > 1 else "") for row in rows[1:]] == OPTIONS[command]
+
+
+# ---------------------------------------- the parser against argparse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that the command line used before ``parse_args``
+    replaced it; the reference of the differential test below."""
+    parser = argparse.ArgumentParser(
+        prog="bananagv",
+        description="Genus-0 invariant tables and consistency checks for banana configurations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    compute = sub.add_parser("compute", help="emit the invariant table of a shape")
+    crosscheck = sub.add_parser(
+        "crosscheck", help="compare closed form against brute-force enumeration"
+    )
+    for p in (compute, crosscheck):
+        p.add_argument("--shape", required=True, metavar="{2x2,1xW}")
+        p.add_argument("--w", type=int, help="width parameter (required for 1xW)")
+        p.add_argument("--order", type=int, required=True, help="total-degree truncation")
+    compute.add_argument("--format", metavar="{json,csv}", default="json")
+
+    verify = sub.add_parser("verify", help="run the q-series identity suite")
+    verify.add_argument("--order", type=int, required=True, help="q-order of the checks")
+    return parser
+
+
+def argparse_config(argv):
+    ns = build_parser().parse_args(argv)
+    try:
+        return RunConfig(
+            ns.command,
+            ns.order,
+            getattr(ns, "shape", None),
+            getattr(ns, "w", None),
+            getattr(ns, "format", "json"),
+        )
+    except ValueError:
+        raise SystemExit(2)
+
+
+def outcome(parse, argv):
+    """The ``RunConfig`` that ``parse`` returns, or the status it exits
+    with, and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+CORPUS = [
+    # accepted: each spelling, option order and repeat
+    ["compute", "--shape", "2x2", "--order", "3"],
+    ["compute", "--shape=2x2", "--order=3"],
+    ["compute", "--sh", "2x2", "--ord", "3"],
+    ["compute", "--s=1xW", "--w=2", "--o=5", "--f=csv"],
+    ["compute", "--order", "3", "--shape", "2x2"],
+    ["compute", "--shape", "2x2", "--order", "3", "--order", "5"],
+    ["compute", "--shape", "3x3", "--shape", "2x2", "--order", "3"],
+    ["compute", "--shape", "1xW", "--w", "3", "--order", "4", "--format", "csv"],
+    ["compute", "--format", "csv", "--w", "1", "--shape", "1xW", "--order", "0"],
+    ["compute", "--shape", "2x2", "--order", "3", "--format", "json"],
+    ["compute", "--shape", "2x2", "--order", "3", "--format", "csv", "--format", "json"],
+    ["compute", "--shape", "2x2", "--order", " 7 "],
+    ["compute", "--shape", "2x2", "--order", "1_0"],
+    ["compute", "--shape", "2x2", "--order", "-0"],
+    ["crosscheck", "--shape", "1xW", "--w", "1", "--order", "5"],
+    ["crosscheck", "--shape", "2x2", "--order", "4"],
+    ["crosscheck", "--o", "4", "--s", "1xW", "--w", "6"],
+    ["verify", "--order", "4"],
+    ["verify", "--order=12"],
+    ["verify", "--o", "1"],
+    ["verify", "--order", "3", "--order", "512"],
+    # help, also after a stray or unknown argument
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["compute", "-h"],
+    ["crosscheck", "--help"],
+    ["verify", "--h"],
+    ["compute", "--shape", "2x2", "-h"],
+    ["compute", "extra", "-h"],
+    ["verify", "--bogus", "--help"],
+    # refused: no, unknown or misspelt subcommand
+    [],
+    ["frobnicate"],
+    ["Compute", "--shape", "2x2", "--order", "3"],
+    ["--bogus"],
+    # a missing option or value
+    ["compute", "--shape", "2x2"],
+    ["compute", "--order", "3"],
+    ["verify"],
+    ["compute", "--shape", "2x2", "--order"],
+    ["compute", "--shape"],
+    ["compute", "--shape", "1xW", "--order", "3", "--w"],
+    # a value that is not an int
+    ["compute", "--shape", "2x2", "--order", "three"],
+    ["compute", "--shape", "2x2", "--order", "3.0"],
+    ["compute", "--shape", "2x2", "--order="],
+    ["compute", "--shape", "1xW", "--w", "x", "--order", "3"],
+    # a stray argument, or an option the subcommand does not take
+    ["compute", "--shape", "2x2", "--order", "3", "extra"],
+    ["verify", "--order", "3", "4"],
+    ["crosscheck", "--shape", "2x2", "--order", "3", "--format", "csv"],
+    ["crosscheck", "--shape", "2x2", "--order", "3", "--f", "csv"],
+    ["verify", "--order", "3", "--w", "2"],
+    ["compute", "--shape", "2x2", "--order", "3", "--bogus"],
+    ["compute", "--shape", "2x2", "--order", "3", "-x"],
+    ["compute", "--help=yes"],
+    ["compute", "-hv"],
+    # values that RunConfig refuses, a negative one among them
+    ["compute", "--shape", "2x2", "--order", "-1"],
+    ["compute", "--shape", "2x2", "--order=-1"],
+    ["verify", "--order", "-1"],
+    ["compute", "--shape", "1xW", "--w", "-1", "--order", "3"],
+    ["compute", "--shape", "2x2", "--order", "3", "--format", "xml"],
+    ["compute", "--shape", "2x2", "--order", "65"],
+]
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_args_agrees_with_argparse(argv):
+    expected, _, _ = outcome(argparse_config, argv)
+    result, out, err = outcome(parse_args, argv)
+    assert result == expected
+    if result == 0:
+        assert out.startswith("usage: bananagv") and err == ""
+    elif result == 2:
+        assert out == "" and err.startswith("usage: bananagv")
+    else:
+        assert isinstance(result, RunConfig) and (out, err) == ("", "")

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from bananagv import gvpf, qseries
+from bananagv import gvpf, oracle, qseries
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
@@ -215,7 +215,7 @@ def test_pf_for_shape_dispatch(monkeypatch):
     assert pf_for_shape(BananaShape(1, 2), 3) == pf_1w(2, 3)
     # the enumeration serves these shapes, but the closed form refuses them
     # before any enumeration runs
-    monkeypatch.setattr(gvpf, "naive_pf", None)
+    monkeypatch.setattr(oracle, "naive_pf", None)
     for shape in (BananaShape(2, 3), BananaShape(3, 1)):
         for call in (pf_for_shape, cross_check, gv_table):
             with pytest.raises(ValueError, match=f"no closed form for shape {shape}"):
