@@ -4,17 +4,17 @@
 Every class carries B-degree 1; rows list the A- and C-multidegrees in
 graded-lex order with the invariant value.
 """
-from bananagv import gv_table, parse_shape
-from bananagv.geometry import registry_for
+from bananagv import parse_shape
+from bananagv.gvpf import pf_for_shape
 
 
 def show(shape_text, w=None, order=4):
     shape = parse_shape(shape_text, w)
-    table = gv_table(shape, order)
-    names = registry_for(shape).names
+    pf = pf_for_shape(shape, order)
+    names = pf.registry.names
     print(f"shape {shape}, classes up to total degree {order}")
     print("  " + "  ".join(f"{n:>3}" for n in names) + "   n^0")
-    for exps, value in table.entries:
+    for exps, value in pf.sorted_terms():
         print("  " + "  ".join(f"{e:>3}" for e in exps) + f"  {value:>4}")
     print()
 

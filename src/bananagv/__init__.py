@@ -33,9 +33,7 @@ _LAZY = {
     "BranchSpec": "geometry",
     "parse_shape": "geometry",
     "CrossCheckReport": "gvpf",
-    "GVTable": "gvpf",
     "cross_check": "gvpf",
-    "gv_table": "gvpf",
     "pf_1w": "gvpf",
     "pf_22": "gvpf",
     "pf_22_theta": "gvpf",
@@ -46,26 +44,7 @@ _LAZY = {
     "jacobi_phi": "qseries",
 }
 
-__all__ = [
-    "BananaShape",
-    "BranchSpec",
-    "CrossCheckReport",
-    "GVTable",
-    "InvariantError",
-    "TruncatedSeries",
-    "VariableRegistry",
-    "behrend_twist",
-    "check_identities",
-    "cross_check",
-    "elliptic_genus_c2",
-    "gv_table",
-    "jacobi_phi",
-    "naive_pf",
-    "parse_shape",
-    "pf_1w",
-    "pf_22",
-    "pf_22_theta",
-]
+__all__ = ["InvariantError", "TruncatedSeries", "VariableRegistry", *_LAZY]
 
 __version__ = "0.1.0"
 

@@ -13,11 +13,11 @@ term order, canonical JSON separators), and the JSON document round-trips:
 Coefficients are serialized as decimal strings so arbitrary-precision values
 survive any JSON reader.
 
-``compute`` writes its table as it goes: the head (shape, order and
-variables), then one coefficient row at a time, then the close, so the
-output is never held as one document or one string.  The table itself is
-built in full before the first write, so an ``InvariantError`` leaves
-standard output empty.
+``compute`` writes its table straight from the certified closed-form
+series: the head (shape, order and variables), then one coefficient row at
+a time, each exponent key unpacked as its row is written, then the close.
+The series is built and certified in full before the first write, so an
+``InvariantError`` leaves standard output empty.
 
 Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
 when a computation breaks an internal invariant (``InvariantError``); the
@@ -59,7 +59,7 @@ import sys
 from collections import namedtuple
 from typing import IO, TYPE_CHECKING, NoReturn
 
-from .series import InvariantError, _as_order
+from .series import InvariantError, TruncatedSeries, _as_order
 
 if TYPE_CHECKING:
     from .geometry import BananaShape
@@ -143,29 +143,25 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
         return parse_shape(self.shape, self.w)
 
 
-def _write_json(out: IO[str], config: RunConfig, shape: BananaShape, table) -> None:
-    from .geometry import registry_for
-
+def _write_json(out: IO[str], config: RunConfig, pf: TruncatedSeries) -> None:
     # the head holds ints, the parsed selector and variable names such as
     # ``r0``, none of which needs escaping; then one row at a time
-    w = f',"w":{shape.w}' if shape.v == 1 else ""
-    names = ",".join(f'"{name}"' for name in registry_for(shape).names)
+    w = "" if config.w is None else f',"w":{config.w}'
+    names = ",".join(f'"{name}"' for name in pf.registry.names)
     out.write(
-        f'{{"shape":"{config.shape}"{w},"order":{table.order},'
+        f'{{"shape":"{config.shape}"{w},"order":{config.order},'
         f'"variables":[{names}],"coefficients":['
     )
     sep = ""
-    for exps, value in table.entries:
+    for exps, value in pf.sorted_terms():
         out.write(f'{sep}{{"exponents":[{",".join(map(str, exps))}],"value":"{value}"}}')
         sep = ","
     out.write("]}\n")
 
 
-def _write_csv(out: IO[str], shape: BananaShape, table) -> None:
-    from .geometry import registry_for
-
-    out.write(",".join(registry_for(shape).names) + ",value\n")
-    for exps, value in table.entries:
+def _write_csv(out: IO[str], pf: TruncatedSeries) -> None:
+    out.write(",".join(pf.registry.names) + ",value\n")
+    for exps, value in pf.sorted_terms():
         out.write(f"{','.join(map(str, exps))},{value}\n")
 
 
@@ -175,14 +171,13 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     if config.command == "compute":
-        from .gvpf import gv_table
+        from .gvpf import pf_for_shape
 
-        shape = config.banana_shape()
-        table = gv_table(shape, config.order)
+        pf = pf_for_shape(config.banana_shape(), config.order)
         if config.fmt == "json":
-            _write_json(out, config, shape, table)
+            _write_json(out, config, pf)
         else:
-            _write_csv(out, shape, table)
+            _write_csv(out, pf)
         return 0
     if config.command == "verify":
         from .qseries import check_identities

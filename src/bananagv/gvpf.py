@@ -61,20 +61,18 @@ from .series import (
 )
 
 __all__ = [
-    "GVTable",
     "CrossCheckReport",
     "pf_22",
     "pf_22_theta",
     "pf_1w",
     "pf_for_shape",
     "cross_check",
-    "gv_table",
 ]
 
 R22 = registry_for(BananaShape(2, 2))
 _Q22 = (1, 1, 1, 1)
 _SINGLES = [R22.exps(**{single: 1}) for single in ("r0", "s0", "r1", "s1")]
-_PAIRS = [(1, 0, 1, 0), (0, 1, 0, 1)]  # r0 s0 and r1 s1
+_PAIRS = [R22.exps(r0=1, s0=1), R22.exps(r1=1, s1=1)]
 
 
 def _certified(pf: TruncatedSeries, N: int, route: str, locations: int) -> TruncatedSeries:
@@ -138,8 +136,8 @@ def pf_1w(w: int, N: int) -> TruncatedSeries:
 def pf_for_shape(shape: BananaShape, N: int) -> TruncatedSeries:
     """The closed form of a shape, and the one place that decides which
     shapes have one: ``(1, w)`` and ``(2, 2)``.  The enumeration serves every
-    shape, but any other shape raises here, so ``cross_check`` and
-    ``gv_table`` refuse it before enumerating anything."""
+    shape, but any other shape raises here, so ``cross_check`` refuses it
+    before enumerating anything."""
     if (shape.v, shape.w) == (2, 2):
         return pf_22_theta(N)
     if shape.v == 1:
@@ -192,16 +190,3 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
         return CrossCheckReport(shape, N, True, None, "closed form (theta and square-root routes)")
     return CrossCheckReport(shape, N, True)
 
-
-class GVTable(NamedTuple):
-    """All nonzero invariants up to total degree N, as (exponents, value)
-    rows in graded-lex order.  The exponents are over ``registry_for(shape)``
-    and every class implicitly carries B-degree 1."""
-
-    shape: BananaShape
-    order: int
-    entries: tuple[tuple[ExponentVector, int], ...]
-
-
-def gv_table(shape: BananaShape, N: int) -> GVTable:
-    return GVTable(shape, N, tuple(pf_for_shape(shape, N).sorted_terms()))

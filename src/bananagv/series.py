@@ -383,9 +383,6 @@ class TruncatedSeries:
     def constant_term(self) -> int:
         return self.coefficient(self.registry.zero_exps())
 
-    def is_zero(self) -> bool:
-        return not self._slices
-
     def coefficients(self) -> Iterator[int]:
         """The stored (nonzero) coefficients, read without unpacking keys."""
         return chain.from_iterable(s.values() for s in self._slices.values())
@@ -396,11 +393,12 @@ class TruncatedSeries:
         offset = self.registry._packing._offset
         return any((k + offset) & offset != offset for s in self._slices.values() for k in s)
 
-    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
-        """Terms in the canonical graded-lex order (ascending)."""
+    def sorted_terms(self) -> Iterator[tuple[ExponentVector, int]]:
+        """Terms in the canonical graded-lex order (ascending), each key
+        unpacked as it is read."""
         unpack = self.registry._packing.unpack
         items = sorted(chain.from_iterable(s.items() for s in self._slices.values()))
-        return [(unpack(k), c) for k, c in items]
+        return ((unpack(k), c) for k, c in items)
 
     def same_series(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
         """Compare coefficients up to ``up_to`` (default: the common order)."""

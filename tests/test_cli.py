@@ -20,7 +20,7 @@ import bananagv
 from bananagv import gvpf, qseries
 from bananagv.cli import RunConfig, main, parse_args, run
 from bananagv.geometry import registry_for
-from bananagv.gvpf import gv_table
+from bananagv.gvpf import pf_for_shape
 from bananagv.series import InvariantError, polynomial
 
 REFERENCE = json.loads(
@@ -105,21 +105,21 @@ def test_json_output_is_deterministic_and_round_trips():
     assert json.dumps(json.loads(first), separators=(",", ":")) == first.strip()
 
 
-def _whole_document_json(config, shape, table):
+def _whole_document_json(config, shape, pf):
     doc = {"shape": config.shape}
     if shape.v == 1:
         doc["w"] = shape.w
-    doc["order"] = table.order
+    doc["order"] = pf.order
     doc["variables"] = list(registry_for(shape).names)
     doc["coefficients"] = [
-        {"exponents": list(exps), "value": str(value)} for exps, value in table.entries
+        {"exponents": list(exps), "value": str(value)} for exps, value in pf.sorted_terms()
     ]
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _whole_document_csv(config, shape, table):
+def _whole_document_csv(config, shape, pf):
     lines = [",".join(registry_for(shape).names) + ",value"]
-    for exps, value in table.entries:
+    for exps, value in pf.sorted_terms():
         lines.append(",".join(str(e) for e in exps) + f",{value}")
     return "\n".join(lines) + "\n"
 
@@ -137,7 +137,7 @@ def test_streamed_tables_match_the_whole_document_serializers(shape, w, top):
             banana = config.banana_shape()
             out = io.StringIO()
             assert run(config, out=out) == 0
-            expected = reference(config, banana, gv_table(banana, order))
+            expected = reference(config, banana, pf_for_shape(banana, order))
             assert out.getvalue() == expected, (order, fmt)
 
 
@@ -241,8 +241,7 @@ def test_every_public_name_is_its_home_modules_object():
     homes = {
         "series": ["InvariantError", "TruncatedSeries", "VariableRegistry"],
         "geometry": ["BananaShape", "BranchSpec", "parse_shape"],
-        "gvpf": ["CrossCheckReport", "GVTable", "cross_check", "gv_table", "pf_1w", "pf_22",
-                 "pf_22_theta"],
+        "gvpf": ["CrossCheckReport", "cross_check", "pf_1w", "pf_22", "pf_22_theta"],
         "oracle": ["behrend_twist", "naive_pf"],
         "qseries": ["check_identities", "elliptic_genus_c2", "jacobi_phi"],
     }
@@ -267,8 +266,8 @@ def test_an_unknown_public_name_raises_attribute_error():
 
 
 def test_from_import_still_loads_a_submodule():
-    probe = "from bananagv import gvpf; print(gvpf.__name__, gvpf.gv_table.__name__)"
-    assert run_child(["-c", probe]).stdout == "bananagv.gvpf gv_table\n"
+    probe = "from bananagv import gvpf; print(gvpf.__name__, gvpf.pf_for_shape.__name__)"
+    assert run_child(["-c", probe]).stdout == "bananagv.gvpf pf_for_shape\n"
 
 
 def test_version_is_a_literal_that_needs_no_import():

@@ -9,7 +9,6 @@ from bananagv.gvpf import (
     CrossCheckReport,
     _certified,
     cross_check,
-    gv_table,
     pf_1w,
     pf_22,
     pf_22_theta,
@@ -217,7 +216,7 @@ def test_pf_for_shape_dispatch(monkeypatch):
     # before any enumeration runs
     monkeypatch.setattr(oracle, "naive_pf", None)
     for shape in (BananaShape(2, 3), BananaShape(3, 1)):
-        for call in (pf_for_shape, cross_check, gv_table):
+        for call in (pf_for_shape, cross_check):
             with pytest.raises(ValueError, match=f"no closed form for shape {shape}"):
                 call(shape, 3)
 
@@ -317,33 +316,32 @@ def test_cross_check_report_describes_mismatches():
 
 
 def test_gv_table_2x2():
-    table = gv_table(TWO, 3)
-    assert table.shape == TWO and table.order == 3
-    assert table.entries == tuple(pf_for_shape(TWO, 3).sorted_terms())
-    first_exps, first_value = table.entries[0]
+    pf = pf_for_shape(TWO, 3)
+    assert pf.order == 3
+    rows = list(pf.sorted_terms())
+    first_exps, first_value = rows[0]
     assert first_value == 2
     assert first_exps == (0, 0, 0, 0)
-    assert all(value != 0 for _, value in table.entries)
-    assert all(len(exps) == 4 for exps, _ in table.entries)
-    degrees = [sum(exps) for exps, _ in table.entries]
+    assert all(value != 0 for _, value in rows)
+    assert all(len(exps) == 4 for exps, _ in rows)
+    degrees = [sum(exps) for exps, _ in rows]
     assert degrees == sorted(degrees)
 
 
 def test_gv_table_1xw_classes():
     shape = BananaShape(1, 2)
-    table = gv_table(shape, 4)
-    assert table.entries == tuple(pf_for_shape(shape, 4).sorted_terms())
-    for exps, value in table.entries:
+    rows = list(pf_for_shape(shape, 4).sorted_terms())
+    for exps, value in rows:
         assert len(exps) == shape.w + 1 and min(exps) >= 0
         assert value != 0
-    degrees = [sum(exps) for exps, _ in table.entries]
+    degrees = [sum(exps) for exps, _ in rows]
     assert degrees == sorted(degrees)
-    assert table.entries[0][1] == 2
+    assert rows[0][1] == 2
 
 
 def test_gv_table_rows_follow_the_series_order():
-    table = gv_table(BananaShape(1, 1), 4)
+    rows = list(pf_for_shape(BananaShape(1, 1), 4).sorted_terms())
     pf = pf_1w(1, 4)
-    keys = [e for e, _ in pf.sorted_terms()]
+    keys = [e for e, _ in rows]
     assert keys == sorted(keys, key=grlex_key)
-    assert [v for _, v in table.entries] == [c for _, c in pf.sorted_terms()]
+    assert rows == sorted(pf.terms.items(), key=lambda item: grlex_key(item[0]))

@@ -74,7 +74,7 @@ def test_phi_low_order_slices():
 def test_phi_vanishes_at_p_equal_one():
     f = jacobi_phi(8)
     collapsed = f.substitute_monomials(Q_ONLY, {"q": (1,), "p": (0,)})
-    assert collapsed.is_zero()
+    assert collapsed.terms == {}
     # theta, and with it phi, vanishes at every p = q^k, at every order
     for k in range(-3, 4):
         for order in (-2, 0, 1, 5):
@@ -337,7 +337,7 @@ def test_elliptic_genus_squared_is_the_phi_quotient_on_qyt_images(exps):
 def test_elliptic_genus_at_y_equal_t_is_zero():
     # Y^{-1}T = 1 and thetatilde(Q, 1) = 0
     ell = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 0, 1), (0, 0, 1), 8)
-    assert ell.is_zero() and ell.order == 8
+    assert ell.terms == {} and ell.order == 8
 
 
 def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):

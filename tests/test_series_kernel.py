@@ -20,6 +20,7 @@ from bananagv.series import (
     TruncatedSeries,
     VariableRegistry,
     _homogeneous_exact_divide,
+    _Packing,
     grlex_key,
     monomial,
     one,
@@ -76,7 +77,7 @@ def ref_invert(s):
     g = ref_add(one(reg, u.order), u, -1)
     acc = one(reg, u.order)
     p = g
-    while not p.is_zero():
+    while p.terms != {}:
         acc = ref_add(acc, p)
         p = TruncatedSeries(reg, dense_mul(p, g).terms, u.order)
     return ref_shift(acc, neg_e0, c0)
@@ -346,7 +347,7 @@ def test_negative_exponents_are_read_off_the_keys(s):
 
 @given(series(max_terms=10))
 def test_sorted_terms_is_grlex_order_of_terms(s):
-    assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+    assert list(s.sorted_terms()) == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
     assert sorted(s.coefficients()) == sorted(s.terms.values())
 
 
@@ -356,7 +357,21 @@ def test_sorted_terms_breaks_raw_degree_ties_lexicographically():
     assert [e for e, _ in s.sorted_terms()] == [
         (-2, 0, 0, 1), (-1, 0, 0, 1), (0, 0, 0, 0), (0, 1, -1, 0), (1, -1, 0, 0)
     ]
-    assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+    assert list(s.sorted_terms()) == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+
+
+def test_sorted_terms_unpacks_each_key_as_it_is_read(monkeypatch):
+    s = TruncatedSeries(XY, {(0, 0): 1, (1, 0): 2, (0, 1): 3}, 4)
+    calls = []
+    unpack = _Packing.unpack
+
+    def counted(self, key):
+        calls.append(key)
+        return unpack(self, key)
+
+    monkeypatch.setattr(_Packing, "unpack", counted)
+    assert next(iter(s.sorted_terms())) == ((0, 0), 1)
+    assert len(calls) == 1
 
 
 @given(series_pairs())

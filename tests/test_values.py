@@ -4,7 +4,7 @@ import pytest
 
 from bananagv.cli import RunConfig
 from bananagv.geometry import BananaShape, BranchSpec
-from bananagv.gvpf import CrossCheckReport, GVTable
+from bananagv.gvpf import CrossCheckReport
 from bananagv.qseries import IdentityCheck
 from bananagv.series import VariableRegistry
 
@@ -21,7 +21,6 @@ FIELDS = [
         CrossCheckReport,
         {"shape": SHAPE, "order": 4, "passed": False, "first_mismatch": ((1, 0, 1), 2, 3)},
     ),
-    (GVTable, {"shape": SHAPE, "order": 1, "entries": (((0, 0, 0), 2), ((1, 0, 0), -2))}),
     (RunConfig, {"command": "compute", "order": 3, "shape": "1xW", "w": 2, "fmt": "csv"}),
 ]
 
