@@ -30,7 +30,9 @@ with ``Q = prod_i (r_i s)`` and ``R_{i,k} = r_i r_{i+1} ... r_k s^{k-i+1}``
 (indices mod w), and ``Ell(Q, y, t) = theta(Q, yt) theta(Q, y^{-1} t) /
 theta(Q, t)^2`` the theta quotient of :mod:`bananagv.qseries`.  At w = 1
 the product is empty and pf reduces to ``s * phi(Q, s)``, the single-banana
-answer.
+answer.  The shift ``r_i -> r_{i+1}`` fixes Q and s and sends location i to
+location i + 1, so ``pf_1w`` builds location 0 once, with ``s phi(Q, s)``
+folded in, and rotates its packed keys for the others.
 
 The ``2x2`` ratio of phis built to N has floor 0 and is exact to N, and
 so is its root.  The theta route and ``s phi(Q, s) = thetatilde(Q, s)^2 /
@@ -112,25 +114,24 @@ def pf_22_theta(N: int) -> TruncatedSeries:
 
 def pf_1w(w: int, N: int) -> TruncatedSeries:
     """Closed-form generating function of the 1xw shape, exact to total
-    degree N over (r0, ..., r_{w-1}, s)."""
+    degree N over (r0, ..., r_{w-1}, s).
+
+    Location 0, with the ``s phi(Q, s)`` factor folded in, is built once;
+    each other location is the rotation ``r_j -> r_{j+1}`` of the one
+    before."""
     _as_order(N)
     reg = registry_for(BananaShape(1, w))
     q_img = (1,) * w + (w,)
     s_img = reg.exps(s=1)
-    base = _theta_quotient_at(reg, q_img, [s_img, s_img], [], N, True)
-    total = None
-    for i in range(w):
-        contribution = one(reg, N)
-        for k in range(i, i + w - 1):
-            r_span = [0] * (w + 1)
-            for j in range(i, k + 1):
-                r_span[j % w] += 1
-            r_span[w] = k - i + 1
-            contribution = contribution * elliptic_genus_c2_at(
-                reg, q_img, s_img, tuple(r_span), N
-            )
-        total = contribution if total is None else total + contribution
-    return _certified(base * total, N, "pf_1w", w)
+    location = _theta_quotient_at(reg, q_img, [s_img, s_img], [], N, True)
+    for k in range(w - 1):
+        r_span = (1,) * (k + 1) + (0,) * (w - 1 - k) + (k + 1,)  # R_{0,k}
+        location = location * elliptic_genus_c2_at(reg, q_img, s_img, r_span, N)
+    total = location
+    for _ in range(w - 1):
+        location = location._rotate_block(0, w)
+        total = total + location
+    return _certified(total, N, "pf_1w", w)
 
 
 def pf_for_shape(shape: BananaShape, N: int) -> TruncatedSeries:

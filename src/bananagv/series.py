@@ -53,7 +53,8 @@ into its neighbour and silently change the monomial, so it is refused with
 ValueError before it can form.  Every series carries ``_emax``, an upper
 bound on ``|e_i|`` over its stored terms: exact from the constructor, the
 sum of the operands' bounds for a product, the bound plus ``max|delta|``
-for a shift, and the bound times the images' spread for a substitution.
+for a shift, the bound times the images' spread for a substitution, and
+the bound itself for a rotation.
 Where such a bound reaches ``2**15`` the operands' exact bounds are read
 off their keys before the operation is refused.  The recurrences below
 track a bound per slice and check every pair of slices before they
@@ -75,6 +76,9 @@ product whose large exponents would all have landed beyond its order.
   (Brent & Kung, "Fast algorithms for manipulating formal power series",
   J. ACM 1978).  Dividing by the monomial ``2 r_0`` is the only slice
   division in the package.
+* ``_rotate_block`` shifts one block of equal-weight variables cyclically,
+  ``x_v -> x_{v+1}``, by moving digits within each key.  It refuses any
+  negative exponent, since a balanced digit borrows from its neighbour.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -559,6 +563,33 @@ class TruncatedSeries:
             else {}
         )
         return TruncatedSeries._from_slices(self.registry, slices, self.order + shift, emax)
+
+    def _rotate_block(self, start: int, stop: int) -> "TruncatedSeries":
+        """The image under ``x_v -> x_{v+1}`` for ``start <= v < stop - 1``
+        and ``x_{stop-1} -> x_start``, which fixes every other variable.
+
+        With nonnegative digits this moves the block's digits within each
+        key, so the degree digit, the slices and ``_emax`` all stay.
+        ValueError for a negative exponent, whose borrow would corrupt the
+        moved digits, and for a block of unequal weights, whose image would
+        change a term's degree.
+        """
+        reg = self.registry
+        if len(set(reg.weights[start:stop])) > 1:
+            raise ValueError("a rotated block needs variables of equal weight")
+        if self.has_negative_exponent():
+            raise ValueError("rotating packed keys needs nonnegative exponents")
+        # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
+        low = _DIGIT_BITS * (reg.size - stop)
+        span = _DIGIT_BITS * (stop - start - 1)
+        last = ((1 << _DIGIT_BITS) - 1) << low
+        rest = ((1 << span) - 1) << low
+        keep = ~(last | rest << _DIGIT_BITS)
+        slices = {
+            d: {(k & keep) | (k & last) << span | (k >> _DIGIT_BITS) & rest: c for k, c in s.items()}
+            for d, s in self._slices.items()
+        }
+        return TruncatedSeries._from_slices(reg, slices, self.order, self._emax)
 
     # -- units: inverse and square root -----------------------------------
 

@@ -188,6 +188,38 @@ def test_pf_1w_is_cyclically_symmetric():
     assert pf.substitute_monomials(reg, images) == pf
 
 
+def _location_built_directly(w, i, N):
+    """``s phi(Q, s) * prod_{k=i}^{i+w-2} Ell(Q, s, R_{i,k})``, r indices mod
+    w, built from its own factors with no rotation."""
+    reg = registry_for(BananaShape(1, w))
+    q_img = (1,) * w + (w,)
+    s_img = reg.exps(s=1)
+    location = jacobi_phi_at(reg, q_img, s_img, N).shift_monomial(s_img)
+    for k in range(i, i + w - 1):
+        r_span = [0] * (w + 1)
+        for j in range(i, k + 1):
+            r_span[j % w] += 1
+        r_span[w] = k - i + 1
+        location = location * qseries.elliptic_genus_c2_at(reg, q_img, s_img, tuple(r_span), N)
+    return location
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_pf_1w_locations_built_directly_are_rotations_of_location_0(w):
+    N = 8 + w % 3
+    locations = [_location_built_directly(w, i, N) for i in range(w)]
+    rotated = locations[0]
+    for i in range(1, w):
+        rotated = rotated._rotate_block(0, w)
+        assert rotated == locations[i]
+    if w <= 6:
+        total = locations[0]
+        for location in locations[1:]:
+            total = total + location
+        assert total.order >= N
+        assert total.truncate(N) == pf_1w(w, N)
+
+
 def test_pf_1w_constant_counts_locations():
     for w in (1, 2, 3, 4):
         assert pf_1w(w, 2).constant_term() == w
@@ -315,7 +347,7 @@ def test_cross_check_report_describes_mismatches():
 # ----------------------------------------------------------------- tables
 
 
-def test_gv_table_2x2():
+def test_compute_rows_2x2():
     pf = pf_for_shape(TWO, 3)
     assert pf.order == 3
     rows = list(pf.sorted_terms())
@@ -328,7 +360,7 @@ def test_gv_table_2x2():
     assert degrees == sorted(degrees)
 
 
-def test_gv_table_1xw_classes():
+def test_compute_rows_1xw_classes():
     shape = BananaShape(1, 2)
     rows = list(pf_for_shape(shape, 4).sorted_terms())
     for exps, value in rows:
@@ -339,7 +371,7 @@ def test_gv_table_1xw_classes():
     assert rows[0][1] == 2
 
 
-def test_gv_table_rows_follow_the_series_order():
+def test_compute_rows_follow_the_series_order():
     rows = list(pf_for_shape(BananaShape(1, 1), 4).sorted_terms())
     pf = pf_1w(1, 4)
     keys = [e for e, _ in rows]

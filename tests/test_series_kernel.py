@@ -182,9 +182,9 @@ coefficients = st.integers(-6, 6)
 
 
 @st.composite
-def series(draw, reg=None, max_terms=6):
+def series(draw, reg=None, max_terms=6, exponent=st.integers(-2, 3)):
     reg = reg if reg is not None else draw(registries)
-    exps = st.tuples(*[st.integers(-2, 3)] * reg.size)
+    exps = st.tuples(*[exponent] * reg.size)
     terms = draw(st.dictionaries(exps, coefficients, max_size=max_terms))
     return TruncatedSeries(reg, terms, draw(st.integers(-1, 6)))
 
@@ -444,6 +444,57 @@ def test_slice_division_refusals(num, den):
 def test_slice_division_refuses_polynomial_divisors(reg, num, den):
     with pytest.raises(ValueError, match="one-term divisor"):
         divide(reg, num, den)
+
+
+# ----------------------------------------------------------- block rotation
+
+
+@st.composite
+def blocks(draw):
+    """A registry of 2 to 6 variables and a block ``start:stop`` of them
+    that share one weight; the other weights are free."""
+    n = draw(st.integers(2, 6))
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start + 1, n))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    weights[start:stop] = [weights[start]] * (stop - start)
+    return VariableRegistry([f"x{v}" for v in range(n)], weights), start, stop
+
+
+def cyclic_images(reg, start, stop):
+    """``x_v -> x_{v+1}`` across the block, its last variable to its first,
+    and every other variable to itself."""
+    def target(v):
+        return start + (v + 1 - start) % (stop - start) if start <= v < stop else v
+
+    return {name: tuple(int(i == target(v)) for i in range(reg.size)) for v, name in enumerate(reg.names)}
+
+
+@given(blocks(), st.data())
+def test_block_rotation_matches_the_cyclic_substitution(block, data):
+    reg, start, stop = block
+    s = data.draw(series(reg, max_terms=10, exponent=st.integers(0, 3)))
+    rotated = s._rotate_block(start, stop)
+    assert_identical(rotated, s.substitute_monomials(reg, cyclic_images(reg, start, stop)))
+    assert rotated._emax == s._emax
+
+
+@given(blocks(), st.data())
+def test_block_rotation_refuses_negative_exponents_and_unequal_weights(block, data):
+    reg, start, stop = block
+    s = data.draw(series(reg, max_terms=10, exponent=st.integers(0, 3)))
+    v = data.draw(st.integers(0, reg.size - 1))
+    # 1/x_v has degree -weight(x_v) <= 0, so order 0 keeps it
+    inverse = tuple(-int(i == v) for i in range(reg.size))
+    negative = TruncatedSeries(reg, {**s.terms, inverse: 1}, max(s.order, 0))
+    with pytest.raises(ValueError, match="nonnegative exponents"):
+        negative._rotate_block(start, stop)
+    if stop - start > 1:
+        weights = list(reg.weights)
+        weights[stop - 1] += 1
+        uneven = TruncatedSeries(VariableRegistry(reg.names, weights), s.terms, s.order)
+        with pytest.raises(ValueError, match="equal weight"):
+            uneven._rotate_block(start, stop)
 
 
 # ----------------------------------------------------------- overflow guard
