@@ -4,8 +4,9 @@ Three subcommands, all writing to standard output:
 
 * ``compute``: emit the invariant table of a shape as JSON (default) or CSV.
 * ``verify``: run the q-series identity suite at a given order.
-* ``crosscheck``: compare the closed form (on ``2x2`` both of its routes)
-  with the sign-twisted enumeration.
+* ``crosscheck``: compare the closed form with the sign-twisted
+  enumeration; on ``2x2`` it also checks the square-root formula, by
+  squaring the theta form rather than taking a root.
 
 Output for a fixed invocation is byte-deterministic (canonical graded-lex
 term order, canonical JSON separators), and the JSON document round-trips:
@@ -26,10 +27,11 @@ last prints one line on standard error.
 Inputs are capped so that every accepted run finishes.  ``MAX_ORDER`` is
 the one table of ``--order`` caps, keyed by command and shape: 64 for
 ``compute --shape 2x2``, which runs the theta form, 32 for ``compute
---shape 1xW`` and for ``crosscheck`` on both shapes (``2x2``'s is set by
-the square-root route it also checks), and 512 for ``verify``.  ``--w`` is
-at most 6.  Larger values are a usage error.  The README's "Command line"
-section records the time and peak memory of runs at the caps.
+--shape 1xW`` and for ``crosscheck`` on both shapes (on ``2x2`` the
+enumeration and the squared theta form set it), and 512 for ``verify``.
+``--w`` is at most 6.  Larger values are a usage error.  The README's
+"Command line" section records the time and peak memory of runs at the
+caps.
 
 Each input is checked in one place.  :func:`parse_args` reads the options
 of :data:`COMMANDS` (``--opt VALUE``, ``--opt=VALUE`` or a unique prefix of

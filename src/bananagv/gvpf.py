@@ -42,10 +42,19 @@ through one certificate: exact to N, exponents in the nonnegative orthant,
 and constant term the number of B locations.
 
 ``pf_for_shape`` serves ``2x2`` from the theta form, the paper's
-presentation and by far the cheaper route, so ``compute`` runs it.
-``pf_22`` (with ``sqrt_unit``) stays as the independent square-root check:
-``cross_check`` compares both ``2x2`` routes with the sign-twisted
-enumeration of :mod:`bananagv.oracle`, which only ``cross_check`` imports.
+presentation and by far the cheaper route, so ``compute`` runs it, and
+``cross_check`` compares it with the sign-twisted enumeration of
+:mod:`bananagv.oracle`, which only ``cross_check`` imports.  The
+square-root formula is checked by squaring, not by a root.  Write ``p``
+for the theta form over 2 and ``q`` for the root ``sqrt_unit`` takes of
+the ratio R; both have constant term 1.  If ``p^2 = R`` to order N, then
+``(p - q)(p + q) = 0``, and ``p + q`` has constant term 2, so it is
+invertible and ``p = q``.  Otherwise the lowest slice of ``p^2 - R`` is
+twice that of ``p - q``: the squares first differ where the roots do, and
+at that monomial e ``2 q`` holds ``closed[e] - (square[e] - 4 R[e]) // 4``
+(an exact quotient when R has an integral root), the coefficient a failed
+report gives.  So no command takes a square root; ``pf_22`` and
+``sqrt_unit`` stay as library API.
 """
 from __future__ import annotations
 
@@ -89,15 +98,21 @@ def _certified(pf: TruncatedSeries, N: int, route: str, locations: int) -> Trunc
     return pf
 
 
-def pf_22(N: int) -> TruncatedSeries:
-    """Closed-form generating function of the 2x2 shape, exact to total
-    degree N over (r0, r1, s0, s1)."""
+def _phi_ratio(N: int) -> TruncatedSeries:
+    """The ratio of six phis under the root of ``pf_22``, exact to N, with
+    floor 0 and constant term 1."""
     ratio = one(R22, _as_order(N))
     for single in _SINGLES:
         ratio = ratio * jacobi_phi_at(R22, _Q22, single, N)
     for pair in _PAIRS:
         ratio = ratio * jacobi_phi_at(R22, _Q22, pair, N).invert_unit()
-    return _certified(2 * ratio.sqrt_unit(), N, "pf_22", 2)
+    return ratio
+
+
+def pf_22(N: int) -> TruncatedSeries:
+    """Closed-form generating function of the 2x2 shape, exact to total
+    degree N over (r0, r1, s0, s1), as ``2 * sqrt(_phi_ratio(N))``."""
+    return _certified(2 * _phi_ratio(N).sqrt_unit(), N, "pf_22", 2)
 
 
 def pf_22_theta(N: int) -> TruncatedSeries:
@@ -171,23 +186,28 @@ class CrossCheckReport(NamedTuple):
 
 
 def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
-    """Compare the closed form with the sign-twisted brute-force count,
-    slice by slice up to total degree N; a failed report carries the
-    graded-lex first mismatch.  On ``2x2`` the theta route that
-    ``pf_for_shape`` serves is compared first, then ``pf_22``."""
+    """Compare the closed form that ``pf_for_shape`` serves with the
+    sign-twisted brute-force count, slice by slice up to total degree N; a
+    failed report carries the graded-lex first mismatch.  On ``2x2`` the
+    square-root route is then checked as ``closed * closed`` against ``4 *
+    _phi_ratio(N)``, the same check since ``(p - q)(p + q) = 0`` forces
+    ``p = q`` (see the module docstring).  A mismatch is reported at the
+    first monomial e where the squares differ, with ``closed[e] - (square[e]
+    - 4 R[e]) // 4``, the coefficient of ``2 * sqrt(R)`` there."""
     # imported here, so that ``compute`` does not load the enumeration
     from .oracle import behrend_twist, naive_pf
 
     closed = pf_for_shape(shape, N)
-    routes = {"closed form": closed}
-    if (shape.v, shape.w) == (2, 2):
-        routes = {"closed form (theta route)": closed, "closed form (square-root route)": pf_22(N)}
-    twisted = behrend_twist(naive_pf(shape, N))
-    for route, series in routes.items():
-        mismatch = series.first_difference(twisted, N)
-        if mismatch is not None:
-            return CrossCheckReport(shape, N, False, mismatch, route)
-    if len(routes) > 1:
+    mismatch = closed.first_difference(behrend_twist(naive_pf(shape, N)), N)
+    route = "closed form (theta route)" if (shape.v, shape.w) == (2, 2) else "closed form"
+    if mismatch is not None or route == "closed form":
+        return CrossCheckReport(shape, N, mismatch is None, mismatch, route)
+    # R is freed before the square is built
+    four_r = 4 * _phi_ratio(N)
+    mismatch = (closed * closed).first_difference(four_r, N)
+    if mismatch is None:
         return CrossCheckReport(shape, N, True, None, "closed form (theta and square-root routes)")
-    return CrossCheckReport(shape, N, True)
-
+    exps, square, four = mismatch
+    theta = closed.coefficient(exps)
+    mismatch = exps, theta - (square - four) // 4, theta
+    return CrossCheckReport(shape, N, False, mismatch, "closed form (square-root route)")

@@ -21,7 +21,7 @@ from bananagv import gvpf, qseries
 from bananagv.cli import RunConfig, main, parse_args, run
 from bananagv.geometry import registry_for
 from bananagv.gvpf import pf_for_shape
-from bananagv.series import InvariantError, polynomial
+from bananagv.series import InvariantError, TruncatedSeries, polynomial
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
@@ -329,22 +329,61 @@ def test_crosscheck_2x2_passes_on_both_routes():
     )
 
 
+def _plus_r0_s0(pf, N):
+    return pf + polynomial(pf.registry, {(1, 0, 1, 0): 1}, N)
+
+
+# a perturbation of what each 2x2 route is built from, and the coefficient
+# at r0 s0 of the closed form it then gives, where the enumeration reads 6
+PERTURBED_ROUTES = {
+    "pf_22_theta": (lambda original, N: _plus_r0_s0(original(N), N), 7),
+    # the square of a root one more at r0 s0, so 2 * root is two more
+    "_phi_ratio": (lambda original, N: _plus_r0_s0(original(N).sqrt_unit(), N) ** 2, 8),
+}
+
+
 @pytest.mark.parametrize(
-    "name,route", [("pf_22_theta", "theta route"), ("pf_22", "square-root route")]
+    "name,route", [("pf_22_theta", "theta route"), ("_phi_ratio", "square-root route")]
 )
 def test_crosscheck_2x2_names_the_route_that_mismatches(name, route, monkeypatch):
+    perturb, coefficient = PERTURBED_ROUTES[name]
     original = getattr(gvpf, name)
-
-    def perturbed(N):
-        pf = original(N)
-        return pf + polynomial(pf.registry, {(1, 0, 1, 0): 1}, N)
-
-    monkeypatch.setattr(gvpf, name, perturbed)
+    monkeypatch.setattr(gvpf, name, lambda N: perturb(original, N))
     code, out, _ = invoke(["crosscheck", "--shape", "2x2", "--order", "5"])
     assert (code, out) == (
         1,
-        f"FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form ({route}) 7 "
+        f"FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form ({route}) "
+        f"{coefficient} vs twisted enumeration 6\n",
+    )
+
+
+def test_crosscheck_2x2_reports_a_ratio_that_is_no_square(monkeypatch):
+    # sqrt_unit refuses R + r0 s0, whose root is not integral; the check
+    # still fails on one line, with the coefficient of 2 * root, one more
+    original = gvpf._phi_ratio
+    monkeypatch.setattr(gvpf, "_phi_ratio", lambda N: _plus_r0_s0(original(N), N))
+    with pytest.raises(ValueError, match="not exact over the integers"):
+        gvpf._phi_ratio(5).sqrt_unit()
+    assert invoke(["crosscheck", "--shape", "2x2", "--order", "5"]) == (
+        1,
+        "FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form (square-root route) 7 "
         "vs twisted enumeration 6\n",
+        "",
+    )
+
+
+def test_crosscheck_2x2_takes_no_square_root(monkeypatch):
+    # the square-root route is checked by squaring the theta route, so no
+    # command reaches sqrt_unit; the line is the one the root gave
+    def sqrt_unit(self):
+        raise AssertionError("crosscheck reached sqrt_unit")
+
+    monkeypatch.setattr(TruncatedSeries, "sqrt_unit", sqrt_unit)
+    assert invoke(["crosscheck", "--shape", "2x2", "--order", "6"]) == (
+        0,
+        "PASS shape 2x2 order 6: closed form (theta and square-root routes) matches "
+        "sign-twisted enumeration\n",
+        "",
     )
 
 
@@ -437,8 +476,7 @@ def test_zero_width_is_a_usage_error(capsys):
             ["compute", "--shape", "2x2", "--w", "7", "--order", "3"],
             "--w is only meaningful for shape 1xW",
         ),
-        # compute serves 2x2 from the theta form; crosscheck also runs the
-        # square-root route
+        # compute serves 2x2 from the theta form; crosscheck also enumerates
         (
             ["compute", "--shape", "2x2", "--order", "65"],
             "order must be at most 64 for compute --shape 2x2",

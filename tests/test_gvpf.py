@@ -2,6 +2,7 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bananagv import gvpf, oracle, qseries
 from bananagv.geometry import BananaShape, registry_for
@@ -78,6 +79,14 @@ def test_theta_route_agrees_with_sqrt_route():
     for N in range(25):
         assert pf_22_theta(N) == pf_22(N), N
     assert pf_22_theta(0).constant_term() == 2
+
+
+def test_theta_route_squared_is_four_times_the_phi_ratio():
+    # the identity the 2x2 cross-check squares the theta route against
+    for N in range(13):
+        ratio = gvpf._phi_ratio(N)
+        assert (ratio.order, ratio.floor, ratio.constant_term()) == (N, 0, 1), N
+        assert pf_22_theta(N) * pf_22_theta(N) == 4 * ratio, N
 
 
 def test_theta_route_certifies_its_exponents_and_order(monkeypatch):
@@ -336,6 +345,32 @@ def test_cross_check_reports_the_grlex_first_mismatch(monkeypatch):
     c = true.coefficient(first)
     assert not report.passed
     assert report.first_mismatch == (first, c + 3, c)
+
+
+# a root that differs from the true one by a few low-degree terms
+_ROOT_SHIFTS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4).filter(any),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(_ROOT_SHIFTS, st.integers(0, 10))
+def test_square_check_reports_what_the_square_root_route_would(shift, N):
+    # the ratio is the square of root + shift (cut at N), so 2 * sqrt_unit
+    # of it is the square-root route the check stands for; the report names
+    # its graded-lex first mismatch with the enumeration, and its coefficient
+    ratio = (gvpf._phi_ratio(N).sqrt_unit() + TruncatedSeries(gvpf.R22, shift, N)) ** 2
+    twisted = oracle.behrend_twist(oracle.naive_pf(TWO, N))
+    expected = (2 * ratio.sqrt_unit()).first_difference(twisted, N)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gvpf, "_phi_ratio", lambda order: ratio)
+        report = cross_check(TWO, N)
+    assert report.passed == (expected is None)
+    assert report.first_mismatch == expected
+    if expected is not None:
+        assert report.route == "closed form (square-root route)"
 
 
 def test_cross_check_report_describes_mismatches():
