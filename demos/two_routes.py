@@ -1,8 +1,8 @@
 """Compute the same invariants two independent ways and compare.
 
 Route one enumerates the constrained thickening profiles once for the
-period that every branch shares, folds them through each branch's labels,
-multiplies the branch series and applies the sign twist; route two expands
+period that every branch shares, substitutes each branch's labels into
+them, multiplies the branch series and applies the sign twist; route two expands
 the closed-form product.  The demo walks through the ingredients on the
 two-cell shape 1x2.
 """

@@ -20,9 +20,10 @@ a time, each exponent key unpacked as its row is written, then the close.
 The series is built and certified in full before the first write, so an
 ``InvariantError`` leaves standard output empty.
 
-Exit status: 0 on success, 1 when a check fails, 2 on a usage error, and 3
-when a computation breaks an internal invariant (``InvariantError``); the
-last prints one line on standard error.
+Exit status: 0 on success, 1 when a check fails, 2 on a usage error, 3
+when a computation breaks an internal invariant (``InvariantError``), which
+prints one line on standard error, and 141 (128 + SIGPIPE) when the reader
+closes standard output early, which prints nothing.
 
 Inputs are capped so that every accepted run finishes.  ``MAX_ORDER`` is
 the one table of ``--order`` caps, keyed by command and shape: 64 for
@@ -57,6 +58,7 @@ runs it: ``verify`` loads :mod:`bananagv.qseries`; ``compute`` and
 """
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from typing import IO, TYPE_CHECKING, NoReturn
@@ -294,9 +296,18 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return run(config)
+        try:
+            return run(parse_args(sys.argv[1:] if argv is None else argv))
+        finally:
+            # flushed here, and not at exit, so that a closed pipe is
+            # caught below, also after help has raised SystemExit
+            sys.stdout.flush()
     except InvariantError as exc:
         print(f"bananagv: internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to /dev/null so
+        # the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

@@ -17,14 +17,17 @@ package uses only the local rule; the tests check it against the conjugate
 test.
 
 Every branch of a shape has the same period, ``2 lcm(v, w)``, and its
-profiles do not depend on its labels.  ``_profile_residues`` walks the
-admissible profiles once per period, straight from the local pairwise rule,
-so no inadmissible partition is ever built, and tallies them by residue
-vector: the sums of ``parts[j]`` over each class of ``j`` mod the period.
-It caches its last table, so one walk serves every branch of a ``naive_pf``
-call, and ``branch_series`` folds that table through its own labels.
-``admissible_profiles`` generates the same profiles one tuple at a time, in
-descending lexicographic order.
+profiles do not depend on its labels.  So the profiles are walked once,
+straight from the local pairwise rule (no inadmissible partition is ever
+built), and tallied into one *slot series* over unit-weight variables
+``x0 ... x{period-1}``: a profile contributes ``prod_r x_r ** res[r]``,
+where ``res[r]`` sums ``parts[j]`` over every ``j = r mod period``.
+``_profile_residues`` caches its last series, so one walk serves every
+branch of a ``naive_pf`` call.  A branch's series is the image of the slot
+series under ``substitute_monomials``, sending ``x_r`` to
+``labels[r]``.  ``admissible_profiles`` reads the same walk with one slot
+per part: with a period of at least n, the degree-n terms are the
+profiles of size n themselves.
 
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
@@ -42,16 +45,9 @@ signed count by negating every tracking variable.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import (
-    ExponentVector,
-    InvariantError,
-    TruncatedSeries,
-    VariableRegistry,
-    _as_order,
-)
+from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_order
 
 __all__ = [
     "admissible_profiles",
@@ -61,42 +57,31 @@ __all__ = [
 ]
 
 
-def admissible_profiles(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Admissible profiles of size n with parts at most ``max_part``, in
-    descending lexicographic order.
+def admissible_profiles(n: int) -> list[tuple[int, ...]]:
+    """Admissible profiles of size n, in descending lexicographic order.
 
-    Each step places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)``; a
-    lone ``1`` closes the profile, being paired with the implicit 0.
+    They are the degree-n terms of the walk with a slot per part, whose
+    keys sort as their exponent tuples do; the empty trailing slots are
+    dropped.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for a in range(min(n, max_part), 0, -1):
-        for b in (a, a - 1):
-            rest = n - a - b
-            if b == 0:
-                if rest == 0:
-                    yield (1,)
-            elif rest >= 0:
-                for tail in admissible_profiles(rest, b):
-                    yield (a, b) + tail
+    slots = [exps for exps, _ in _profile_residues(max(n, 1), n).sorted_terms() if sum(exps) == n]
+    return [tuple(filter(None, exps)) for exps in reversed(slots)]
 
 
 @lru_cache(maxsize=1)
-def _profile_residues(period: int, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Admissible profiles of size at most N, each folded to its residue
-    vector ``res[r] = sum of parts[j] over j = r mod period``, and tallied:
-    ``((residue vector, number of profiles), ...)``.
+def _profile_residues(period: int, N: int) -> TruncatedSeries:
+    """Admissible profiles of size at most N, tallied as a series over the
+    unit-weight slots ``x0 ... x{period-1}``: each profile adds the monomial
+    whose exponent of ``x_r`` is the sum of ``parts[j]`` over
+    ``j = r mod period``.
 
     The walk places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)`` at a
-    time, as ``admissible_profiles`` does, updating one residue vector in
-    place; every prefix of whole pairs is itself a profile, and a lone ``1``
-    closes one.  Each profile is visited exactly once.  One cached entry is
-    enough because all branches of a shape share one period.
+    time, updating one residue vector in place; every prefix of whole pairs
+    is itself a profile, and a lone ``1`` closes one.  Each profile is
+    visited exactly once.  One cached entry is enough because all branches
+    of a shape share one period.
     """
     res = [0] * period
     table: dict[tuple[int, ...], int] = {}
@@ -118,31 +103,21 @@ def _profile_residues(period: int, N: int) -> tuple[tuple[tuple[int, ...], int],
             res[r] -= a
 
     walk(0, N, N)
-    return tuple(table.items())
+    return TruncatedSeries(VariableRegistry(f"x{r}" for r in range(period)), table, N)
 
 
 def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> TruncatedSeries:
-    """Generating function of one branch by explicit profile enumeration.
+    """Generating function of one branch by explicit profile enumeration:
+    the slot series with ``x_r`` sent to ``spec.labels[r]``.
 
     Every edge variable has degree 1, so profiles of size > N cannot
     contribute below the truncation order and the enumeration is finite.
-    The profiles' residue table is folded through the branch labels: slot
-    ``r`` is the exponent of ``spec.labels[r]``.
     """
     _as_order(N)
     if any(w != 1 for w in registry.weights):
         raise ValueError("branch enumeration expects unit-weight tracking variables")
-    idx = [registry.index(label) for label in spec.labels]
-    zero = registry.zero_exps()
-    vec = list(zero)
-    acc: dict[ExponentVector, int] = {}
-    for residues, count in _profile_residues(spec.period, N):
-        vec[:] = zero
-        for i, mult in zip(idx, residues):
-            vec[i] += mult
-        e = tuple(vec)
-        acc[e] = acc.get(e, 0) + count
-    return TruncatedSeries(registry, acc, N)
+    images = {f"x{r}": registry.exps(**{label: 1}) for r, label in enumerate(spec.labels)}
+    return _profile_residues(spec.period, N).substitute_monomials(registry, images)
 
 
 def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:

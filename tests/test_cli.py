@@ -43,13 +43,18 @@ r0,s,value
 """
 
 
-def run_child(argv):
-    """Run a fresh interpreter that imports the ``bananagv`` under test."""
+def child_env():
+    """The environment of a fresh interpreter that imports the ``bananagv``
+    under test."""
     src = str(Path(bananagv.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_child(argv):
+    """Run a fresh interpreter that imports the ``bananagv`` under test."""
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *argv], env=child_env(), capture_output=True, text=True, check=True
     )
 
 
@@ -563,6 +568,32 @@ def test_invariant_violation_exits_3_with_one_line(fmt, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "constant term must count the B locations" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--shape", "1xW", "--w", "2", "--order", "6"],
+        ["compute", "--shape", "1xW", "--w", "2", "--order", "6", "--format", "csv"],
+        ["verify", "--order", "4"],
+        ["compute", "--help"],
+    ],
+    ids=" ".join,
+)
+def test_a_closed_stdout_pipe_exits_141_and_writes_no_stderr(argv, unbuffered):
+    # the read end is closed before the child starts up, so its first
+    # write to stdout fails, at the write or at the flush
+    child = subprocess.Popen(
+        [sys.executable, "-m", "bananagv", *argv],
+        env={**child_env(), "PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (141, b"")
 
 
 # ------------------------------------------------------------------ help

@@ -78,21 +78,41 @@ def test_admissible_profile_counts():
     assert [len(list(admissible_profiles(n))) for n in range(7)] == [1, 1, 1, 2, 3, 4, 5]
 
 
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match="cannot partition a negative integer"):
+        list(admissible_profiles(-1))
+
+
+def filtered_profiles(N):
+    """Admissible profiles of size at most N, by filtering every partition
+    through the conjugate test."""
+    return [p for n in range(N + 1) for p in partitions(n) if is_admissible(p)]
+
+
+def filtered_branch_series(spec, N, registry):
+    """A branch's series as the tuple fold of the filtered partitions,
+    independently of the walk and of the substitution kernel."""
+    acc = {}
+    for parts in filtered_profiles(N):
+        e = weight_exponents(parts, spec, registry)
+        acc[e] = acc.get(e, 0) + 1
+    return TruncatedSeries(registry, acc, N)
+
+
 @given(st.sampled_from([2, 4, 6, 8, 12]), st.integers(0, 16))
-def test_profile_residues_fold_the_generated_profiles(period, N):
+def test_profile_residues_tally_the_filtered_partitions(period, N):
     want = {}
+    for parts in filtered_profiles(N):
+        res = [0] * period
+        for j, mult in enumerate(parts):
+            res[j % period] += mult
+        key = tuple(res)
+        want[key] = want.get(key, 0) + 1
+    series = _profile_residues(period, N)
+    assert series.registry.names == tuple(f"x{r}" for r in range(period))
+    assert series.order == N and series.terms == want
     for n in range(N + 1):
-        for parts in admissible_profiles(n):
-            res = [0] * period
-            for j, mult in enumerate(parts):
-                res[j % period] += mult
-            key = tuple(res)
-            want[key] = want.get(key, 0) + 1
-    table = _profile_residues(period, N)
-    assert isinstance(table, tuple)
-    assert len(table) == len(dict(table)) and dict(table) == want
-    for n in range(N + 1):
-        total = sum(count for res, count in table if sum(res) == n)
+        total = sum(count for res, count in series.terms.items() if sum(res) == n)
         assert total == count_distinct_odd_conjugate(n)
 
 
@@ -147,6 +167,27 @@ def test_branch_series_degree_totals_are_the_profile_counts():
         assert total == count_distinct_odd_conjugate(n)
 
 
+@st.composite
+def labelled_branches(draw):
+    """A branch of period 2-12 whose alternating labels are drawn from
+    small pools, so they repeat within the period, and a unit-weight
+    registry holding its labels among unused variables."""
+    period = 2 * draw(st.integers(1, 6))
+    r_pool = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    s_pool = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    first, second = draw(st.sampled_from([(s_pool, r_pool), (r_pool, s_pool)]))
+    labels = tuple(draw(st.sampled_from(first if j % 2 == 0 else second)) for j in range(period))
+    names = draw(st.permutations(r_pool + s_pool + ["q", "t"]))
+    return BranchSpec("NE", labels), VariableRegistry(names)
+
+
+@given(labelled_branches(), st.integers(0, 10))
+def test_branch_series_is_the_tuple_fold_of_the_filtered_partitions(branch, N):
+    spec, reg = branch
+    got, want = branch_series(spec, N, reg), filtered_branch_series(spec, N, reg)
+    assert (got.terms, got.order, got.floor) == (want.terms, want.order, want.floor)
+
+
 def test_single_branch_spot_values():
     spec = BranchSpec("NE", ("s1", "r0", "s0", "r1"))
     s = branch_series(spec, 5, spec_registry(spec))
@@ -174,19 +215,13 @@ def test_branch_series_requires_unit_weights():
 
 def filtered_naive_pf(shape, N):
     """The naive count built by filtering every partition through the
-    conjugate test, independently of the profile generator."""
+    conjugate test, independently of the profile walk."""
     registry = registry_for(shape)
     total = TruncatedSeries(registry, {}, N)
     for loc in b_locations(shape):
         contribution = one(registry, N)
         for spec in branch_specs(shape, loc):
-            acc = {}
-            for n in range(N + 1):
-                for p in partitions(n):
-                    if is_admissible(p):
-                        e = weight_exponents(p, spec, registry)
-                        acc[e] = acc.get(e, 0) + 1
-            contribution = contribution * TruncatedSeries(registry, acc, N)
+            contribution = contribution * filtered_branch_series(spec, N, registry)
         total = total + contribution
     return total
 
