@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_order
+from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order
 
 __all__ = [
     "admissible_profiles",
@@ -64,7 +64,7 @@ def admissible_profiles(n: int) -> list[tuple[int, ...]]:
     keys sort as their exponent tuples do; the empty trailing slots are
     dropped.
     """
-    if n < 0:
+    if _as_int(n, "size") < 0:
         raise ValueError("cannot partition a negative integer")
     slots = [exps for exps, _ in _profile_residues(max(n, 1), n).sorted_terms() if sum(exps) == n]
     return [tuple(filter(None, exps)) for exps in reversed(slots)]
@@ -111,11 +111,10 @@ def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> Trunc
     the slot series with ``x_r`` sent to ``spec.labels[r]``.
 
     Every edge variable has degree 1, so profiles of size > N cannot
-    contribute below the truncation order and the enumeration is finite.
+    contribute below the truncation order and the enumeration is finite;
+    the substitution refuses a label of any other weight.
     """
     _as_order(N)
-    if any(w != 1 for w in registry.weights):
-        raise ValueError("branch enumeration expects unit-weight tracking variables")
     images = {f"x{r}": registry.exps(**{label: 1}) for r, label in enumerate(spec.labels)}
     return _profile_residues(spec.period, N).substitute_monomials(registry, images)
 

@@ -54,6 +54,7 @@ from .series import (
     ExponentVector,
     TruncatedSeries,
     VariableRegistry,
+    _as_int,
     _as_order,
     _exact_to,
     one,
@@ -182,7 +183,7 @@ def jacobi_phi_at(
     """``phi(Q, P) = P^{-1} thetatilde(Q, P)^2 / etatilde(Q)^6``, exact to
     ``order`` in the target grading."""
     quotient = _theta_quotient_at(
-        target, q_image, [p_image, p_image], [], order + target.degree(p_image), True
+        target, q_image, [p_image, p_image], [], _as_int(order, "order") + target.degree(p_image), True
     )
     return quotient.shift_monomial(tuple(-e for e in p_image))
 

@@ -77,8 +77,8 @@ product whose large exponents would all have landed beyond its order.
   J. ACM 1978).  Dividing by the monomial ``2 r_0`` is the only slice
   division in the package.
 * ``_rotate_block`` shifts one block of equal-weight variables cyclically,
-  ``x_v -> x_{v+1}``, by moving digits within each key.  It refuses any
-  negative exponent, since a balanced digit borrows from its neighbour.
+  ``x_v -> x_{v+1}``, by moving the plain digits (offset added, as in
+  ``unpack``) within each key, so it takes any exponent.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -568,17 +568,16 @@ class TruncatedSeries:
         """The image under ``x_v -> x_{v+1}`` for ``start <= v < stop - 1``
         and ``x_{stop-1} -> x_start``, which fixes every other variable.
 
-        With nonnegative digits this moves the block's digits within each
-        key, so the degree digit, the slices and ``_emax`` all stay.
-        ValueError for a negative exponent, whose borrow would corrupt the
-        moved digits, and for a block of unequal weights, whose image would
+        As ``unpack`` does, it adds the offset, moves the block's now plain
+        digits within each key and takes the offset off again, so any
+        exponent rotates and the degree digit, the slices and ``_emax`` all
+        stay.  ValueError for a block of unequal weights, whose image would
         change a term's degree.
         """
         reg = self.registry
         if len(set(reg.weights[start:stop])) > 1:
             raise ValueError("a rotated block needs variables of equal weight")
-        if self.has_negative_exponent():
-            raise ValueError("rotating packed keys needs nonnegative exponents")
+        offset = reg._packing._offset
         # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
         low = _DIGIT_BITS * (reg.size - stop)
         span = _DIGIT_BITS * (stop - start - 1)
@@ -586,7 +585,8 @@ class TruncatedSeries:
         rest = ((1 << span) - 1) << low
         keep = ~(last | rest << _DIGIT_BITS)
         slices = {
-            d: {(k & keep) | (k & last) << span | (k >> _DIGIT_BITS) & rest: c for k, c in s.items()}
+            d: {((p := k + offset) & keep | (p & last) << span | (p >> _DIGIT_BITS) & rest) - offset: c
+                for k, c in s.items()}
             for d, s in self._slices.items()
         }
         return TruncatedSeries._from_slices(reg, slices, self.order, self._emax)

@@ -83,6 +83,14 @@ def test_negative_sizes_are_refused():
         list(admissible_profiles(-1))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_non_int_sizes_are_refused_even_with_a_warm_cache(bad):
+    # lru_cache keys (True, True) and (1, 1) are equal, so a warm cache answered True
+    assert admissible_profiles(1) == [(1,)]
+    with pytest.raises(TypeError, match=re.escape(f"size must be an int, not {type(bad).__name__} {bad!r}")):
+        admissible_profiles(bad)
+
+
 def filtered_profiles(N):
     """Admissible profiles of size at most N, by filtering every partition
     through the conjugate test."""
@@ -206,7 +214,7 @@ def test_branch_series_at_order_zero_is_one():
 def test_branch_series_requires_unit_weights():
     spec = BranchSpec("NE", ("s0", "r0"))
     heavy = VariableRegistry(("r0", "s0"), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must have degree 1"):
         branch_series(spec, 4, heavy)
 
 

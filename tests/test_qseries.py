@@ -261,6 +261,23 @@ def test_unsubstituted_builders_refuse_bad_orders():
                 builder(bad)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize(
+    "builder",
+    [
+        pytest.param(lambda order: theta1_at(QP, (1, 0), (0, 1), order), id="theta1_at"),
+        pytest.param(lambda order: jacobi_phi_at(QP, (1, 0), (0, 1), order), id="jacobi_phi_at"),
+        pytest.param(
+            lambda order: elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), order),
+            id="elliptic_genus_c2_at",
+        ),
+    ],
+)
+def test_mapped_builders_refuse_non_int_orders(builder, bad):
+    with pytest.raises(TypeError, match=_not_an_int(bad)):
+        builder(bad)
+
+
 # ---------------------------------------------------------- elliptic genus
 
 

@@ -14,7 +14,7 @@ and unpacked here at the test boundary.
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bananagv.series import (
     TruncatedSeries,
@@ -470,31 +470,38 @@ def cyclic_images(reg, start, stop):
     return {name: tuple(int(i == target(v)) for i in range(reg.size)) for v, name in enumerate(reg.names)}
 
 
-@given(blocks(), st.data())
-def test_block_rotation_matches_the_cyclic_substitution(block, data):
-    reg, start, stop = block
-    s = data.draw(series(reg, max_terms=10, exponent=st.integers(0, 3)))
+def assert_rotation_is_the_cyclic_substitution(s, start, stop):
     rotated = s._rotate_block(start, stop)
-    assert_identical(rotated, s.substitute_monomials(reg, cyclic_images(reg, start, stop)))
+    assert_identical(rotated, s.substitute_monomials(s.registry, cyclic_images(s.registry, start, stop)))
     assert rotated._emax == s._emax
 
 
 @given(blocks(), st.data())
-def test_block_rotation_refuses_negative_exponents_and_unequal_weights(block, data):
+def test_block_rotation_matches_the_cyclic_substitution(block, data):
     reg, start, stop = block
-    s = data.draw(series(reg, max_terms=10, exponent=st.integers(0, 3)))
-    v = data.draw(st.integers(0, reg.size - 1))
-    # 1/x_v has degree -weight(x_v) <= 0, so order 0 keeps it
-    inverse = tuple(-int(i == v) for i in range(reg.size))
-    negative = TruncatedSeries(reg, {**s.terms, inverse: 1}, max(s.order, 0))
-    with pytest.raises(ValueError, match="nonnegative exponents"):
-        negative._rotate_block(start, stop)
-    if stop - start > 1:
-        weights = list(reg.weights)
-        weights[stop - 1] += 1
-        uneven = TruncatedSeries(VariableRegistry(reg.names, weights), s.terms, s.order)
-        with pytest.raises(ValueError, match="equal weight"):
-            uneven._rotate_block(start, stop)
+    assert_rotation_is_the_cyclic_substitution(data.draw(series(reg, max_terms=10)), start, stop)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 3), (0, 2), (1, 3)])
+def test_block_rotation_moves_the_extreme_exponents(start, stop):
+    # every digit at its most negative or most positive value, so a borrow
+    # or a carry between moved digits would show in the image
+    reg = VariableRegistry(("a", "b", "c"), (0, 0, 0))
+    e = LIMIT - 1
+    terms = {(e, -e, e): 1, (-e, e, -e): -2, (-e, -e, e): 3, (e, e, -e): 4, (0, -e, 0): 5}
+    assert_rotation_is_the_cyclic_substitution(TruncatedSeries(reg, terms, 0), start, stop)
+
+
+@given(blocks(), st.data())
+def test_block_rotation_refuses_unequal_weights(block, data):
+    reg, start, stop = block
+    assume(stop - start > 1)
+    s = data.draw(series(reg, max_terms=10))
+    weights = list(reg.weights)
+    weights[stop - 1] += 1
+    uneven = TruncatedSeries(VariableRegistry(reg.names, weights), s.terms, s.order)
+    with pytest.raises(ValueError, match="equal weight"):
+        uneven._rotate_block(start, stop)
 
 
 # ----------------------------------------------------------- overflow guard
