@@ -21,7 +21,10 @@ profiles do not depend on its labels.  So the profiles are walked once,
 straight from the local pairwise rule (no inadmissible partition is ever
 built), and tallied into one *slot series* over unit-weight variables
 ``x0 ... x{period-1}``: a profile contributes ``prod_r x_r ** res[r]``,
-where ``res[r]`` sums ``parts[j]`` over every ``j = r mod period``.
+where ``res[r]`` sums ``parts[j]`` over every ``j = r mod period``.  The
+walk carries that monomial's packed key, linear in the parts, and tallies
+it straight into a degree slice; the closing pair ``(1, 0)`` is counted
+inline, without a call.
 ``_profile_residues`` caches its last series, so one walk serves every
 branch of a ``naive_pf`` call.  A branch's series is the image of the slot
 series under ``substitute_monomials``, sending ``x_r`` to
@@ -47,7 +50,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
-from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order
+from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order, _check_exponent_bound
 
 __all__ = [
     "admissible_profiles",
@@ -78,32 +81,37 @@ def _profile_residues(period: int, N: int) -> TruncatedSeries:
     ``j = r mod period``.
 
     The walk places one pair ``(a, b)`` with ``b`` in ``(a, a - 1)`` at a
-    time, updating one residue vector in place; every prefix of whole pairs
-    is itself a profile, and a lone ``1`` closes one.  Each profile is
-    visited exactly once.  One cached entry is enough because all branches
-    of a shape share one period.
+    time; every prefix of whole pairs is itself a profile, and a lone ``1``
+    closes one.  It carries the profile's packed key,
+    ``sum_j parts[j] * unit[j % period]`` with ``unit[r]`` the key of
+    ``x_r``, and tallies it into the slice of the profile's size.  Each
+    profile is visited exactly once.  One cached entry is enough because all
+    branches of a shape share one period.
     """
-    res = [0] * period
-    table: dict[tuple[int, ...], int] = {}
+    _check_exponent_bound(N)  # no residue exceeds N
+    registry = VariableRegistry(f"x{r}" for r in range(period))
+    unit = [registry._packing.pack(registry.exps(**{name: 1})) for name in registry.names]
+    slices: list[dict[int, int]] = [{} for _ in range(N + 1)]
 
-    def walk(j: int, room: int, cap: int) -> None:
-        # parts[:j] is an admissible profile of size N - room and the next
-        # part is at most cap, the last one placed; a pair (1, 0) is the
-        # lone 1 that closes a profile
-        key = tuple(res)
-        table[key] = table.get(key, 0) + 1
-        r, s = j % period, (j + 1) % period
+    def walk(j: int, room: int, cap: int, key: int) -> None:
+        # parts[:j] is an admissible profile of size N - room with packed
+        # key `key`, and the next part is at most cap, the last one placed
+        tally = slices[N - room]
+        tally[key] = tally.get(key, 0) + 1
+        ur, us = unit[j % period], unit[(j + 1) % period]
         for a in range(min(cap, (room + 1) // 2), 0, -1):
-            res[r] += a
-            for b in (a, a - 1):
-                if a + b <= room:
-                    res[s] += b
-                    walk(j + 2, room - a - b, b)
-                    res[s] -= b
-            res[r] -= a
+            key_a = key + a * ur
+            if 2 * a <= room:
+                walk(j + 2, room - 2 * a, a, key_a + a * us)
+            if a > 1:
+                walk(j + 2, room - 2 * a + 1, a - 1, key_a + (a - 1) * us)
+            else:  # the pair (1, 0): a lone 1 closes the profile
+                tally = slices[N - room + 1]
+                tally[key_a] = tally.get(key_a, 0) + 1
 
-    walk(0, N, N)
-    return TruncatedSeries(VariableRegistry(f"x{r}" for r in range(period)), table, N)
+    walk(0, N, N, 0)
+    # no slice is empty: every size n has the profile of n ones
+    return TruncatedSeries._from_slices(registry, dict(enumerate(slices)), N, N)
 
 
 def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> TruncatedSeries:

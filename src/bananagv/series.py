@@ -65,8 +65,9 @@ product whose large exponents would all have landed beyond its order.
 
 * ``a * b`` walks pairs of slices in ascending degree and stops each row
   at ``order - deg(a-slice)``, so no product term beyond the result order
-  is ever formed.  ``a * a`` squares: it forms each unordered pair of terms
-  once, and ``a ** n`` squares repeatedly.
+  is ever formed, and lists each slice of ``b`` once.  ``a * a`` squares:
+  it forms each unordered pair of terms once, and ``a ** n`` squares
+  repeatedly.
 * ``invert_unit`` scales the unique minimal term to 1 at degree 0,
   ``u = 1 + u_1 + u_2 + ...``, and solves ``u v = 1`` slice by slice:
   ``v_0 = 1`` and ``v_j = -sum_{k=1..j} u_k v_{j-k}``.
@@ -486,7 +487,7 @@ class TruncatedSeries:
         self._check_registry(other)
         emax = _result_emax(add, self, other)
         order = min(self.order + other.floor, other.order + self.floor)
-        b_slices = sorted(other._slices.items())
+        b_slices = [(db, list(sb.items())) for db, sb in sorted(other._slices.items())]
         acc: dict[int, Slice] = {}
         for da, sa in sorted(self._slices.items()):
             room = order - da
@@ -495,7 +496,7 @@ class TruncatedSeries:
             for db, sb in b_slices:
                 if db > room:
                     break
-                _add_product(acc.setdefault(da + db, {}), sa, sb, 1)
+                _add_product(acc.setdefault(da + db, {}), sa.items(), sb, 1)
         return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     __rmul__ = __mul__
@@ -504,7 +505,7 @@ class TruncatedSeries:
         """``self * self``, forming each unordered pair of terms once."""
         emax = _result_emax(lambda e: 2 * e, self)
         order = self.order + self.floor
-        slices = sorted(self._slices.items())
+        slices = [(d, list(s.items())) for d, s in sorted(self._slices.items())]
         acc: dict[int, Slice] = {}
         for i, (da, sa) in enumerate(slices):
             if 2 * da > order:
@@ -618,7 +619,7 @@ class TruncatedSeries:
         unit = {0: 1}  # the key of the zero exponent vector is 0
         if u.floor < 0 or u._slices.get(0) != unit:
             raise ValueError("invert_unit internal error: tail not of positive degree")
-        tail = sorted((k, s, packing.bound(s)) for k, s in u._slices.items() if k > 0)
+        tail = [(k, list(s.items()), packing.bound(s)) for k, s in sorted(u._slices.items()) if k > 0]
         inv = [unit]  # inv[j] is the degree-j slice of 1/u
         bounds = [0]  # bounds[j] bounds |exponent| over inv[j]
         for j in range(1, u.order + 1):
@@ -630,7 +631,7 @@ class TruncatedSeries:
                 if inv[j - k]:
                     emax = max(emax, uk_emax + bounds[j - k])
                     _check_exponent_bound(emax)
-                    _add_product(acc, uk, inv[j - k], -1)
+                    _add_product(acc, inv[j - k].items(), uk, -1)
             inv.append({e: c for e, c in acc.items() if c})
             bounds.append(emax)
         slices = {j: s for j, s in enumerate(inv) if s}
@@ -654,10 +655,9 @@ class TruncatedSeries:
         if r0 * r0 != c0 or any(e % 2 for e in packing.unpack(k0)):
             raise ValueError("the minimal term is not the square of an integer monomial")
         # every digit of k0 is even, so halving the key halves each exponent
-        root_lead = {k0 // 2: r0}
         two_lead = {k0 // 2: 2 * r0}
-        roots = [root_lead]  # roots[j] is the root's slice of degree m0/2 + j
-        bounds = [packing.bound(root_lead)]  # bounds[j] is |exponent| over roots[j]
+        roots = [[(k0 // 2, r0)]]  # roots[j] lists the root's slice of degree m0/2 + j
+        bounds = [packing.bound([k0 // 2])]  # bounds[j] is |exponent| over roots[j]
         for j in range(1, self.order - m0 + 1):
             # slice m0 + j of root^2 is 2 r_0 r_j + sum_{0<i<j} r_i r_{j-i}
             _check_exponent_bound(max((bounds[i] + bounds[j - i] for i in range(1, j)), default=0))
@@ -668,10 +668,10 @@ class TruncatedSeries:
                 _add_square(target, roots[j // 2], -1)
             target = {e: c for e, c in target.items() if c}
             root = _homogeneous_exact_divide(target, two_lead, packing) if target else {}
-            roots.append(root)
+            roots.append(list(root.items()))
             bounds.append(packing.bound(root))
         half = m0 // 2
-        slices = {half + j: r for j, r in enumerate(roots) if r}
+        slices = {half + j: dict(r) for j, r in enumerate(roots) if r}
         b = TruncatedSeries._from_slices(self.registry, slices, self.order - half, max(bounds))
         check = b * b
         if not check.same_series(self, up_to=min(check.order, self.order)):
@@ -775,26 +775,26 @@ def one(registry: VariableRegistry, order: int) -> TruncatedSeries:
 # -- homogeneous-slice helpers (packed-key dicts, no truncation data) --------
 
 
-def _add_product(acc: Slice, a: Slice, b: Slice, scale: int) -> None:
-    """``acc += scale * a * b`` in place; cancelled terms stay as zeros."""
+def _add_product(acc: Slice, a, b: list, scale: int) -> None:
+    """``acc += scale * a * b`` in place for slices given as item pairs,
+    ``b`` listed; cancelled terms stay as zeros."""
     get = acc.get
-    b_items = list(b.items())
-    for ka, ca in a.items():
+    for ka, ca in a:
         ca *= scale
-        for kb, cb in b_items:
+        for kb, cb in b:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
 
 
-def _add_square(acc: Slice, a: Slice, scale: int) -> None:
-    """``acc += scale * a * a`` in place, forming each unordered pair once."""
+def _add_square(acc: Slice, a: list, scale: int) -> None:
+    """``acc += scale * a * a`` in place for ``a`` listed, forming each
+    unordered pair once."""
     get = acc.get
-    items = list(a.items())
-    for i, (ka, ca) in enumerate(items):
+    for i, (ka, ca) in enumerate(a):
         k = ka + ka
         acc[k] = get(k, 0) + scale * ca * ca
         ca *= 2 * scale
-        for kb, cb in items[i + 1 :]:
+        for kb, cb in a[i + 1 :]:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
 

@@ -222,6 +222,19 @@ def roots(draw):
 
 
 @st.composite
+def thin_series(draw):
+    """A series over ``x, y`` led by +-1 whose every degree up to its order
+    holds one to three terms, like a branch series of ``1x1``: many slice
+    pairs, each with few term pairs."""
+    order = draw(st.integers(4, 12))
+    terms = {(0, 0): draw(st.sampled_from([1, -1]))}
+    for d in range(1, order + 1):
+        for i in draw(st.sets(st.integers(0, d), min_size=1, max_size=3)):
+            terms[(i, d - i)] = draw(coefficients.filter(bool))
+    return TruncatedSeries(XY, terms, order)
+
+
+@st.composite
 def homogeneous(draw, reg, degree, min_size=0, max_size=4):
     """A slice of one weighted degree, Laurent in every variable: the last
     unit-weight variable takes up whatever degree the others leave."""
@@ -386,6 +399,15 @@ def test_mul_with_negative_raw_degrees_matches_dense_reference(pair):
 @given(series(max_terms=10))
 def test_square_matches_dense_reference(a):
     assert_identical(a * a, dense_mul(a, a))
+
+
+@given(thin_series(), thin_series())
+def test_kernels_on_many_thin_slices_match_the_references(a, b):
+    assert_identical(a * b, dense_mul(a, b))
+    assert_identical(a * a, dense_mul(a, a))
+    assert_identical(a.invert_unit(), ref_invert(a))
+    # the root of a square is led by +1
+    assert_identical((a * a).sqrt_unit(), a * a.constant_term())
 
 
 @given(series(max_terms=4), st.integers(0, 6))
