@@ -2,9 +2,12 @@
 
 Route one enumerates the constrained thickening profiles once for the
 period that every branch shares, substitutes each branch's labels into
-them, multiplies the branch series and applies the sign twist; route two expands
-the closed-form product.  The demo walks through the ingredients on the
-two-cell shape 1x2.
+them, multiplies the branch series at B location 0, sums that location's
+rotations over the locations and applies the sign twist; route two expands
+the closed-form product at location 0 and sums its rotations the same way.
+The table compares the sums; ``cross_check`` compares location 0 of the
+two routes.  The demo walks through the ingredients on the two-cell shape
+1x2.
 """
 from bananagv import cross_check, naive_pf, behrend_twist, parse_shape
 from bananagv.gvpf import pf_for_shape

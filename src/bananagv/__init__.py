@@ -13,8 +13,9 @@ Layout:
 * :mod:`bananagv.series` — the truncated-series engine.
 * :mod:`bananagv.qseries` — eta/theta/phi products, the equivariant
   elliptic genus, and the classical identity suite.
-* :mod:`bananagv.geometry` — shapes, and the branch labels read off one
-  lattice walk of period lcm(v, w).
+* :mod:`bananagv.geometry` — shapes, the branch labels read off one
+  lattice walk of period lcm(v, w), and the rotation that sums B location
+  0 over the locations.
 * :mod:`bananagv.oracle` — enumerative route (naive counts + sign twist).
 * :mod:`bananagv.gvpf` — the closed forms and the cross-check engine.
 * :mod:`bananagv.cli` — ``python -m bananagv`` front end.

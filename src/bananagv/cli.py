@@ -5,8 +5,10 @@ Three subcommands, all writing to standard output:
 * ``compute``: emit the invariant table of a shape as JSON (default) or CSV.
 * ``verify``: run the q-series identity suite at a given order.
 * ``crosscheck``: compare the closed form with the sign-twisted
-  enumeration; on ``2x2`` it also checks the square-root formula, by
-  squaring the theta form rather than taking a root.
+  enumeration at B location 0, which fixes every other location by
+  rotation; on ``2x2`` it also checks the square-root formula, by squaring
+  the theta form rather than taking a root.  A failed line names location
+  0 and gives its coefficients.
 
 Output for a fixed invocation is byte-deterministic (canonical graded-lex
 term order, canonical JSON separators), and the JSON document round-trips:

@@ -16,12 +16,21 @@ read off that lattice by one walk:
   ``(r_{k+t}, s_{k+t})`` and the walk down ``(r_{k-1-t}, s_{k-1-t})``; the
   four branches leaving the B edge (NE, N, S, SW, by the direction of
   departure) read these pairs with the diagonal or the horizontal first.
+* ``_sum_over_locations``: location ``k + 1`` is location ``k`` under
+  ``r_i -> r_{i+1}``, ``s_j -> s_{j+1}``, since the walks from ``k + 1`` meet
+  the pairs of the walks from ``k`` with every index one higher.  So a
+  location's series, a product over its four branches, determines the
+  others, and both routes build location 0 and sum its rotations here.  On
+  ``2x2`` the shift exchanges the walks up and down, so location 1 has the
+  branches of location 0 in another order and the same product.  The
+  tests build every location from its own labels, in both routes, and
+  compare it with the rotation.
 
 Every function here accepts every shape ``(v, w)``.  Only ``(1, w)`` and
 ``(2, 2)`` have closed-form product formulas, so only there does the
 enumeration have an independent second route;
-:func:`bananagv.gvpf.pf_for_shape` alone decides which shapes those are, and
-the CLI offers only them.  On the other shapes nothing independent checks
+``bananagv.gvpf._closed_location_0`` alone decides which shapes those are,
+and the CLI offers only them.  On the other shapes nothing independent checks
 these tables.  What checks the walk there are two identities that hold by
 its construction, tested on every shape with ``v, w <= 4``: sending every
 ``s_j`` to ``s`` turns the twisted enumeration of VxW into ``lcm(v, w) / w``
@@ -35,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .series import VariableRegistry, _as_int
+from .series import TruncatedSeries, VariableRegistry, _as_int
 
 __all__ = [
     "BananaShape",
@@ -156,3 +165,24 @@ def branch_specs(shape: BananaShape, b_location: int) -> list[BranchSpec]:
         BranchSpec("S", tuple(x for pair in down for x in pair)),
         BranchSpec("SW", tuple(x for r, s in down for x in (s, r))),
     ]
+
+
+def _sum_over_locations(location: TruncatedSeries, shape: BananaShape) -> TruncatedSeries:
+    """The sum over the B locations of a shape of the series whose location-0
+    term is ``location``, the one code that sums locations.
+
+    Location ``k + 1`` is location ``k`` with the r block and the s block
+    each rotated one step; a block of one variable is fixed.  On ``2x2``
+    the rotation only permutes the four branches, so the sum is twice
+    location 0, and no rotation is built.
+    """
+    v, w = shape
+    if (v, w) == (2, 2):
+        return 2 * location
+    blocks = [(start, stop) for start, stop in ((0, w), (w, w + v)) if stop - start > 1]
+    total = location
+    for _ in b_locations(shape)[1:]:
+        for start, stop in blocks:
+            location = location._rotate_block(start, stop)
+        total = total + location
+    return total

@@ -38,18 +38,21 @@ parts, whose generating function is
 same product with ``x^j`` replaced by the product of the branch's first j
 labels, which the tests build as a second route.
 
-The full naive partition function multiplies the four branch series at each
-B location and sums over locations.  It pairs them by direction,
-``(NE * N) * (S * SW)``: NE and N read the same pairs walking up, so their
-product stays small, and a left-to-right ``NE * N * S`` would be several
-times larger at the same order.  ``behrend_twist`` converts the sum to the
-signed count by negating every tracking variable.
+The naive partition function at B location 0 multiplies its four branch
+series.  It pairs them by direction, ``(NE * N) * (S * SW)``: NE and N read
+the same pairs walking up, so their product stays small, and a
+left-to-right ``NE * N * S`` would be several times larger at the same
+order.  Every other location is a rotation of location 0
+(:mod:`bananagv.geometry`), so ``naive_pf`` builds location 0 alone and
+sums its rotations; the tests build each location from its own labels and
+compare.  ``behrend_twist`` converts a count to the signed count by
+negating every tracking variable.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
+from .geometry import BananaShape, BranchSpec, _sum_over_locations, branch_specs, registry_for
 from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order, _check_exponent_bound
 
 __all__ = [
@@ -127,18 +130,22 @@ def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> Trunc
     return _profile_residues(spec.period, N).substitute_monomials(registry, images)
 
 
-def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
-    """Unsigned count generating function: product of the four branch series
-    at each B location, summed over locations.  Coefficients are counts and
-    must come out nonnegative.  ``branch_series`` checks the order."""
+def _naive_location_0(shape: BananaShape, N: int) -> TruncatedSeries:
+    """Unsigned count generating function at B location 0, the product of
+    its four branch series.  Coefficients are counts and must come out
+    nonnegative.  ``branch_series`` checks the order."""
     registry = registry_for(shape)
-    total = TruncatedSeries(registry, {}, N)
-    for loc in b_locations(shape):
-        ne, n, s, sw = (branch_series(spec, N, registry) for spec in branch_specs(shape, loc))
-        total = total + (ne * n) * (s * sw)
-    if any(c < 0 for c in total.coefficients()):
+    ne, n, s, sw = (branch_series(spec, N, registry) for spec in branch_specs(shape, 0))
+    location = (ne * n) * (s * sw)
+    if any(c < 0 for c in location.coefficients()):
         raise InvariantError("naive count came out negative; enumeration bug")
-    return total
+    return location
+
+
+def naive_pf(shape: BananaShape, N: int) -> TruncatedSeries:
+    """Unsigned count generating function: location 0 summed over the B
+    locations by its rotations."""
+    return _sum_over_locations(_naive_location_0(shape, N), shape)
 
 
 def behrend_twist(series: TruncatedSeries) -> TruncatedSeries:

@@ -19,7 +19,7 @@ import pytest
 import bananagv
 from bananagv import gvpf, qseries
 from bananagv.cli import RunConfig, main, parse_args, run
-from bananagv.geometry import registry_for
+from bananagv.geometry import parse_shape, registry_for
 from bananagv.gvpf import pf_for_shape
 from bananagv.series import InvariantError, TruncatedSeries, polynomial
 
@@ -334,45 +334,66 @@ def test_crosscheck_2x2_passes_on_both_routes():
     )
 
 
-def _plus_r0_s0(pf, N):
-    return pf + polynomial(pf.registry, {(1, 0, 1, 0): 1}, N)
+def _plus_r0_s0(pf, N, c=1):
+    return pf + polynomial(pf.registry, {(1, 0, 1, 0): c}, N)
 
 
-# a perturbation of what each 2x2 route is built from, and the coefficient
-# at r0 s0 of the closed form it then gives, where the enumeration reads 6
+# a perturbation of what each 2x2 route builds at B location 0, and the
+# coefficient at r0 s0 it then gives there, where the enumeration reads 3
 PERTURBED_ROUTES = {
-    "pf_22_theta": (lambda original, N: _plus_r0_s0(original(N), N), 7),
-    # the square of a root one more at r0 s0, so 2 * root is two more
-    "_phi_ratio": (lambda original, N: _plus_r0_s0(original(N).sqrt_unit(), N) ** 2, 8),
+    "_closed_location_0": lambda original: lambda shape, N: _plus_r0_s0(original(shape, N), N),
+    # the square of a root one more at r0 s0
+    "_phi_ratio": lambda original: lambda N: _plus_r0_s0(original(N).sqrt_unit(), N) ** 2,
 }
 
 
 @pytest.mark.parametrize(
-    "name,route", [("pf_22_theta", "theta route"), ("_phi_ratio", "square-root route")]
+    "name,route", [("_closed_location_0", "theta route"), ("_phi_ratio", "square-root route")]
 )
 def test_crosscheck_2x2_names_the_route_that_mismatches(name, route, monkeypatch):
-    perturb, coefficient = PERTURBED_ROUTES[name]
-    original = getattr(gvpf, name)
-    monkeypatch.setattr(gvpf, name, lambda N: perturb(original, N))
+    monkeypatch.setattr(gvpf, name, PERTURBED_ROUTES[name](getattr(gvpf, name)))
     code, out, _ = invoke(["crosscheck", "--shape", "2x2", "--order", "5"])
     assert (code, out) == (
         1,
-        f"FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form ({route}) "
-        f"{coefficient} vs twisted enumeration 6\n",
+        f"FAIL shape 2x2 order 5: at B location 0, mismatch at (1, 0, 1, 0): "
+        f"closed form ({route}) 4 vs twisted enumeration 3\n",
     )
 
 
 def test_crosscheck_2x2_reports_a_ratio_that_is_no_square(monkeypatch):
-    # sqrt_unit refuses R + r0 s0, whose root is not integral; the check
-    # still fails on one line, with the coefficient of 2 * root, one more
+    # sqrt_unit refuses R + 2 r0 s0, whose root is not integral; the check
+    # still fails on one line, with the coefficient of the root at r0 s0,
+    # one more
     original = gvpf._phi_ratio
-    monkeypatch.setattr(gvpf, "_phi_ratio", lambda N: _plus_r0_s0(original(N), N))
+    monkeypatch.setattr(gvpf, "_phi_ratio", lambda N: _plus_r0_s0(original(N), N, 2))
     with pytest.raises(ValueError, match="not exact over the integers"):
         gvpf._phi_ratio(5).sqrt_unit()
     assert invoke(["crosscheck", "--shape", "2x2", "--order", "5"]) == (
         1,
-        "FAIL shape 2x2 order 5: mismatch at (1, 0, 1, 0): closed form (square-root route) 7 "
-        "vs twisted enumeration 6\n",
+        "FAIL shape 2x2 order 5: at B location 0, mismatch at (1, 0, 1, 0): "
+        "closed form (square-root route) 4 vs twisted enumeration 3\n",
+        "",
+    )
+
+
+def test_crosscheck_1xw_fails_at_location_0_where_the_sums_agree(monkeypatch):
+    # +1 at r1 s and -1 at r0 s of location 0 rotate to -1 and +1 at
+    # location 1, so the sum over locations is unchanged; the check compares
+    # location 0 and fails there
+    original = gvpf._closed_location_0
+    shift = {(0, 1, 1): 1, (1, 0, 1): -1}
+    shape = parse_shape("1xW", 2)
+    summed = pf_for_shape(shape, 5)
+    monkeypatch.setattr(
+        gvpf,
+        "_closed_location_0",
+        lambda shape, N: original(shape, N) + polynomial(registry_for(shape), shift, N),
+    )
+    assert pf_for_shape(shape, 5) == summed
+    assert invoke(["crosscheck", "--shape", "1xW", "--w", "2", "--order", "5"]) == (
+        1,
+        "FAIL shape 1x2 order 5: at B location 0, mismatch at (0, 1, 1): "
+        "closed form 5 vs twisted enumeration 4\n",
         "",
     )
 
@@ -558,16 +579,16 @@ def test_main_returns_zero_on_success(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_invariant_violation_exits_3_with_one_line(fmt, monkeypatch, capsys):
-    def broken(w, N):
-        raise InvariantError("constant term must count the B locations")
+    def broken(shape, N):
+        raise InvariantError("pf_1w constant term at B location 0 is not 1")
 
-    monkeypatch.setattr(gvpf, "pf_1w", broken)
+    monkeypatch.setattr(gvpf, "_closed_location_0", broken)
     argv = ["compute", "--shape", "1xW", "--w", "2", "--order", "3", "--format", fmt]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "constant term must count the B locations" in captured.err
+    assert "pf_1w constant term at B location 0 is not 1" in captured.err
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -50,15 +50,15 @@ def test_pf_22_supports_only_nonnegative_exponents():
 
 def test_negative_exponent_guard_raises_invariant_error():
     reg = pf_22(1).registry
-    bad = polynomial(reg, {(0, 0, 0, 0): 2, (1, -1, 0, 0): 1}, 1)
+    bad = polynomial(reg, {(0, 0, 0, 0): 1, (1, -1, 0, 0): 1}, 1)
     with pytest.raises(InvariantError, match="probe kept a negative exponent at"):
-        _certified(bad, 1, "probe", 2)
-    good = polynomial(reg, {(0, 0, 0, 0): 2, (1, 0, 0, 0): 1}, 1)
-    assert _certified(good, 0, "probe", 2) == good.truncate(0)
+        _certified(bad, 1, "probe")
+    good = polynomial(reg, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}, 1)
+    assert _certified(good, 0, "probe") == good.truncate(0)
     with pytest.raises(InvariantError, match="order propagation fell short"):
-        _certified(good, 2, "probe", 2)
-    with pytest.raises(InvariantError, match="probe constant term is not the location count 3"):
-        _certified(good, 1, "probe", 3)
+        _certified(good, 2, "probe")
+    with pytest.raises(InvariantError, match="probe constant term at B location 0 is not 1"):
+        _certified(2 * good, 1, "probe")
     assert issubclass(InvariantError, AssertionError)
 
 
@@ -87,6 +87,8 @@ def test_theta_route_squared_is_four_times_the_phi_ratio():
         ratio = gvpf._phi_ratio(N)
         assert (ratio.order, ratio.floor, ratio.constant_term()) == (N, 0, 1), N
         assert pf_22_theta(N) * pf_22_theta(N) == 4 * ratio, N
+        location = gvpf._closed_location_0(TWO, N)
+        assert location * location == ratio, N
 
 
 def test_theta_route_certifies_its_exponents_and_order(monkeypatch):
@@ -121,7 +123,7 @@ def test_theta_route_constant_term_pins_the_sign(monkeypatch):
         return sign * theta1_at(target, q_image, p_image, order)
 
     monkeypatch.setattr(qseries, "theta1_at", theta_r0_negated)
-    with pytest.raises(InvariantError, match="location count"):
+    with pytest.raises(InvariantError, match="constant term at B location 0 is not 1"):
         pf_22_theta(4)
 
 
@@ -129,7 +131,7 @@ def test_square_root_route_constant_term_pins_the_branch(monkeypatch):
     # the negated root is as good a root; only the constant term refuses it
     sqrt_unit = TruncatedSeries.sqrt_unit
     monkeypatch.setattr(TruncatedSeries, "sqrt_unit", lambda self: -1 * sqrt_unit(self))
-    with pytest.raises(InvariantError, match="pf_22 constant term is not the location count"):
+    with pytest.raises(InvariantError, match="pf_22 constant term at B location 0 is not 1"):
         pf_22(4)
 
 
@@ -221,6 +223,8 @@ def test_pf_1w_locations_built_directly_are_rotations_of_location_0(w):
     for i in range(1, w):
         rotated = rotated._rotate_block(0, w)
         assert rotated == locations[i]
+    closed = gvpf._closed_location_0(BananaShape(1, w), N)
+    assert closed.same_series(locations[0], up_to=N)
     if w <= 6:
         total = locations[0]
         for location in locations[1:]:
@@ -253,9 +257,11 @@ def test_pf_1w_validation():
 def test_pf_for_shape_dispatch(monkeypatch):
     assert pf_for_shape(TWO, 3) == pf_22_theta(3)
     assert pf_for_shape(BananaShape(1, 2), 3) == pf_1w(2, 3)
+    for shape in (TWO, BananaShape(1, 3)):
+        assert pf_for_shape(shape, 7).order == 7
     # the enumeration serves these shapes, but the closed form refuses them
     # before any enumeration runs
-    monkeypatch.setattr(oracle, "naive_pf", None)
+    monkeypatch.setattr(oracle, "_naive_location_0", None)
     for shape in (BananaShape(2, 3), BananaShape(3, 1)):
         for call in (pf_for_shape, cross_check):
             with pytest.raises(ValueError, match=f"no closed form for shape {shape}"):
@@ -335,16 +341,17 @@ def test_closed_form_matches_twisted_enumeration(shape, order):
 
 def test_cross_check_reports_the_grlex_first_mismatch(monkeypatch):
     shape = BananaShape(1, 2)
-    true = pf_for_shape(shape, 5)
+    true = gvpf._closed_location_0(shape, 5)
     reg = true.registry
     later, first = reg.exps(r0=1, s=1), reg.exps(r1=1, s=1)  # same degree, first < later
     assert grlex_key(first) < grlex_key(later)
     perturbed = true + polynomial(reg, {later: 7, first: 3}, 5)
-    monkeypatch.setattr(gvpf, "pf_for_shape", lambda shape, N: perturbed)
+    monkeypatch.setattr(gvpf, "_closed_location_0", lambda shape, N: perturbed)
     report = cross_check(shape, 5)
     c = true.coefficient(first)
     assert not report.passed
     assert report.first_mismatch == (first, c + 3, c)
+    assert "at B location 0, mismatch at (0, 1, 1)" in report.describe()
 
 
 # a root that differs from the true one by a few low-degree terms
@@ -358,12 +365,13 @@ _ROOT_SHIFTS = st.dictionaries(
 
 @given(_ROOT_SHIFTS, st.integers(0, 10))
 def test_square_check_reports_what_the_square_root_route_would(shift, N):
-    # the ratio is the square of root + shift (cut at N), so 2 * sqrt_unit
-    # of it is the square-root route the check stands for; the report names
-    # its graded-lex first mismatch with the enumeration, and its coefficient
+    # the ratio is the square of root + shift (cut at N), so its sqrt_unit
+    # is the square-root route at B location 0 that the check stands for;
+    # the report names its graded-lex first mismatch with location 0 of the
+    # enumeration, and its coefficient
     ratio = (gvpf._phi_ratio(N).sqrt_unit() + TruncatedSeries(gvpf.R22, shift, N)) ** 2
-    twisted = oracle.behrend_twist(oracle.naive_pf(TWO, N))
-    expected = (2 * ratio.sqrt_unit()).first_difference(twisted, N)
+    twisted = oracle.behrend_twist(oracle._naive_location_0(TWO, N))
+    expected = ratio.sqrt_unit().first_difference(twisted, N)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gvpf, "_phi_ratio", lambda order: ratio)
         report = cross_check(TWO, N)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bananagv.geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
 from bananagv.oracle import (
+    _naive_location_0,
     _profile_residues,
     admissible_profiles,
     behrend_twist,
@@ -251,11 +252,37 @@ def test_naive_pf_matches_the_filtered_enumeration(shape, order):
     assert (got.terms, got.order, got.floor) == (want.terms, want.order, want.floor)
 
 
+def location_built_directly(shape, k, N):
+    """``(NE * N) * (S * SW)`` from the labels of B location k, with no
+    rotation."""
+    registry = registry_for(shape)
+    ne, n, s, sw = (branch_series(spec, N, registry) for spec in branch_specs(shape, k))
+    return (ne * n) * (s * sw)
+
+
+@pytest.mark.parametrize(
+    "shape", [BananaShape(v, w) for v in range(1, 5) for w in range(1, 5)], ids=str
+)
+def test_locations_built_directly_are_rotations_of_location_0(shape):
+    # k rotations of the r block and k of the s block carry location 0 to
+    # location k; naive_pf builds location 0 alone and sums its rotations
+    v, w = shape
+    location = _naive_location_0(shape, 10)
+    assert location == location_built_directly(shape, 0, 10)
+    total = location
+    for k in b_locations(shape)[1:]:
+        location = location._rotate_block(0, w)._rotate_block(w, w + v)
+        direct = location_built_directly(shape, k, 10)
+        assert location == direct, k
+        total = total + direct
+    assert naive_pf(shape, 10) == total
+
+
 def test_naive_pf_walks_the_profiles_once():
     _profile_residues.cache_clear()
-    naive_pf(BananaShape(1, 3), 6)  # 3 B locations of 4 branches, period 6
+    naive_pf(BananaShape(1, 3), 6)  # location 0's 4 branches, period 6
     info = _profile_residues.cache_info()
-    assert (info.misses, info.hits) == (1, 11)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_negative_order_is_refused():
