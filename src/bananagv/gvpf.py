@@ -66,6 +66,8 @@ takes a square root; ``pf_22`` and ``sqrt_unit`` stay as library API.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 from .geometry import BananaShape, _sum_over_locations, registry_for
@@ -76,7 +78,6 @@ from .series import (
     TruncatedSeries,
     _as_order,
     _exact_to,
-    one,
 )
 
 __all__ = [
@@ -110,13 +111,12 @@ def _certified(pf: TruncatedSeries, N: int, route: str) -> TruncatedSeries:
 
 def _phi_ratio(N: int) -> TruncatedSeries:
     """The ratio of six phis under the root of ``pf_22``, exact to N, with
-    floor 0 and constant term 1."""
-    ratio = one(R22, _as_order(N))
-    for single in _SINGLES:
-        ratio = ratio * jacobi_phi_at(R22, _Q22, single, N)
-    for pair in _PAIRS:
-        ratio = ratio * jacobi_phi_at(R22, _Q22, pair, N).invert_unit()
-    return ratio
+    floor 0 and constant term 1: the four single phis times one inverse of
+    the product of the two pair phis."""
+    _as_order(N)
+    singles = reduce(mul, [jacobi_phi_at(R22, _Q22, single, N) for single in _SINGLES])
+    pairs = reduce(mul, [jacobi_phi_at(R22, _Q22, pair, N) for pair in _PAIRS])
+    return _exact_to(singles * pairs.invert_unit(), N)
 
 
 def _closed_location_0(shape: BananaShape, N: int) -> TruncatedSeries:
@@ -205,9 +205,19 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
     location 0, slice by slice up to total degree N; a failed report carries
     the graded-lex first mismatch.  Both routes sum the other locations by
     the same rotation of location 0, so the sums agree when location 0
-    does.  On ``2x2`` the square-root route is then checked as ``closed *
-    closed`` against ``_phi_ratio(N)``, the same check since ``(p - q)(p +
-    q) = 0`` forces ``p = q`` (see the module docstring).  A mismatch is
+    does.  The check never runs that sum,
+    :func:`bananagv.geometry._sum_over_locations`, so a fault there passes
+    it.  Only three tests check the sum against locations built on their
+    own: ``tests/test_gvpf.py::
+    test_pf_1w_locations_built_directly_are_rotations_of_location_0``,
+    ``tests/test_oracle.py::
+    test_locations_built_directly_are_rotations_of_location_0`` and the
+    differential test of ``_rotate_block`` in
+    ``tests/test_series_kernel.py``; past them, only the pinned output
+    digests of ``tests/test_cli.py`` would notice a changed table.  On
+    ``2x2`` the square-root route is then checked as ``closed * closed``
+    against ``_phi_ratio(N)``, the same check since ``(p - q)(p + q) = 0``
+    forces ``p = q`` (see the module docstring).  A mismatch is
     reported at the first monomial e where the squares differ, with
     ``closed[e] - (square[e] - R[e]) // 2``, the coefficient of
     ``sqrt(R)`` there."""

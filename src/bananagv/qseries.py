@@ -37,11 +37,12 @@ minimum, both ways until the degree passes the order, writes every term of
 the result, exact by construction.  One private builder assembles every
 theta quotient the package uses (the elliptic genus, phi ``= P^{-1}
 thetatilde^2 / etatilde^6``, and both closed forms' eta and theta
-factors), and it alone sets their pads.  Eta enters only there, as one
-inverse of eta cubed.  The unsubstituted ``jacobi_phi`` is the identity
-image over ``QP``.  The products are multiplied out only for the identity
-suite, by shifts and sums, so its first check compares the sum-built phi,
-made with the product kernel, against eta and theta made without it.
+factors), and it alone sets their pads.  Eta enters only there: eta
+cubed joins the denominators twice, and each quotient takes one inverse.
+The unsubstituted ``jacobi_phi`` is the identity image over ``QP``.  The
+products are multiplied out only for the identity suite, by shifts and
+sums, so its first check compares the sum-built phi, made with the product
+kernel, against eta and theta made without it.
 """
 from __future__ import annotations
 
@@ -157,20 +158,21 @@ def _theta_quotient_at(
     term 1 is stored at every order of 0 or more, and a theta that vanishes
     (at ``P = Q^k``) reads 1.  By the width rule of :mod:`bananagv.series`,
     each distinct theta is built once to the quotient's width plus the
-    largest floor, and eta cubed, of floor 0, to the width; the
-    denominators are multiplied together before one inverse.
+    largest floor, and eta cubed, of floor 0, to the width.  Eta cubed
+    joins the denominators twice, and their product is inverted once; a
+    quotient with a numerator alone takes no inverse.
     """
     floors = {p: theta1_at(target, q_image, p, 0).floor for p in dict.fromkeys(numer + denom)}
     floor = sum(floors[p] for p in numer) - sum(floors[p] for p in denom)
     width = max(order - floor, 0)
     thetas = {p: theta1_at(target, q_image, p, width + max(floors.values())) for p in floors}
     result = reduce(mul, [thetas[p] for p in numer])
-    if denom:
-        result = result * reduce(mul, [thetas[p] for p in denom]).invert_unit()
+    denominators = [thetas[p] for p in denom]
     if over_eta6:
-        # on the left: the product's inner loop runs over the right operand
-        inv = _eta_cubed_at(target, q_image, width).invert_unit()
-        result = inv * inv * result
+        eta_cubed = _eta_cubed_at(target, q_image, width)
+        denominators += [eta_cubed, eta_cubed]
+    if denominators:
+        result = result * reduce(mul, denominators).invert_unit()
     return _exact_to(result, order)
 
 

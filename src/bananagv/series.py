@@ -56,10 +56,14 @@ sum of the operands' bounds for a product, the bound plus ``max|delta|``
 for a shift, the bound times the images' spread for a substitution, and
 the bound itself for a rotation.
 Where such a bound reaches ``2**15`` the operands' exact bounds are read
-off their keys before the operation is refused.  The recurrences below
-track a bound per slice and check every pair of slices before they
-multiply it.  The bounds ignore truncation, so the guard may refuse a
-product whose large exponents would all have landed beyond its order.
+off their keys before the operation is refused.  The unit operations
+below move their input onto its normal form with ``shift_monomial``, so
+that shift is guarded like any other: the input's bound plus the lead
+term's largest ``|exponent|`` must stay below ``2**15``, even where every
+shifted exponent would fit.  Their recurrences then track a bound per
+slice and check every pair of slices before they multiply it.
+The bounds ignore truncation, so the guard may refuse a product whose
+large exponents would all have landed beyond its order.
 
 **Kernels.**
 
@@ -68,15 +72,16 @@ product whose large exponents would all have landed beyond its order.
   is ever formed, and lists each slice of ``b`` once.  ``a * a`` squares:
   it forms each unordered pair of terms once, and ``a ** n`` squares
   repeatedly.
-* ``invert_unit`` scales the unique minimal term to 1 at degree 0,
-  ``u = 1 + u_1 + u_2 + ...``, and solves ``u v = 1`` slice by slice:
-  ``v_0 = 1`` and ``v_j = -sum_{k=1..j} u_k v_{j-k}``.
-* ``sqrt_unit`` takes the square root ``r_0`` of the minimal term ``s_m``,
-  which must be a single square monomial, and solves
-  ``r_j = (s_{m+j} - sum_{0<i<j} r_i r_{j-i}) / (2 r_0)`` term by term
-  (Brent & Kung, "Fast algorithms for manipulating formal power series",
-  J. ACM 1978).  Dividing by the monomial ``2 r_0`` is the only slice
-  division in the package.
+* ``invert_unit`` and ``sqrt_unit`` share one normal form.  The unique
+  minimal term ``c_0 X^{e_0}`` of ``a`` is shifted to degree 0, ``u =
+  X^{-e_0} a = c_0 + u_1 + u_2 + ...`` with ``u_j`` of degree j, and each
+  solves a slice recurrence on ``u`` (Brent & Kung, "Fast algorithms for
+  manipulating formal power series", J. ACM 1978).  ``invert_unit``
+  solves ``u v = 1``: ``v_0 = c_0`` and ``v_j = -c_0 sum_{k=1..j} u_k
+  v_{j-k}``, and returns ``X^{-e_0} v``.  ``sqrt_unit`` solves ``r^2 = u``:
+  ``r_0`` is the positive root of ``c_0`` and ``r_j = (u_j - sum_{0<i<j}
+  r_i r_{j-i}) / (2 r_0)``, each coefficient divided by the integer ``2
+  r_0``, and it returns ``X^{e_0/2} r``.
 * ``_rotate_block`` shifts one block of equal-weight variables cyclically,
   ``x_v -> x_{v+1}``, by moving the plain digits (offset added, as in
   ``unpack``) within each key, so it takes any exponent.
@@ -84,8 +89,9 @@ product whose large exponents would all have landed beyond its order.
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
 ``sqrt_unit`` requires a unique minimal term with even exponents and a
-perfect-square coefficient, enforces integrality of every division, and
-finally compares ``b * b`` with its input to their common order.
+perfect-square coefficient, refuses a coefficient that ``2 r_0`` does not
+divide, and finally compares ``b * b`` with its input to their common
+order.
 
 ``substitute_monomials`` sends each variable to a target monomial whose
 weighted degree is the variable's weight, so every term keeps its degree and
@@ -594,11 +600,18 @@ class TruncatedSeries:
 
     # -- units: inverse and square root -----------------------------------
 
-    def _minimal_slice(self) -> tuple[int, Slice]:
-        """The minimal degree and its slice (shared: do not mutate)."""
+    def _unit_form(self, operation: str) -> tuple["TruncatedSeries", ExponentVector, int]:
+        """``(u, e0, c0)`` for the unique minimal term ``c0 X^e0``, where
+        ``u`` is the series times ``X^{-e0}``: that term at degree 0 and
+        every other at positive degree, exact to ``N - deg X^e0``."""
         if not self._slices:
             raise ValueError("the zero series has no minimal term")
-        return self.floor, self._slices[self.floor]
+        lead = self._slices[self.floor]
+        if len(lead) != 1:
+            raise ValueError(f"{operation} requires a unique minimal-degree term")
+        (k0, c0), = lead.items()
+        e0 = self.registry._packing.unpack(k0)
+        return self.shift_monomial(tuple(-x for x in e0)), e0, c0
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a series whose minimal-degree slice is a single monomial
@@ -607,18 +620,13 @@ class TruncatedSeries:
         The result is exact to order ``N - 2*m`` where ``m`` is the degree of
         the minimal term (so a negative ``m`` improves the order).
         """
-        m0, lead = self._minimal_slice()
-        if len(lead) != 1:
-            raise ValueError("invert_unit requires a unique minimal-degree term")
-        (k0, c0), = lead.items()
+        u, e0, c0 = self._unit_form("invert_unit")
         if c0 not in (1, -1):
             raise ValueError("invert_unit requires the minimal term to have coefficient +-1")
-        packing = self.registry._packing
-        neg_e0 = tuple(-x for x in packing.unpack(k0))
-        u = self.shift_monomial(neg_e0, c0)  # order N - m0, leading term 1 at degree 0
-        unit = {0: 1}  # the key of the zero exponent vector is 0
+        unit = {0: c0}  # the key of the zero exponent vector is 0, and 1/c0 = c0
         if u.floor < 0 or u._slices.get(0) != unit:
             raise ValueError("invert_unit internal error: tail not of positive degree")
+        packing = self.registry._packing
         tail = [(k, list(s.items()), packing.bound(s)) for k, s in sorted(u._slices.items()) if k > 0]
         inv = [unit]  # inv[j] is the degree-j slice of 1/u
         bounds = [0]  # bounds[j] bounds |exponent| over inv[j]
@@ -631,12 +639,12 @@ class TruncatedSeries:
                 if inv[j - k]:
                     emax = max(emax, uk_emax + bounds[j - k])
                     _check_exponent_bound(emax)
-                    _add_product(acc, inv[j - k].items(), uk, -1)
+                    _add_product(acc, inv[j - k].items(), uk, -c0)
             inv.append({e: c for e, c in acc.items() if c})
             bounds.append(emax)
         slices = {j: s for j, s in enumerate(inv) if s}
         inv_u = TruncatedSeries._from_slices(self.registry, slices, u.order, max(bounds))
-        return inv_u.shift_monomial(neg_e0, c0)
+        return inv_u.shift_monomial(tuple(-x for x in e0))
 
     def sqrt_unit(self) -> "TruncatedSeries":
         """Square root of a series whose minimal-degree term is a square monomial.
@@ -646,33 +654,33 @@ class TruncatedSeries:
         positive square root.  Integrality is enforced degree by degree, and
         the result is exact to order ``N - m/2`` for minimal degree ``m``.
         """
-        m0, lead = self._minimal_slice()
-        if len(lead) != 1:
-            raise ValueError("sqrt_unit requires a unique minimal-degree term")
-        (k0, c0), = lead.items()
-        packing = self.registry._packing
+        u, e0, c0 = self._unit_form("sqrt_unit")
         r0 = isqrt(c0) if c0 > 0 else 0
-        if r0 * r0 != c0 or any(e % 2 for e in packing.unpack(k0)):
+        if r0 * r0 != c0 or any(e % 2 for e in e0):
             raise ValueError("the minimal term is not the square of an integer monomial")
-        # every digit of k0 is even, so halving the key halves each exponent
-        two_lead = {k0 // 2: 2 * r0}
-        roots = [[(k0 // 2, r0)]]  # roots[j] lists the root's slice of degree m0/2 + j
-        bounds = [packing.bound([k0 // 2])]  # bounds[j] is |exponent| over roots[j]
-        for j in range(1, self.order - m0 + 1):
-            # slice m0 + j of root^2 is 2 r_0 r_j + sum_{0<i<j} r_i r_{j-i}
+        packing = self.registry._packing
+        roots = [[(0, r0)]]  # roots[j] lists the degree-j slice of the root of u
+        bounds = [0]  # bounds[j] bounds |exponent| over roots[j]
+        for j in range(1, u.order + 1):
+            # slice j of root^2 is 2 r_0 r_j + sum_{0<i<j} r_i r_{j-i}
             _check_exponent_bound(max((bounds[i] + bounds[j - i] for i in range(1, j)), default=0))
-            target = dict(self._slices.get(m0 + j, {}))
+            target = dict(u._slices.get(j, {}))
             for i in range(1, (j + 1) // 2):
                 _add_product(target, roots[i], roots[j - i], -2)
             if j % 2 == 0:
                 _add_square(target, roots[j // 2], -1)
-            target = {e: c for e, c in target.items() if c}
-            root = _homogeneous_exact_divide(target, two_lead, packing) if target else {}
-            roots.append(list(root.items()))
-            bounds.append(packing.bound(root))
-        half = m0 // 2
-        slices = {half + j: dict(r) for j, r in enumerate(roots) if r}
-        b = TruncatedSeries._from_slices(self.registry, slices, self.order - half, max(bounds))
+            root = []
+            for k, c in target.items():
+                if c:
+                    q, rem = divmod(c, 2 * r0)
+                    if rem:
+                        raise ValueError("slice division is not exact over the integers")
+                    root.append((k, q))
+            roots.append(root)
+            bounds.append(packing.bound(k for k, _ in root))
+        slices = {j: dict(r) for j, r in enumerate(roots) if r}
+        root_u = TruncatedSeries._from_slices(self.registry, slices, u.order, max(bounds))
+        b = root_u.shift_monomial(tuple(e // 2 for e in e0))
         check = b * b
         if not check.same_series(self, up_to=min(check.order, self.order)):
             raise ValueError("series is not the square of a truncated Laurent series")
@@ -809,24 +817,3 @@ def _nonzero_slices(slices: dict[int, Slice]) -> dict[int, Slice]:
             del slices[d]
     return slices
 
-
-def _homogeneous_exact_divide(num: Slice, den: Slice, packing: _Packing) -> Slice:
-    """Exact quotient of a homogeneous slice by a one-term slice, term by
-    term over Laurent exponents.
-
-    ValueError for any other divisor, and for a coefficient the divisor's
-    does not divide.
-    """
-    if len(den) != 1:
-        raise ValueError("slice division needs a one-term divisor")
-    (den_key, den_c), = den.items()
-    den_reach = packing.bound(den)
-    if den_reach:  # a constant divisor leaves every key as it is
-        _check_exponent_bound(packing.bound(num) + den_reach)
-    quot = {}
-    for k, c in num.items():
-        q, r = divmod(c, den_c)
-        if r:
-            raise ValueError("slice division is not exact over the integers")
-        quot[k - den_key] = q
-    return quot

@@ -302,6 +302,17 @@ def _collapse_r(w, onto):
     ]
     + [
         pytest.param(
+            lambda N=N: pf_22_theta(N), rename,
+            lambda N=N: pf_1w(2, N), id=f"2x2-theta-{which}-order-{N}",
+        )
+        for N in (10, 32)
+        for which, rename in (
+            ("s0=s1-is-1x2", {"r0": "r0", "r1": "r1", "s0": "s", "s1": "s"}),
+            ("r0=r1-is-1x2-with-r-and-s-exchanged", {"r0": "s", "r1": "s", "s0": "r0", "s1": "r1"}),
+        )
+    ]
+    + [
+        pytest.param(
             lambda w=w: pf_1w(w, 10), _collapse_r(w, 1),
             lambda w=w: w * pf_1w(1, 10), id=f"1x{w}-covers-1x1-{w}-times",
         )
@@ -313,7 +324,9 @@ def test_cover_identities(source, rename, expected):
     s_j -> s_{j mod v'} maps pf_{v,w} to lcm(v,w)/lcm(v',w') times
     pf_{v',w'}; the 2x2 shape with r0 = r1 is the 2x1 shape, which is 1x2
     with r and s exchanged.  These identities link the Jacobi-form 2x2
-    formula to the elliptic-genus 1xW formula.  They test only the closed
+    formula to the elliptic-genus 1xW formula; both 1x2 images also run on
+    ``pf_22_theta``, the route ``compute`` serves, at orders 10 and 32.
+    They test only the closed
     forms: on the enumeration side they hold by construction of the
     lattice-walk branch rule, which maps the branch labels at location k of
     (v, w) to those at location k mod lcm(v', w') of (v', w')."""

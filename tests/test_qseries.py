@@ -1,12 +1,13 @@
 """Tests for the classical q-series, their builders, and the identity suite."""
 import re
+import sys
 from functools import cache, reduce
 from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from bananagv import qseries
+from bananagv import gvpf, qseries
 from bananagv.qseries import (
     _eta_cubed_at,
     _eta_product,
@@ -383,6 +384,37 @@ def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
     assert requested == [0, 7]
     # the index-one elliptic shift: phi(q, q^{-2} p) = q^{-4} p^4 phi(q, p)
     assert phi == jacobi_phi(10).shift_monomial((-4, 4))
+
+
+def test_each_theta_quotient_and_phi_ratio_inverts_once(monkeypatch):
+    callers = []
+    invert_unit = TruncatedSeries.invert_unit
+
+    def recording_invert_unit(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return invert_unit(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert_unit", recording_invert_unit)
+    one_quotient = ["_theta_quotient_at"]
+    # denominators alone, eta alone, and both: eta cubed joins the
+    # denominator product, which is inverted once
+    elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 1, 0), (0, 0, 1), 10)
+    assert callers == one_quotient
+    callers.clear()
+    jacobi_phi_at(QP, (1, 0), (0, 1), 6)
+    assert callers == one_quotient
+    callers.clear()
+    gvpf.pf_22_theta(10)
+    assert callers == one_quotient
+    callers.clear()
+    # a numerator alone needs no inverse
+    qseries._theta_quotient_at(QYT, (1, 0, 0), [(0, 1, 0), (0, 0, 1)], [], 6, False)
+    assert callers == []
+    # six phis, one quotient each, and one inverse of the product of the
+    # two pair phis
+    ratio = gvpf._phi_ratio(10)
+    assert callers == one_quotient * 6 + ["_phi_ratio"]
+    assert (ratio.order, ratio.floor, ratio.constant_term()) == (10, 0, 1)
 
 
 def _quotient_reference(numer, denom, order, pad, over_eta6):

@@ -3,13 +3,11 @@
 The references work on the flat ``terms`` dict only and never call the
 kernel's ``*``, ``+``, ``truncate`` or ``shift_monomial``: a dense multiply
 that forms every pair and filters by degree, the geometric-series loop for
-``invert_unit``, the full-residue loop for ``sqrt_unit`` and greedy
-leading-term division on exponent tuples for slice division.  The kernel
-divides slices and takes roots of minimal terms only for monomials, and the
+``invert_unit``, and for ``sqrt_unit`` a full-residue loop that divides each
+residue slice by greedy leading-term division on exponent tuples.  The
+kernel takes inverses and roots of minimal terms only for monomials, and the
 strategies draw those shapes; other shapes must be refused.  Results must
-agree exactly in ``terms``, ``order`` and ``floor``.  The kernel keys its
-slices by packed ints; the slice helpers are called with packed dicts, packed
-and unpacked here at the test boundary.
+agree exactly in ``terms``, ``order`` and ``floor``.
 """
 from math import isqrt
 
@@ -19,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from bananagv.series import (
     TruncatedSeries,
     VariableRegistry,
-    _homogeneous_exact_divide,
     _Packing,
     grlex_key,
     monomial,
@@ -81,19 +78,6 @@ def ref_invert(s):
         acc = ref_add(acc, p)
         p = TruncatedSeries(reg, dense_mul(p, g).terms, u.order)
     return ref_shift(acc, neg_e0, c0)
-
-
-def packed(reg, terms):
-    return {reg._packing.pack(e): c for e, c in terms.items()}
-
-
-def unpacked(reg, slice_terms):
-    return {reg._packing.unpack(k): c for k, c in slice_terms.items()}
-
-
-def divide(reg, num, den):
-    """``_homogeneous_exact_divide`` on exponent-tuple dicts."""
-    return unpacked(reg, _homogeneous_exact_divide(packed(reg, num), packed(reg, den), reg._packing))
 
 
 def ref_sqrt(s):
@@ -234,42 +218,6 @@ def thin_series(draw):
     return TruncatedSeries(XY, terms, order)
 
 
-@st.composite
-def homogeneous(draw, reg, degree, min_size=0, max_size=4):
-    """A slice of one weighted degree, Laurent in every variable: the last
-    unit-weight variable takes up whatever degree the others leave."""
-    fix = max(i for i, w in enumerate(reg.weights) if w == 1)
-    terms = {}
-    for _ in range(draw(st.integers(min_size, max_size))):
-        e = list(draw(st.tuples(*[st.integers(-3, 3)] * reg.size)))
-        e[fix] = 0
-        e[fix] = degree - reg.degree(tuple(e))
-        terms[tuple(e)] = draw(coefficients.filter(bool))
-    return terms
-
-
-def slice_product(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-@st.composite
-def divisions(draw):
-    """``(num, den)``: a multiple of a one-term ``den``, sometimes with a
-    stray term."""
-    reg = draw(st.sampled_from([QP, XYZ, MIX]))
-    den_degree, q_degree = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-    den = draw(homogeneous(reg, den_degree, 1, 1))
-    num = slice_product(draw(homogeneous(reg, q_degree)), den)
-    for e, c in draw(homogeneous(reg, den_degree + q_degree, 0, 1)).items():
-        num[e] = num.get(e, 0) + c
-    return reg, {e: c for e, c in num.items() if c}, den
-
-
 # ------------------------------------------------------------------ tests
 
 
@@ -336,7 +284,7 @@ def test_sqrt_of_square_is_plus_or_minus_root(b):
     assert root.same_series(b, up_to=up_to) or root.same_series(b * -1, up_to=up_to)
 
 
-# ------------------------------------------- packed keys, squaring, division
+# ------------------------------------------------- packed keys and squaring
 
 
 @given(st.integers(1, 5).flatmap(
@@ -424,48 +372,6 @@ def test_pow_of_a_series_with_nonzero_floor(n):
     laurent = TruncatedSeries(XYZ, {(-1, 0, 0): 1, (0, -1, 1): 2, (1, 1, -1): -1}, 3)
     assert laurent.floor == -1
     assert_identical(laurent ** n, ref_pow(laurent, n))
-
-
-@given(divisions())
-def test_slice_division_matches_greedy_reference(case):
-    reg, num, den = case
-
-    def attempt(fn):
-        try:
-            return fn(num, den)
-        except ValueError:
-            return None
-
-    assert attempt(lambda n, d: divide(reg, n, d)) == attempt(ref_divide)
-
-
-@pytest.mark.parametrize(
-    "num, den",
-    [
-        ({(1, 2): 3}, {(0, 1): 2}),  # monomial divisor, coefficient not divisible
-        ({(0, 1): 1}, {(0, 1): 1, (0, 0): 1}),  # 1 / (1 + p^-1) never ends
-        ({(0, 2): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): 1}),  # nonzero remainder
-        ({(0, 1): 1}, {}),
-    ],
-)
-def test_slice_division_refusals(num, den):
-    with pytest.raises(ValueError):
-        divide(QP, num, den)
-    with pytest.raises(ValueError):
-        ref_divide(num, den)
-
-
-@pytest.mark.parametrize(
-    "reg, num, den",
-    [
-        (QP, {(0, 2): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): 1}),  # p^2 - 1 = (p + 1)(p - 1)
-        (XYZ, {(2, 0, 0): 1, (0, 2, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1}),
-        (XYZ, {(1, 1, 0): 2}, {(1, 0, 0): 1, (0, 1, 0): 1}),  # not exact either
-    ],
-)
-def test_slice_division_refuses_polynomial_divisors(reg, num, den):
-    with pytest.raises(ValueError, match="one-term divisor"):
-        divide(reg, num, den)
 
 
 # ----------------------------------------------------------- block rotation
@@ -571,7 +477,12 @@ def test_constructor_refuses_exponents_outside_the_digit_range():
             lambda: (one(XY, 8) + monomial(XY, (2**12, 1 - 2**12), 4, 8)).sqrt_unit(),
             id="root-recurrence",
         ),
-        pytest.param(lambda: divide(XY, {(20000, 0): 1}, {(-20000, 0): 1}), id="monomial-division"),
+        pytest.param(
+            # the shift by x^-20000 y^20000 onto the unit form would send
+            # the tail term to x^-40000 y^40001
+            lambda: (monomial(XY, (20000, -20000), 1, 2) + monomial(XY, (-20000, 20001), 2, 2)).sqrt_unit(),
+            id="root-unit-form",
+        ),
     ],
 )
 def test_overflow_guard_refuses_before_a_digit_could_carry(operation):
