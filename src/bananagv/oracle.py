@@ -93,7 +93,7 @@ def _profile_residues(period: int, N: int) -> TruncatedSeries:
     """
     _check_exponent_bound(N)  # no residue exceeds N
     registry = VariableRegistry(f"x{r}" for r in range(period))
-    unit = [registry._packing.pack(registry.exps(**{name: 1})) for name in registry.names]
+    unit = [registry._pack(registry.exps(**{name: 1})) for name in registry.names]
     slices: list[dict[int, int]] = [{} for _ in range(N + 1)]
 
     def walk(j: int, room: int, cap: int, key: int) -> None:

@@ -83,8 +83,8 @@ large exponents would all have landed beyond its order.
   r_i r_{j-i}) / (2 r_0)``, each coefficient divided by the integer ``2
   r_0``, and it returns ``X^{e_0/2} r``.
 * ``_rotate_block`` shifts one block of equal-weight variables cyclically,
-  ``x_v -> x_{v+1}``, by moving the plain digits (offset added, as in
-  ``unpack``) within each key, so it takes any exponent.
+  ``x_v -> x_{v+1}``, by moving the plain digits (offset added, as in the
+  registry's ``_unpack``) within each key, so it takes any exponent.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -183,37 +183,6 @@ def _check_exponent_bound(bound: int) -> None:
         )
 
 
-class _Packing:
-    """Packs exponent vectors of length ``n`` into int keys and back."""
-
-    __slots__ = ("n", "_low", "_offset", "_struct")
-
-    def __init__(self, n: int):
-        self.n = n
-        self._low = (1 << (_DIGIT_BITS * n)) - 1
-        self._offset = sum(_EXP_LIMIT << (_DIGIT_BITS * i) for i in range(n))
-        self._struct = struct.Struct(">" + "h" * n)
-
-    def pack(self, exps: ExponentVector) -> int:
-        """Key of an exponent vector whose entries all have ``|e| < 2**15``."""
-        key = sum(exps)
-        for e in exps:
-            key = (key << _DIGIT_BITS) + e
-        return key
-
-    def unpack(self, key: int) -> ExponentVector:
-        # the offset turns each balanced digit e into the plain digit
-        # e + 2**15, and flipping bit 15 back leaves e in 16-bit two's
-        # complement, which struct reads as a signed short
-        offset = self._offset
-        packed = ((key + offset) & self._low) ^ offset
-        return self._struct.unpack(packed.to_bytes(2 * self.n, "big"))
-
-    def bound(self, keys: Iterable[int]) -> int:
-        """The largest ``|exponent|`` over the keys (0 for none)."""
-        return max(map(abs, chain.from_iterable(map(self.unpack, keys))), default=0)
-
-
 class InvariantError(AssertionError):
     """A computed result broke a property the mathematics guarantees (a
     negative count, an exponent outside the proven support, an order
@@ -230,9 +199,9 @@ class VariableRegistry:
     Registries are immutable, compare and hash by ``(names, weights)``.
     """
 
-    # a slots class, not a tuple, so that the kernels reach ``_packing`` by
-    # a plain slot read on every operation
-    __slots__ = ("names", "weights", "_packing")
+    # a slots class, not a tuple, so that the kernels read the packed-key
+    # layout (``_low``, ``_offset``, ``_struct``) by a plain slot read
+    __slots__ = ("names", "weights", "_low", "_offset", "_struct")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int] | None = None):
         names = tuple(names)
@@ -247,7 +216,10 @@ class VariableRegistry:
             raise ValueError("grading weights must be nonnegative")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_packing", _Packing(len(names)))
+        n = len(names)
+        object.__setattr__(self, "_low", (1 << (_DIGIT_BITS * n)) - 1)
+        object.__setattr__(self, "_offset", sum(_EXP_LIMIT << (_DIGIT_BITS * i) for i in range(n)))
+        object.__setattr__(self, "_struct", struct.Struct(">" + "h" * n))
 
     def __setattr__(self, name, value):
         raise AttributeError("VariableRegistry is immutable")
@@ -288,6 +260,25 @@ class VariableRegistry:
             vec[self.index(name)] = _as_int(e, "exponent")
         return tuple(vec)
 
+    def _pack(self, exps: ExponentVector) -> int:
+        """Key of an exponent vector whose entries all have ``|e| < 2**15``."""
+        key = sum(exps)
+        for e in exps:
+            key = (key << _DIGIT_BITS) + e
+        return key
+
+    def _unpack(self, key: int) -> ExponentVector:
+        # the offset turns each balanced digit e into the plain digit
+        # e + 2**15, and flipping bit 15 back leaves e in 16-bit two's
+        # complement, which struct reads as a signed short
+        offset = self._offset
+        packed = ((key + offset) & self._low) ^ offset
+        return self._struct.unpack(packed.to_bytes(self._struct.size, "big"))
+
+    def _bound(self, keys: Iterable[int]) -> int:
+        """The largest ``|exponent|`` over the keys (0 for none)."""
+        return max(map(abs, chain.from_iterable(map(self._unpack, keys))), default=0)
+
 
 def _int_exps(exps) -> ExponentVector:
     exps = tuple(exps)
@@ -315,7 +306,7 @@ class TruncatedSeries:
     def __init__(self, registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int):
         order = _as_int(order, "order")
         n = registry.size
-        pack = registry._packing.pack
+        pack = registry._pack
         degree = registry.degree
         slices: dict[int, Slice] = {}
         emax = 0
@@ -360,14 +351,14 @@ class TruncatedSeries:
     def _exact_emax(self) -> int:
         """The largest stored ``|exponent|``, read off the keys; it replaces
         the tracked bound."""
-        emax = self.registry._packing.bound(chain.from_iterable(self._slices.values()))
+        emax = self.registry._bound(chain.from_iterable(self._slices.values()))
         object.__setattr__(self, "_emax", emax)
         return emax
 
     @property
     def terms(self) -> dict[ExponentVector, int]:
         """All stored terms as one flat dict, a new one on every call."""
-        unpack = self.registry._packing.unpack
+        unpack = self.registry._unpack
         return {unpack(k): c for s in self._slices.values() for k, c in s.items()}
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -389,7 +380,7 @@ class TruncatedSeries:
             )
         if _exps_max(exps) >= _EXP_LIMIT:
             return 0  # no stored term has such an exponent
-        return self._slices.get(d, {}).get(self.registry._packing.pack(exps), 0)
+        return self._slices.get(d, {}).get(self.registry._pack(exps), 0)
 
     def constant_term(self) -> int:
         return self.coefficient(self.registry.zero_exps())
@@ -401,13 +392,13 @@ class TruncatedSeries:
     def has_negative_exponent(self) -> bool:
         """Whether some stored term has a negative exponent."""
         # e >= 0 exactly when the plain digit e + 2**15 has bit 15 set
-        offset = self.registry._packing._offset
+        offset = self.registry._offset
         return any((k + offset) & offset != offset for s in self._slices.values() for k in s)
 
     def sorted_terms(self) -> Iterator[tuple[ExponentVector, int]]:
         """Terms in the canonical graded-lex order (ascending), each key
         unpacked as it is read."""
-        unpack = self.registry._packing.unpack
+        unpack = self.registry._unpack
         items = sorted(chain.from_iterable(s.items() for s in self._slices.values()))
         return ((unpack(k), c) for k, c in items)
 
@@ -437,7 +428,7 @@ class TruncatedSeries:
             sa, sb = a.get(d, {}), b.get(d, {})
             if sa != sb:
                 k = min(k for k in sa.keys() | sb.keys() if sa.get(k, 0) != sb.get(k, 0))
-                return self.registry._packing.unpack(k), sa.get(k, 0), sb.get(k, 0)
+                return self.registry._unpack(k), sa.get(k, 0), sb.get(k, 0)
         return None
 
     # -- ring structure --------------------------------------------------
@@ -481,11 +472,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            k = _as_int(other, "scale")
-            slices = (
-                {d: {e: k * c for e, c in s.items()} for d, s in self._slices.items()} if k else {}
-            )
-            return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
+            return self.shift_monomial(self.registry.zero_exps(), other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if other is self:
@@ -560,7 +547,7 @@ class TruncatedSeries:
         reach = _exps_max(delta)
         _check_exponent_bound(reach)
         emax = _result_emax(lambda e: e + reach, self)
-        k = self.registry._packing.pack(delta)
+        k = self.registry._pack(delta)
         slices = (
             {
                 d + shift: {e + k: scale * c for e, c in s.items()}
@@ -575,16 +562,16 @@ class TruncatedSeries:
         """The image under ``x_v -> x_{v+1}`` for ``start <= v < stop - 1``
         and ``x_{stop-1} -> x_start``, which fixes every other variable.
 
-        As ``unpack`` does, it adds the offset, moves the block's now plain
-        digits within each key and takes the offset off again, so any
-        exponent rotates and the degree digit, the slices and ``_emax`` all
-        stay.  ValueError for a block of unequal weights, whose image would
-        change a term's degree.
+        As the registry's ``_unpack`` does, it adds the offset, moves the
+        block's now plain digits within each key and takes the offset off
+        again, so any exponent rotates and the degree digit, the slices and
+        ``_emax`` all stay.  ValueError for a block of unequal weights, whose
+        image would change a term's degree.
         """
         reg = self.registry
         if len(set(reg.weights[start:stop])) > 1:
             raise ValueError("a rotated block needs variables of equal weight")
-        offset = reg._packing._offset
+        offset = reg._offset
         # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
         low = _DIGIT_BITS * (reg.size - stop)
         span = _DIGIT_BITS * (stop - start - 1)
@@ -610,7 +597,7 @@ class TruncatedSeries:
         if len(lead) != 1:
             raise ValueError(f"{operation} requires a unique minimal-degree term")
         (k0, c0), = lead.items()
-        e0 = self.registry._packing.unpack(k0)
+        e0 = self.registry._unpack(k0)
         return self.shift_monomial(tuple(-x for x in e0)), e0, c0
 
     def invert_unit(self) -> "TruncatedSeries":
@@ -626,8 +613,8 @@ class TruncatedSeries:
         unit = {0: c0}  # the key of the zero exponent vector is 0, and 1/c0 = c0
         if u.floor < 0 or u._slices.get(0) != unit:
             raise ValueError("invert_unit internal error: tail not of positive degree")
-        packing = self.registry._packing
-        tail = [(k, list(s.items()), packing.bound(s)) for k, s in sorted(u._slices.items()) if k > 0]
+        bound = self.registry._bound
+        tail = [(k, list(s.items()), bound(s)) for k, s in sorted(u._slices.items()) if k > 0]
         inv = [unit]  # inv[j] is the degree-j slice of 1/u
         bounds = [0]  # bounds[j] bounds |exponent| over inv[j]
         for j in range(1, u.order + 1):
@@ -658,7 +645,7 @@ class TruncatedSeries:
         r0 = isqrt(c0) if c0 > 0 else 0
         if r0 * r0 != c0 or any(e % 2 for e in e0):
             raise ValueError("the minimal term is not the square of an integer monomial")
-        packing = self.registry._packing
+        bound = self.registry._bound
         roots = [[(0, r0)]]  # roots[j] lists the degree-j slice of the root of u
         bounds = [0]  # bounds[j] bounds |exponent| over roots[j]
         for j in range(1, u.order + 1):
@@ -677,7 +664,7 @@ class TruncatedSeries:
                         raise ValueError("slice division is not exact over the integers")
                     root.append((k, q))
             roots.append(root)
-            bounds.append(packing.bound(k for k, _ in root))
+            bounds.append(bound(k for k, _ in root))
         slices = {j: dict(r) for j, r in enumerate(roots) if r}
         root_u = TruncatedSeries._from_slices(self.registry, slices, u.order, max(bounds))
         b = root_u.shift_monomial(tuple(e // 2 for e in e0))
@@ -718,8 +705,8 @@ class TruncatedSeries:
         emax = _result_emax(lambda e: e * spread, self)
         # packing is linear: the image of X^e has key sum_v e_v * key(image_v),
         # and it stays in its slice because degrees are preserved
-        unpack = reg._packing.unpack
-        img_keys = list(map(target._packing.pack, img_exps))
+        unpack = reg._unpack
+        img_keys = list(map(target._pack, img_exps))
         acc: dict[int, Slice] = {}
         for d, s in self._slices.items():
             bucket = acc[d] = {}

@@ -2,7 +2,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bananagv import gvpf, oracle, qseries
 from bananagv.geometry import BananaShape, registry_for
@@ -17,6 +17,7 @@ from bananagv.gvpf import (
 )
 from bananagv.qseries import jacobi_phi_at
 from bananagv.series import InvariantError, TruncatedSeries, grlex_key, polynomial
+from planted_faults import double_theta_term
 
 TWO = BananaShape(2, 2)
 
@@ -276,17 +277,27 @@ def _collapse_r(w, onto):
     return {f"r{i}": f"r{i % onto}" for i in range(w)} | {"s": "s"}
 
 
+#: The two covers of 1x2 by 2x2: s0 = s1, and r0 = r1 with r and s exchanged.
+_COVERS_OF_1X2 = {
+    "s0=s1-is-1x2": {"r0": "r0", "r1": "r1", "s0": "s", "s1": "s"},
+    "r0=r1-is-1x2-with-r-and-s-exchanged": {"r0": "s", "r1": "s", "s0": "r0", "s1": "r1"},
+}
+
+
+def _renamed(series, rename, reg):
+    """``series`` with each variable sent to the ``reg`` variable ``rename`` names."""
+    return series.substitute_monomials(reg, {a: reg.exps(**{b: 1}) for a, b in rename.items()})
+
+
 @pytest.mark.parametrize(
     "source,rename,expected",
     [
         pytest.param(
-            lambda: pf_22(10), {"r0": "r0", "r1": "r1", "s0": "s", "s1": "s"},
-            lambda: pf_1w(2, 10), id="2x2-s0=s1-is-1x2",
-        ),
-        pytest.param(
-            lambda: pf_22(10), {"r0": "s", "r1": "s", "s0": "r0", "s1": "r1"},
-            lambda: pf_1w(2, 10), id="2x2-r0=r1-is-1x2-with-r-and-s-exchanged",
-        ),
+            lambda: pf_22(10), rename, lambda: pf_1w(2, 10), id=f"2x2-{which}",
+        )
+        for which, rename in _COVERS_OF_1X2.items()
+    ]
+    + [
         pytest.param(
             lambda: pf_1w(4, 10), _collapse_r(4, 2),
             lambda: 2 * pf_1w(2, 10), id="1x4-covers-1x2-twice",
@@ -305,11 +316,8 @@ def _collapse_r(w, onto):
             lambda N=N: pf_22_theta(N), rename,
             lambda N=N: pf_1w(2, N), id=f"2x2-theta-{which}-order-{N}",
         )
-        for N in (10, 32)
-        for which, rename in (
-            ("s0=s1-is-1x2", {"r0": "r0", "r1": "r1", "s0": "s", "s1": "s"}),
-            ("r0=r1-is-1x2-with-r-and-s-exchanged", {"r0": "s", "r1": "s", "s0": "r0", "s1": "r1"}),
-        )
+        for N in (10, 32, 64)
+        for which, rename in _COVERS_OF_1X2.items()
     ]
     + [
         pytest.param(
@@ -325,15 +333,109 @@ def test_cover_identities(source, rename, expected):
     pf_{v',w'}; the 2x2 shape with r0 = r1 is the 2x1 shape, which is 1x2
     with r and s exchanged.  These identities link the Jacobi-form 2x2
     formula to the elliptic-genus 1xW formula; both 1x2 images also run on
-    ``pf_22_theta``, the route ``compute`` serves, at orders 10 and 32.
-    They test only the closed
+    ``pf_22_theta``, the route ``compute`` serves, at orders 10, 32 and 64,
+    its cap.  They test only the closed
     forms: on the enumeration side they hold by construction of the
     lattice-walk branch rule, which maps the branch labels at location k of
     (v, w) to those at location k mod lcm(v', w') of (v', w')."""
     want = expected()
-    reg = want.registry
-    images = {a: reg.exps(**{b: 1}) for a, b in rename.items()}
-    assert source().substitute_monomials(reg, images) == want
+    assert _renamed(source(), rename, want.registry) == want
+
+
+def test_cover_identities_catch_a_doubled_theta_term(monkeypatch):
+    # the n = 5 term of theta first reaches the 2x2 table at degree 45, past
+    # the crosscheck cap of 32, where the enumeration cannot see it
+    double_theta_term(monkeypatch, 5)
+    assert cross_check(TWO, 32).passed
+    for N, holds in ((44, True), (48, False)):
+        table, want = pf_22_theta(N), pf_1w(2, N)
+        for rename in _COVERS_OF_1X2.values():
+            assert (_renamed(table, rename, want.registry) == want) is holds, (N, rename)
+
+
+# ------------------------------------------------------ quasi-periodicity
+
+
+def _tau_22(e):
+    """The elliptic shift ``r1 -> Q r1``, ``s1 -> s1 / Q`` of the 2x2 table,
+    on the exponents ``(a, b, c, d)`` of ``(r0, r1, s0, s1)``.  It fixes the
+    argument of every denominator theta, and each numerator theta picks up a
+    monomial by ``thetatilde(q, q p) = -p^{-1} thetatilde(q, p)``, so the
+    table's coefficient at ``e`` equals its coefficient at ``tau(e)``."""
+    a, b, c, d = e
+    return a + b - d + 1, 2 * b - d + 2, c + b - d + 1, b
+
+
+def _tau_22_inverse(e):
+    a, b, c, d = e
+    b0, d0 = d, 2 * d - b + 2
+    return a - b0 + d0 - 1, b0, c - b0 + d0 - 1, d0
+
+
+def _swap_locations(e):
+    """``(r0, s0) <-> (r1, s1)``, which exchanges the two B locations."""
+    a, b, c, d = e
+    return b, a, d, c
+
+
+def _tau_1w(w):
+    """The elliptic shift ``r_i -> Q r_i``, ``s -> s / Q`` of the 1xw table
+    and its inverse, with ``q = (1, ..., 1, w)`` the exponents of Q: the
+    table picks up the factor ``s^{2w} Q^{-(w+1)}``, of exponents ``m``, so
+    ``tau(e) = e + k q - m`` with ``k = sum_i e_{r_i} - e_s``.  ``k`` grows
+    by ``2w`` under ``tau``."""
+    q = (1,) * w + (w,)
+    m = (-(w + 1),) * w + (2 * w - (w + 1) * w,)
+
+    def tau(e):
+        k = sum(e[:w]) - e[w]
+        return tuple(x + k * y - z for x, y, z in zip(e, q, m))
+
+    def tau_inverse(e):
+        k = sum(e[:w]) - e[w] - 2 * w
+        return tuple(x - k * y + z for x, y, z in zip(e, q, m))
+
+    return tau, tau_inverse
+
+
+def _quasi_period_mismatches(table, maps):
+    """``(pairs, mismatches)``: the pairs ``e, tau(e)`` over the stored terms
+    ``e`` and each map ``tau``, whose image has degree at most the table's
+    order, and how many of them have ``T[tau(e)] != T[e]``.  Checking a
+    relation and its inverse this way also sees a term missing at ``e``."""
+    terms, reg = table.terms, table.registry
+    pairs = mismatches = 0
+    for tau in maps:
+        for e, c in terms.items():
+            image = tau(e)
+            if reg.degree(image) <= table.order:
+                pairs += 1
+                mismatches += terms.get(image, 0) != c
+    return pairs, mismatches
+
+
+@given(st.integers(0, 24))
+def test_2x2_table_is_quasi_periodic_and_swaps_locations(N):
+    table = pf_22_theta(N)
+    assert _quasi_period_mismatches(table, [_tau_22, _tau_22_inverse])[1] == 0
+    assert _quasi_period_mismatches(table, [_swap_locations])[1] == 0
+
+
+@given(st.integers(1, 4), st.integers(0, 24))
+@example(3, 24)
+@example(4, 24)
+def test_1xw_table_is_quasi_periodic(w, N):
+    assert _quasi_period_mismatches(pf_1w(w, N), _tau_1w(w))[1] == 0
+
+
+def test_quasi_periodicity_catches_a_doubled_theta_term(monkeypatch):
+    # the fault reaches the table at degree 45; at 48 every pair still
+    # forms, and some of them now differ
+    maps = [_tau_22, _tau_22_inverse]
+    assert _quasi_period_mismatches(pf_22_theta(48), maps) == (24260, 0)
+    double_theta_term(monkeypatch, 5)
+    pairs, mismatches = _quasi_period_mismatches(pf_22_theta(48), maps)
+    assert pairs == 24260 and mismatches > 0
 
 
 # ------------------------------------------------------------ cross-checks

@@ -122,7 +122,7 @@ def test_profile_residues_tally_the_filtered_partitions(period, N):
     assert series.order == N and series.terms == want
     # the walk builds its slices itself, and the trusted constructor checks
     # none of their contract
-    unpack = series.registry._packing.unpack
+    unpack = series.registry._unpack
     for d, s in series._slices.items():
         assert s and 0 not in s.values()
         assert all(sum(unpack(k)) == d for k in s)

@@ -22,6 +22,7 @@ from bananagv.qseries import (
     theta1_at,
 )
 from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
+from planted_faults import double_theta_term
 
 #: Univariate registry for eta-like series.
 Q_ONLY = VariableRegistry(("q",))
@@ -356,6 +357,45 @@ def test_elliptic_genus_at_y_equal_t_is_zero():
     # Y^{-1}T = 1 and thetatilde(Q, 1) = 0
     ell = elliptic_genus_c2_at(QYT, (1, 0, 0), (0, 0, 1), (0, 0, 1), 8)
     assert ell.terms == {} and ell.order == 8
+
+
+def _weierstrass_difference(order):
+    """``P(y) - P(t)`` over ``QYT``, exact to ``order``, from the Lambert
+    sums of ``wp / (2 pi i)^2``: ``sum_{k>=1} k (y^k - t^k) + sum_{n>=1} q^n
+    sum_{d|n} d (y^d + y^-d - t^d - t^-d)``.  The constants of ``P`` cancel,
+    and every term of q-degree n has weighted degree at least n."""
+    terms = {}
+    for k in range(1, order + 1):
+        terms[0, k, 0], terms[0, 0, k] = k, -k
+    for n in range(1, order + 1):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                for e in (d, -d):
+                    terms[n, e, 0], terms[n, 0, e] = d, -d
+    return TruncatedSeries(QYT, terms, order)
+
+
+def _weierstrass_holds(N):
+    """Whether ``Ell(q, y, t) = phi(q, y) (P(y) - P(t))`` holds to q-order
+    N: the Weierstrass addition law ``wp(u) - wp(v) = -sigma(u+v) sigma(u-v)
+    / (sigma(u)^2 sigma(v)^2)`` in this package's reduced form.  Both
+    factors are built to ``2N + 1``; phi's floor -1 and the difference's
+    floor 1 leave the product exact to ``2N``."""
+    product = jacobi_phi_at(QYT, (1, 0, 0), (0, 1, 0), 2 * N + 1) * _weierstrass_difference(2 * N + 1)
+    return elliptic_genus_c2(N) == product
+
+
+def test_elliptic_genus_is_phi_times_a_weierstrass_difference():
+    # no theta of t enters the right side, so this ties the genus to the
+    # theta sums in a way no rearrangement of the quotient could
+    for N in range(17):
+        assert _weierstrass_holds(N), N
+
+
+@pytest.mark.parametrize("index, first", [(5, 10), (-3, 3)])
+def test_weierstrass_check_catches_a_doubled_theta_term(monkeypatch, index, first):
+    double_theta_term(monkeypatch, index)
+    assert [N for N in range(first + 1) if not _weierstrass_holds(N)] == [first]
 
 
 def test_elliptic_genus_pads_by_the_theta_floors(monkeypatch):
