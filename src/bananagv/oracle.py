@@ -25,12 +25,13 @@ where ``res[r]`` sums ``parts[j]`` over every ``j = r mod period``.  The
 walk carries that monomial's packed key, linear in the parts, and tallies
 it straight into a degree slice; the closing pair ``(1, 0)`` is counted
 inline, without a call.
-``_profile_residues`` caches its last series, so one walk serves every
-branch of a ``naive_pf`` call.  A branch's series is the image of the slot
-series under ``substitute_monomials``, sending ``x_r`` to
-``labels[r]``.  ``admissible_profiles`` reads the same walk with one slot
-per part: with a period of at least n, the degree-n terms are the
-profiles of size n themselves.
+A branch's series is the image of the slot series under
+``substitute_monomials``, sending ``x_r`` to ``labels[r]``.  The module
+keeps no state: ``_naive_location_0`` walks once and relabels that one slot
+series for each of its four branches, while ``branch_series`` and
+``admissible_profiles`` each walk for themselves.  ``admissible_profiles``
+reads the walk with one slot per part: with a period of at least n, the
+degree-n terms are the profiles of size n themselves.
 
 Admissible profiles of size n are counted by partitions with distinct odd
 parts, whose generating function is
@@ -49,8 +50,6 @@ compare.  ``behrend_twist`` converts a count to the signed count by
 negating every tracking variable.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .geometry import BananaShape, BranchSpec, _sum_over_locations, branch_specs, registry_for
 from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order, _check_exponent_bound
@@ -76,7 +75,6 @@ def admissible_profiles(n: int) -> list[tuple[int, ...]]:
     return [tuple(filter(None, exps)) for exps in reversed(slots)]
 
 
-@lru_cache(maxsize=1)
 def _profile_residues(period: int, N: int) -> TruncatedSeries:
     """Admissible profiles of size at most N, tallied as a series over the
     unit-weight slots ``x0 ... x{period-1}``: each profile adds the monomial
@@ -88,8 +86,7 @@ def _profile_residues(period: int, N: int) -> TruncatedSeries:
     closes one.  It carries the profile's packed key,
     ``sum_j parts[j] * unit[j % period]`` with ``unit[r]`` the key of
     ``x_r``, and tallies it into the slice of the profile's size.  Each
-    profile is visited exactly once.  One cached entry is enough because all
-    branches of a shape share one period.
+    profile is visited exactly once.
     """
     _check_exponent_bound(N)  # no residue exceeds N
     registry = VariableRegistry(f"x{r}" for r in range(period))
@@ -125,17 +122,24 @@ def branch_series(spec: BranchSpec, N: int, registry: VariableRegistry) -> Trunc
     contribute below the truncation order and the enumeration is finite;
     the substitution refuses a label of any other weight.
     """
-    _as_order(N)
+    return _relabel(_profile_residues(spec.period, _as_order(N)), spec, registry)
+
+
+def _relabel(slots: TruncatedSeries, spec: BranchSpec, registry: VariableRegistry) -> TruncatedSeries:
+    """The slot series ``slots`` with ``x_r`` sent to ``spec.labels[r]``."""
     images = {f"x{r}": registry.exps(**{label: 1}) for r, label in enumerate(spec.labels)}
-    return _profile_residues(spec.period, N).substitute_monomials(registry, images)
+    return slots.substitute_monomials(registry, images)
 
 
 def _naive_location_0(shape: BananaShape, N: int) -> TruncatedSeries:
     """Unsigned count generating function at B location 0, the product of
-    its four branch series.  Coefficients are counts and must come out
-    nonnegative.  ``branch_series`` checks the order."""
+    its four branch series.  The branches share one period, so one walk
+    serves all four.  Coefficients are counts and must come out
+    nonnegative."""
     registry = registry_for(shape)
-    ne, n, s, sw = (branch_series(spec, N, registry) for spec in branch_specs(shape, 0))
+    specs = branch_specs(shape, 0)
+    slots = _profile_residues(specs[0].period, _as_order(N))
+    ne, n, s, sw = (_relabel(slots, spec, registry) for spec in specs)
     location = (ne * n) * (s * sw)
     if any(c < 0 for c in location.coefficients()):
         raise InvariantError("naive count came out negative; enumeration bug")

@@ -46,7 +46,10 @@ re-normalizes them.  The public constructor and the other public entry
 points (``monomial``, ``coefficient``, ``shift_monomial``, ``truncate``,
 ``VariableRegistry``, substitution images, and the scale of ``*`` and
 exponent of ``**``) refuse any coefficient, exponent, weight or order that
-is not an ``int`` with TypeError.
+is not an ``int`` with TypeError.  Every exponent vector that they and
+``VariableRegistry.degree`` take passes one check, the registry's
+``_checked``: it refuses a wrong length with ValueError and a non-``int``
+entry with TypeError, and returns the vector with its weighted degree.
 
 **Overflow.**  A digit that reached ``2**15`` in absolute value would carry
 into its neighbour and silently change the monomial, so it is refused with
@@ -70,8 +73,8 @@ large exponents would all have landed beyond its order.
 * ``a * b`` walks pairs of slices in ascending degree and stops each row
   at ``order - deg(a-slice)``, so no product term beyond the result order
   is ever formed, and lists each slice of ``b`` once.  ``a * a`` squares:
-  it forms each unordered pair of terms once, and ``a ** n`` squares
-  repeatedly.
+  it forms each unordered pair of terms once.  ``a ** n`` is the ``n - 1``
+  left products ``((a * a) * a) ...``, the first of them a square.
 * ``invert_unit`` and ``sqrt_unit`` share one normal form.  The unique
   minimal term ``c_0 X^{e_0}`` of ``a`` is shifted to degree 0, ``u =
   X^{-e_0} a = c_0 + u_1 + u_2 + ...`` with ``u_j`` of degree j, and each
@@ -246,9 +249,19 @@ class VariableRegistry:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def degree(self, exps: ExponentVector) -> int:
+        return self._checked(exps)[1]
+
+    def _checked(self, exps) -> tuple[ExponentVector, int]:
+        """``exps`` as a tuple, with its weighted degree: the one check of
+        every exponent vector a caller passes.  ValueError for a wrong
+        length, TypeError for an entry that is not an ``int``."""
+        exps = tuple(exps)
         if len(exps) != len(self.names):
             raise ValueError("exponent vector has wrong length")
-        return sum(map(mul, self.weights, exps))
+        if not {int}.issuperset(map(type, exps)):
+            for e in exps:
+                _as_int(e, "exponent")
+        return exps, sum(map(mul, self.weights, exps))
 
     def zero_exps(self) -> ExponentVector:
         return (0,) * len(self.names)
@@ -280,14 +293,6 @@ class VariableRegistry:
         return max(map(abs, chain.from_iterable(map(self._unpack, keys))), default=0)
 
 
-def _int_exps(exps) -> ExponentVector:
-    exps = tuple(exps)
-    if not {int}.issuperset(map(type, exps)):
-        for e in exps:
-            _as_int(e, "exponent")
-    return exps
-
-
 def _exps_max(exps: ExponentVector) -> int:
     return max(map(abs, exps), default=0)
 
@@ -305,19 +310,15 @@ class TruncatedSeries:
 
     def __init__(self, registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int):
         order = _as_int(order, "order")
-        n = registry.size
         pack = registry._pack
-        degree = registry.degree
+        checked = registry._checked
         slices: dict[int, Slice] = {}
         emax = 0
         for exps, coeff in terms.items():
-            if len(exps) != n:
-                raise ValueError("exponent vector has wrong length")
-            exps = _int_exps(exps)
+            exps, d = checked(exps)
             coeff = _as_int(coeff, "coefficient")
             if coeff == 0:
                 continue
-            d = degree(exps)
             if d <= order:
                 big = _exps_max(exps)
                 if big > emax:
@@ -372,8 +373,7 @@ class TruncatedSeries:
         Raises if the monomial's degree exceeds the guaranteed order: a
         coefficient in the unknown region is not zero, it is unknown.
         """
-        exps = _int_exps(exps)
-        d = self.registry.degree(exps)
+        exps, d = self.registry._checked(exps)
         if d > self.order:
             raise ValueError(
                 f"coefficient at degree {d} is beyond the guaranteed order {self.order}"
@@ -515,16 +515,11 @@ class TruncatedSeries:
             raise ValueError("only nonnegative integer powers are supported")
         if n == 0:
             return one(self.registry, self.order)
-        # order and floor come out as for n - 1 left multiplications: both
-        # give order N + (n-1)F and floor nF, since lead slices never cancel
-        out, base = None, self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        # n - 1 left products; the first, self * self, squares
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget knowledge beyond ``order`` (which must not exceed the current order)."""
@@ -541,9 +536,8 @@ class TruncatedSeries:
         monomial has no unknown tail, so the guaranteed order moves up by the
         monomial's degree.
         """
-        delta = _int_exps(delta)
+        delta, shift = self.registry._checked(delta)
         scale = _as_int(scale, "coefficient")
-        shift = self.registry.degree(delta)
         reach = _exps_max(delta)
         _check_exponent_bound(reach)
         emax = _result_emax(lambda e: e + reach, self)
@@ -690,10 +684,8 @@ class TruncatedSeries:
             raise ValueError("images must cover exactly the source variables")
         img_exps = []
         for name, weight in zip(reg.names, reg.weights):
-            exps = _int_exps(images[name])
-            if len(exps) != target.size:
-                raise ValueError("image exponent vector has wrong length for target registry")
-            if target.degree(exps) != weight:
+            exps, degree = target._checked(images[name])
+            if degree != weight:
                 raise ValueError(
                     f"the image of {name!r} must have degree {weight}, the weight of "
                     "its variable; only degree-preserving substitutions are exact"
@@ -753,7 +745,7 @@ def polynomial(registry: VariableRegistry, terms: Mapping[ExponentVector, int], 
     constructor silently truncates instead.
     """
     for exps in terms:
-        if registry.degree(_int_exps(exps)) > order:
+        if registry._checked(exps)[1] > order:
             raise ValueError("polynomial term beyond the requested order")
     return TruncatedSeries(registry, terms, order)
 

@@ -23,3 +23,22 @@ def double_theta_term(monkeypatch, index):
         )
 
     monkeypatch.setattr(qseries, "theta1_at", theta1_at)
+
+
+def double_eta_cubed_term(monkeypatch, index):
+    """Double the ``k = index`` term of eta cubed's sum
+    ``sum_k (-1)^k (k+1) q^{k(k+1)/2}``.
+
+    ``qseries._theta_quotient_at`` looks ``_eta_cubed_at`` up in the module
+    globals, so every quotient over ``etatilde^6`` sees the fault: phi, and
+    through it both closed forms, but not the elliptic genus, which has no
+    eta.  The term first reaches a series at q-order ``k(k+1)/2``.
+    """
+
+    def eta_cubed_at(target, q_image, order):
+        return qseries._sum_at(
+            target, q_image, target.zero_exps(), order,
+            lambda k: (k * (k + 1) // 2, 0, (-1) ** (k % 2) * (k + 1) * (2 if k == index else 1)),
+        )
+
+    monkeypatch.setattr(qseries, "_eta_cubed_at", eta_cubed_at)

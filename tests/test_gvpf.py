@@ -15,9 +15,9 @@ from bananagv.gvpf import (
     pf_22_theta,
     pf_for_shape,
 )
-from bananagv.qseries import jacobi_phi_at
+from bananagv.qseries import check_identities, jacobi_phi_at
 from bananagv.series import InvariantError, TruncatedSeries, grlex_key, polynomial
-from planted_faults import double_theta_term
+from planted_faults import double_eta_cubed_term, double_theta_term
 
 TWO = BananaShape(2, 2)
 
@@ -351,6 +351,19 @@ def test_cover_identities_catch_a_doubled_theta_term(monkeypatch):
         table, want = pf_22_theta(N), pf_1w(2, N)
         for rename in _COVERS_OF_1X2.values():
             assert (_renamed(table, rename, want.registry) == want) is holds, (N, rename)
+
+
+def test_the_square_check_is_blind_to_a_doubled_eta_term(monkeypatch):
+    # the k = 3 term of eta cubed first reaches q-order 6; both sides of the
+    # square check carry the same eta^-6, so only the enumeration and the
+    # identity suite, whose eta is a product, see it
+    double_eta_cubed_term(monkeypatch, 3)
+    closed = gvpf._closed_location_0(TWO, 24)
+    assert gvpf._phi_ratio(24) == closed * closed
+    report = cross_check(TWO, 24)
+    assert not report.passed and report.route == "closed form (theta route)"
+    failing = [(N, c.name) for N in range(7) for c in check_identities(N) if not c.passed]
+    assert failing == [(6, "eta6_phi_equals_theta_squared")]
 
 
 # ------------------------------------------------------ quasi-periodicity

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from bananagv import oracle
 from bananagv.geometry import BananaShape, BranchSpec, b_locations, branch_specs, registry_for
 from bananagv.oracle import (
     _naive_location_0,
@@ -86,7 +87,8 @@ def test_negative_sizes_are_refused():
 
 @pytest.mark.parametrize("bad", [True, 2.0])
 def test_non_int_sizes_are_refused_even_with_a_warm_cache(bad):
-    # lru_cache keys (True, True) and (1, 1) are equal, so a warm cache answered True
+    # a cache keyed on (True, True) would answer it with the (1, 1) entry
+    # that this first call leaves, since the two keys are equal
     assert admissible_profiles(1) == [(1,)]
     with pytest.raises(TypeError, match=re.escape(f"size must be an int, not {type(bad).__name__} {bad!r}")):
         admissible_profiles(bad)
@@ -278,11 +280,18 @@ def test_locations_built_directly_are_rotations_of_location_0(shape):
     assert naive_pf(shape, 10) == total
 
 
-def test_naive_pf_walks_the_profiles_once():
-    _profile_residues.cache_clear()
-    naive_pf(BananaShape(1, 3), 6)  # location 0's 4 branches, period 6
-    info = _profile_residues.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+def test_naive_pf_walks_the_profiles_once(monkeypatch):
+    walks = []
+
+    def counting(period, N):
+        walks.append((period, N))
+        return _profile_residues(period, N)
+
+    monkeypatch.setattr(oracle, "_profile_residues", counting)
+    naive_pf(BananaShape(1, 3), 6)  # location 0's 4 branches share period 6
+    assert walks == [(6, 6)]
+    naive_pf(BananaShape(1, 3), 6)  # nothing is kept between calls
+    assert walks == [(6, 6), (6, 6)]
 
 
 def test_negative_order_is_refused():

@@ -84,6 +84,7 @@ def test_terms_hands_out_a_copy():
         pytest.param(lambda: one(XY, 4).shift_monomial((1, 0.5)), id="shift-exponent"),
         pytest.param(lambda: one(XY, 4).shift_monomial((1, 0), Fraction(3)), id="shift-scale"),
         pytest.param(lambda: XY.exps(x=1.5), id="registry-exps"),
+        pytest.param(lambda: XY.degree((1.5, 0)), id="registry-degree"),
         pytest.param(
             lambda: one(XY, 4).substitute_monomials(XY, {"x": (0, 1.0), "y": (1, 0)}),
             id="image-exponent",
@@ -103,6 +104,25 @@ def test_terms_hands_out_a_copy():
 )
 def test_non_integer_coefficients_and_exponents_are_refused(build_bad):
     with pytest.raises(TypeError):
+        build_bad()
+
+
+@pytest.mark.parametrize(
+    "build_bad",
+    [
+        pytest.param(lambda: TruncatedSeries(XY, {(0, 0): 1, (1,): 3}, 4), id="constructor"),
+        pytest.param(lambda: one(XY, 4).coefficient((0, 0, 0)), id="coefficient"),
+        pytest.param(lambda: one(XY, 4).shift_monomial((1,)), id="shift"),
+        pytest.param(
+            lambda: one(XY, 4).substitute_monomials(QP, {"x": (1, 0, 0), "y": (1, 0)}),
+            id="image",
+        ),
+        pytest.param(lambda: polynomial(XY, {(0, 0, 1): 1}, 4), id="polynomial"),
+        pytest.param(lambda: XY.degree((1, 0, 0)), id="degree"),
+    ],
+)
+def test_wrong_length_exponent_vectors_are_refused(build_bad):
+    with pytest.raises(ValueError, match="wrong length"):
         build_bad()
 
 
