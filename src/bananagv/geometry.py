@@ -22,9 +22,7 @@ read off that lattice by one walk:
   location's series, a product over its four branches, determines the
   others, and both routes build location 0 and sum its rotations here.  On
   ``2x2`` the shift exchanges the walks up and down, so location 1 has the
-  branches of location 0 in another order and the same product.  The
-  tests build every location from its own labels, in both routes, and
-  compare it with the rotation.
+  branches of location 0 in another order and the same product.
 
 Every function here accepts every shape ``(v, w)``.  Only ``(1, w)`` and
 ``(2, 2)`` have closed-form product formulas, so only there does the

@@ -52,8 +52,7 @@ locations.
 presentation and by far the cheaper route, so ``compute`` runs it.
 ``cross_check`` compares the closed form at location 0 with location 0 of
 the sign-twisted enumeration of :mod:`bananagv.oracle`, which only
-``cross_check`` imports; both routes sum their locations by the same
-rotation, which the tests check in each route.  The square-root formula is
+``cross_check`` imports.  The square-root formula is
 checked by squaring, not by a root.  Write ``p`` for the theta form at
 location 0 and ``q`` for the root ``sqrt_unit`` takes of the ratio R; both
 have constant term 1.  If ``p^2 = R`` to order N, then ``(p - q)(p + q) =
@@ -207,14 +206,9 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
     the same rotation of location 0, so the sums agree when location 0
     does.  The check never runs that sum,
     :func:`bananagv.geometry._sum_over_locations`, so a fault there passes
-    it.  Only three tests check the sum against locations built on their
-    own: ``tests/test_gvpf.py::
-    test_pf_1w_locations_built_directly_are_rotations_of_location_0``,
-    ``tests/test_oracle.py::
-    test_locations_built_directly_are_rotations_of_location_0`` and the
-    differential test of ``_rotate_block`` in
-    ``tests/test_series_kernel.py``; past them, only the pinned output
-    digests of ``tests/test_cli.py`` would notice a changed table.  On
+    it: ``tests/test_gvpf.py::test_crosscheck_is_blind_to_a_wrong_location_sum``
+    plants one, and shows that the locations built on their own and the
+    pinned output digests catch it.  On
     ``2x2`` the square-root route is then checked as ``closed * closed``
     against ``_phi_ratio(N)``, the same check since ``(p - q)(p + q) = 0``
     forces ``p = q`` (see the module docstring).  A mismatch is

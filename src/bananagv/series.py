@@ -739,15 +739,15 @@ def _result_emax(combine: Callable[..., int], *operands: TruncatedSeries) -> int
 
 
 def polynomial(registry: VariableRegistry, terms: Mapping[ExponentVector, int], order: int) -> TruncatedSeries:
-    """Series from explicit terms; raises if any term exceeds the order.
+    """Series from explicit terms; raises if a nonzero term exceeds the order.
 
-    Use this to build known polynomials in tests and assemblies; the plain
-    constructor silently truncates instead.
+    Use this to build known polynomials; the plain constructor silently
+    truncates instead.
     """
-    for exps in terms:
-        if registry._checked(exps)[1] > order:
-            raise ValueError("polynomial term beyond the requested order")
-    return TruncatedSeries(registry, terms, order)
+    series = TruncatedSeries(registry, terms, order)
+    if sum(map(len, series._slices.values())) < sum(map(bool, terms.values())):
+        raise ValueError("polynomial term beyond the requested order")
+    return series
 
 
 def monomial(registry: VariableRegistry, exps: ExponentVector, coeff: int, order: int) -> TruncatedSeries:

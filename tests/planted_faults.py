@@ -5,6 +5,7 @@ the fault is undone when the test ends.  The module is a helper, not a test
 module, so pytest does not collect it.
 """
 from bananagv import qseries
+from bananagv.series import TruncatedSeries
 
 
 def double_theta_term(monkeypatch, index):
@@ -42,3 +43,23 @@ def double_eta_cubed_term(monkeypatch, index):
         )
 
     monkeypatch.setattr(qseries, "_eta_cubed_at", eta_cubed_at)
+
+
+def fix_last_rotated_variable(monkeypatch):
+    """Rotate every block one variable short, so that its last variable
+    stays fixed: ``x_v -> x_{v+1}`` for ``start <= v < stop - 2`` and
+    ``x_{stop-2} -> x_start``.
+
+    ``geometry._sum_over_locations`` is the one caller of
+    ``TruncatedSeries._rotate_block``, so the sum over B locations is wrong
+    on ``1xW`` for w >= 3 (on ``r0, r1, r2`` it swaps r0 and r1 and fixes
+    r2), and location 0 is untouched.  A reversed rotation, or one by a
+    step coprime to w, would not do: it only reorders the orbit, and the
+    sum comes out unchanged.
+    """
+    rotate = TruncatedSeries._rotate_block
+
+    def rotate_block(self, start, stop):
+        return rotate(self, start, stop - 1)
+
+    monkeypatch.setattr(TruncatedSeries, "_rotate_block", rotate_block)

@@ -1,10 +1,16 @@
 """Tests for the closed-form partition functions, tables, and cross-checks."""
+import hashlib
+import json
 import re
+from functools import reduce
+from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bananagv import gvpf, oracle, qseries
+from bananagv.cli import main
 from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import (
     CrossCheckReport,
@@ -17,9 +23,12 @@ from bananagv.gvpf import (
 )
 from bananagv.qseries import check_identities, jacobi_phi_at
 from bananagv.series import InvariantError, TruncatedSeries, grlex_key, polynomial
-from planted_faults import double_eta_cubed_term, double_theta_term
+from planted_faults import double_eta_cubed_term, double_theta_term, fix_last_rotated_variable
 
 TWO = BananaShape(2, 2)
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
 
 
 def _not_an_int(bad):
@@ -28,6 +37,15 @@ def _not_an_int(bad):
 
 
 # ------------------------------------------------------------------ (2,2)
+
+
+def test_readme_library_example():
+    # the README's "Library" snippet, as written there
+    from bananagv import cross_check, parse_shape, pf_22
+
+    pf = pf_22(6)
+    assert pf.coefficient((1, 0, 1, 0)) == 6
+    assert cross_check(parse_shape("1xW", w=3), 8).passed
 
 
 def test_pf_22_low_degrees():
@@ -232,6 +250,20 @@ def test_pf_1w_locations_built_directly_are_rotations_of_location_0(w):
             total = total + location
         assert total.order >= N
         assert total.truncate(N) == pf_1w(w, N)
+
+
+def test_crosscheck_is_blind_to_a_wrong_location_sum(monkeypatch, capsys):
+    # a rotation that fixes r2 sums the wrong orbit on 1x3; crosscheck
+    # compares location 0 alone and passes, while the locations built on
+    # their own and the table_1x3 digest of the benchmark reference see it
+    call = REFERENCE["calls"]["table_1x3"]
+    assert call["argv"] == ["compute", "--shape", "1xW", "--w", "3", "--order", "10"]
+    fix_last_rotated_variable(monkeypatch)
+    assert cross_check(BananaShape(1, 3), 10).passed
+    total = reduce(add, [_location_built_directly(3, i, 10) for i in range(3)])
+    assert not total.same_series(pf_1w(3, 10), up_to=10)
+    assert main(call["argv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != call["sha256"]
 
 
 def test_pf_1w_constant_counts_locations():

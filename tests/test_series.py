@@ -51,6 +51,24 @@ def test_polynomial_rejects_terms_beyond_order():
         polynomial(XY, {(4, 0): 1}, 3)
 
 
+def test_polynomial_checks_each_vector_once(monkeypatch):
+    calls = []
+    checked = VariableRegistry._checked
+
+    def counting(self, exps):
+        calls.append(exps)
+        return checked(self, exps)
+
+    monkeypatch.setattr(VariableRegistry, "_checked", counting)
+    polynomial(XY, {(0, 0): 1, (1, 0): 2, (0, 2): -3}, 3)
+    assert calls == [(0, 0), (1, 0), (0, 2)]
+
+
+def test_polynomial_drops_a_zero_term_beyond_order():
+    # as the constructor does: a zero coefficient is no term, at any degree
+    assert polynomial(XY, {(0, 0): 1, (4, 0): 0}, 3) == one(XY, 3)
+
+
 def test_constructor_drops_zero_coefficients_and_truncates():
     s = TruncatedSeries(XY, {(0, 0): 1, (1, 0): 0, (5, 5): 3}, 4)
     assert s.terms == {(0, 0): 1}
