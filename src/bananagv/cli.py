@@ -87,6 +87,15 @@ MAX_W = 6
 
 _DESCRIPTION = "Genus-0 invariant tables and consistency checks for banana configurations"
 
+#: The ``--format`` values of ``compute``; the first is the default.
+FORMATS = ("json", "csv")
+
+
+def _braced(names) -> str:
+    """argparse's metavar for a choice among ``names``."""
+    return "{" + ",".join(names) + "}"
+
+
 _SHAPE = ("--shape", "{2x2,1xW}", "", True)
 _W = ("--w", "W", "width parameter (required for 1xW)", False)
 _ORDER = ("--order", "ORDER", "total-degree truncation", True)
@@ -97,7 +106,7 @@ _ORDER = ("--order", "ORDER", "total-degree truncation", True)
 COMMANDS = {
     "compute": (
         "emit the invariant table of a shape",
-        (_SHAPE, _W, _ORDER, ("--format", "{json,csv}", "", False)),
+        (_SHAPE, _W, _ORDER, ("--format", _braced(FORMATS), "", False)),
     ),
     "crosscheck": ("compare closed form against brute-force enumeration", (_SHAPE, _W, _ORDER)),
     "verify": (
@@ -105,7 +114,7 @@ COMMANDS = {
         (("--order", "ORDER", "q-order of the checks", True),),
     ),
 }
-_CHOICES = "{" + ",".join(COMMANDS) + "}"
+_CHOICES = _braced(COMMANDS)
 
 
 class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
@@ -116,14 +125,14 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
     __slots__ = ()
 
     def __new__(
-        cls, command: str, order: int, shape: str | None = None, w: int | None = None, fmt="json"
+        cls, command: str, order: int, shape: str | None = None, w: int | None = None, fmt=FORMATS[0]
     ):
-        if command not in ("compute", "verify", "crosscheck"):
+        if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
         order = _as_order(order)
         if command == "verify" and order < 1:
             raise ValueError("order must be at least 1 for verify")
-        if fmt not in ("json", "csv"):
+        if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
         self = super().__new__(cls, command, order, shape, w, fmt)
         if command == "verify":
@@ -290,7 +299,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if unrecognized:
         _fail(command, f"unrecognized arguments: {' '.join(unrecognized)}")
-    fmt = values.get("format", "json")
+    fmt = values.get("format", FORMATS[0])
     try:
         return RunConfig(command, values["order"], values.get("shape"), values.get("w"), fmt)
     except ValueError as exc:

@@ -220,8 +220,8 @@ def cross_check(shape: BananaShape, N: int) -> CrossCheckReport:
 
     closed = _closed_location_0(shape, N)
     mismatch = closed.first_difference(behrend_twist(_naive_location_0(shape, N)), N)
-    route = "closed form (theta route)" if (shape.v, shape.w) == (2, 2) else "closed form"
-    if mismatch is not None or route == "closed form":
+    route = "closed form (theta route)" if shape == TWO else "closed form"
+    if mismatch is not None or shape != TWO:
         return CrossCheckReport(shape, N, mismatch is None, mismatch, route)
     # R is built, and its factors freed, before the square
     mismatch = _phi_ratio(N).first_difference(closed * closed, N)

@@ -39,10 +39,12 @@ theta quotient the package uses (the elliptic genus, phi ``= P^{-1}
 thetatilde^2 / etatilde^6``, and both closed forms' eta and theta
 factors), and it alone sets their pads.  Eta enters only there: eta
 cubed joins the denominators twice, and each quotient takes one inverse.
-The unsubstituted ``jacobi_phi`` is the identity image over ``QP``.  The
-products are multiplied out only for the identity suite, by shifts and
-sums, so its first check compares the sum-built phi, made with the product
-kernel, against eta and theta made without it.
+The unsubstituted ``jacobi_phi`` is the identity image over ``QP``.  Only
+the identity suite multiplies a product out, by shifts and sums: the triple
+product ``G = prod (1 - q^m)(1 - q^m p)(1 - q^m p^{-1})``, which gives
+``thetatilde = (1 - p) G`` and ``etatilde^3 = G`` at ``p = 1``.  So its
+first check compares the sum-built phi, made with the product kernel,
+against eta and theta made without it.
 """
 from __future__ import annotations
 
@@ -202,24 +204,16 @@ def jacobi_phi(N: int) -> TruncatedSeries:
 # -- product forms: the identity suite's independent reference ---------------
 
 
-def _eta_product(N: int) -> TruncatedSeries:
-    """``prod_{m=1}^{N} (1 - q^m)`` over ``QP``: each factor ``1 - X`` is a
-    shift and a subtraction, ``acc - X acc``, largest ``m`` first, so the
-    accumulator stays sparse until the last factors."""
-    acc = one(QP, N)
-    for m in range(N, 0, -1):
-        acc = acc + acc.shift_monomial((m, 0), -1)
-    return acc
-
-
-def _theta_product(N: int) -> TruncatedSeries:
-    """``prod (1-q^m)(1-q^{m-1}p)(1-q^m p^{-1})`` over ``QP``, multiplied
-    out as :func:`_eta_product`, from q-degree N down to ``1 - p``."""
+def _triple_product(N: int) -> TruncatedSeries:
+    """``prod_{m=1}^{N} (1 - q^m)(1 - q^m p)(1 - q^m p^{-1})`` over ``QP``:
+    each factor ``1 - X`` is a shift and a subtraction, ``acc - X acc``,
+    largest ``m`` first, so the accumulator stays sparse until the last
+    factors."""
     acc = one(QP, N)
     for m in range(N, 0, -1):
         for x in (m, 0), (m, -1), (m, 1):
             acc = acc + acc.shift_monomial(x, -1)
-    return acc + acc.shift_monomial((0, 1), -1)
+    return acc
 
 
 def elliptic_genus_c2_at(
@@ -274,14 +268,17 @@ def check_identities(N: int) -> list[IdentityCheck]:
     * ``phi(q,p) = phi(q, p^{-1})``
     * ``theta(q, p^{-1}) = -p^{-1} * theta(q,p)``
 
-    phi comes from the sum forms (``jacobi_phi``), eta and theta from their
-    products multiplied out factor by factor, so the first check compares
-    the two presentations.  Failures are reported, not raised.
+    phi comes from the sum forms (``jacobi_phi``), eta and theta from one
+    triple product ``G`` multiplied out factor by factor: theta is ``(1 - p)
+    G`` and eta cubed is ``G`` at ``p = 1``, a substitution that keeps the
+    order since ``p`` has weight 0.  So the first check compares the two
+    presentations.  Failures are reported, not raised.
     """
     N = _as_order(N)
     phi = jacobi_phi(N)
-    theta = _theta_product(N)
-    eta3 = _eta_product(N) ** 3
+    product = _triple_product(N)
+    theta = product + product.shift_monomial((0, 1), -1)
+    eta3 = product.substitute_monomials(QP, {"q": (1, 0), "p": (0, 0)})
 
     # eta cubed is much sparser than eta^6 (32 against 296 terms at 512),
     # so two products by it form fewer pairs than one by eta^6

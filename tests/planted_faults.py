@@ -45,6 +45,29 @@ def double_eta_cubed_term(monkeypatch, index):
     monkeypatch.setattr(qseries, "_eta_cubed_at", eta_cubed_at)
 
 
+def drop_top_degree_pairs(monkeypatch):
+    """Drop the pairs of terms whose degrees add up to the order of their
+    product, in every product of two series, and keep that order.
+
+    The product's top slice is then 0 where it should hold the sum of those
+    pairs, while the series still claims to be exact there.  Every product
+    the package forms, ``**`` and ``reduce(mul, ...)`` included, calls
+    ``TruncatedSeries.__mul__``; a product by an int, which is a shift, is
+    left exact.
+    """
+    multiply = TruncatedSeries.__mul__
+
+    def mul(self, other):
+        product = multiply(self, other)
+        if not isinstance(other, TruncatedSeries):
+            return product
+        degree, order = product.registry.degree, product.order
+        terms = {e: c for e, c in product.terms.items() if degree(e) < order}
+        return TruncatedSeries(product.registry, terms, order)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+
+
 def fix_last_rotated_variable(monkeypatch):
     """Rotate every block one variable short, so that its last variable
     stays fixed: ``x_v -> x_{v+1}`` for ``start <= v < stop - 2`` and

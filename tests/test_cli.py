@@ -302,12 +302,14 @@ def test_verify_all_identities_pass(capsys):
 
 
 def test_verify_reports_each_failed_identity(monkeypatch):
-    original = qseries._theta_product
+    original = qseries._triple_product
 
+    # theta is (1 - p) times the triple product, so a term added there must
+    # depend on p to break theta's oddness: with q p, theta gains q p - q p^2
     def perturbed(N):
-        return original(N) + polynomial(qseries.QP, {(1, 0): 1}, N)
+        return original(N) + polynomial(qseries.QP, {(1, 1): 1}, N)
 
-    monkeypatch.setattr(qseries, "_theta_product", perturbed)
+    monkeypatch.setattr(qseries, "_triple_product", perturbed)
     out, err = io.StringIO(), io.StringIO()
     assert run(RunConfig("verify", 6), out=out, err=err) == 1
     assert out.getvalue().splitlines() == [

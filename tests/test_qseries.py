@@ -10,8 +10,7 @@ from hypothesis import assume, example, given, strategies as st
 from bananagv import gvpf, qseries
 from bananagv.qseries import (
     _eta_cubed_at,
-    _eta_product,
-    _theta_product,
+    _triple_product,
     QP,
     QYT,
     check_identities,
@@ -22,7 +21,7 @@ from bananagv.qseries import (
     theta1_at,
 )
 from bananagv.series import TruncatedSeries, VariableRegistry, one, polynomial
-from planted_faults import double_theta_term
+from planted_faults import double_theta_term, drop_top_degree_pairs
 
 #: Univariate registry for eta-like series.
 Q_ONLY = VariableRegistry(("q",))
@@ -125,9 +124,17 @@ def _assert_identical(a, b):
     assert (a.registry, a.order, a.floor, a.terms) == (b.registry, b.order, b.floor, b.terms)
 
 
+def _theta_and_eta_cubed(N):
+    """Theta and eta cubed read off the multiplied-out triple product ``G``,
+    as the identity suite reads them: ``(1 - p) G``, and ``G`` at ``p = 1``."""
+    product = _triple_product(N)
+    theta = product + product.shift_monomial((0, 1), -1)
+    return theta, product.substitute_monomials(QP, {"q": (1, 0), "p": (0, 0)})
+
+
 def test_eta_cubed_sum_is_the_cube_of_eta():
     for N in range(41):
-        _assert_identical(_eta_cubed_at(QP, (1, 0), N), _eta_product(N) ** 3)
+        _assert_identical(_eta_cubed_at(QP, (1, 0), N), _theta_and_eta_cubed(N)[1])
 
 
 def test_sum_forms_equal_the_product_builders():
@@ -135,7 +142,7 @@ def test_sum_forms_equal_the_product_builders():
     # stands for the order-N product with the same order and floor
     phi_reference = _phi_double_product(40)
     for N in range(41):
-        _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_product(N))
+        _assert_identical(theta1_at(QP, (1, 0), (0, 1), N), _theta_and_eta_cubed(N)[0])
         _assert_identical(jacobi_phi(N), phi_reference.truncate(N))
 
 
@@ -145,13 +152,11 @@ def _ascending_product(factors, N):
 
 
 def test_product_builders_equal_the_ascending_products():
-    # the builders shift and subtract, largest factor first; the reference
+    # the builder shifts and subtracts, largest factor first; the reference
     # multiplies two-term series, smallest first
     for N in range(41):
-        eta = [(m, 0) for m in range(1, N + 1)]
-        theta = [x for m in range(1, N + 1) for x in ((m, 0), (m, -1), (m - 1, 1))]
-        _assert_identical(_eta_product(N), _ascending_product(eta, N))
-        _assert_identical(_theta_product(N), _ascending_product(theta + [(N, 1)], N))
+        factors = [x for m in range(1, N + 1) for x in ((m, 0), (m, -1), (m, 1))]
+        _assert_identical(_triple_product(N), _ascending_product(factors, N))
 
 
 # ------------------------------- substituted sums vs mapped product forms
@@ -159,7 +164,8 @@ def test_product_builders_equal_the_ascending_products():
 
 @cache
 def _products(M):
-    return _eta_product(M) ** 3, _theta_product(M), _phi_double_product(M)
+    theta, eta_cubed = _theta_and_eta_cubed(M)
+    return eta_cubed, theta, _phi_double_product(M)
 
 
 def _mapped(product, target, q_image, p_image, order):
@@ -251,6 +257,29 @@ def test_identity_suite_rejects_negative_order():
     for bad in (0.5, 2.0, True):
         with pytest.raises(TypeError, match=_not_an_int(bad)):
             check_identities(bad)
+
+
+def _failing_checks(top):
+    """The ``(N, name)`` pairs of the identity checks that fail at q-orders
+    1 to ``top``."""
+    return [(N, c.name) for N in range(1, top + 1) for c in check_identities(N) if not c.passed]
+
+
+def test_identity_suite_catches_a_doubled_theta_term(monkeypatch):
+    # the n = 5 term q^10 p^5 reaches phi, which is built from the sums, at
+    # q-order 10; the product side builds no sum, so check 1 fails there
+    # with both checks of phi alone, and theta's oddness still holds
+    double_theta_term(monkeypatch, 5)
+    names = ["eta6_phi_equals_theta_squared", "index_one_shift", "p_inversion_symmetry"]
+    assert _failing_checks(12) == [(N, name) for N in (10, 11, 12) for name in names]
+
+
+def test_identity_suite_catches_a_product_that_drops_its_top_degree_pairs(monkeypatch):
+    # both sides of check 1 end in a product to q-order N, so both lose
+    # their top slice and still agree; phi at q p^{-1} is built one degree
+    # higher and shifted down, so its lost slice is another one
+    drop_top_degree_pairs(monkeypatch)
+    assert _failing_checks(12) == [(N, "index_one_shift") for N in range(1, 13)]
 
 
 def test_unsubstituted_builders_refuse_bad_orders():
