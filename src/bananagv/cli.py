@@ -27,11 +27,13 @@ when a computation breaks an internal invariant (``InvariantError``), which
 prints one line on standard error, and 141 (128 + SIGPIPE) when the reader
 closes standard output early, which prints nothing.
 
-Inputs are capped so that every accepted run finishes.  ``MAX_ORDER`` is
-the one table of ``--order`` caps, keyed by command and shape: 64 for
-``compute --shape 2x2``, which runs the theta form, 32 for ``compute
---shape 1xW`` and for ``crosscheck`` on both shapes (on ``2x2`` the
-enumeration and the squared theta form set it), and 512 for ``verify``.
+Inputs are capped so that every accepted run finishes.  ``SHAPES`` is
+the one table of shape selectors: the ``--shape`` metavar lists its keys,
+:func:`parse_shape` reads the shape each names, and it holds the
+``--order`` caps by command: 64 for ``compute --shape 2x2``, which runs
+the theta form, and 32 for ``compute --shape 1xW`` and for ``crosscheck``
+on both shapes (on ``2x2`` the enumeration and the squared theta form set
+it).  ``MAX_VERIFY_ORDER`` caps ``verify`` at 512.
 ``--w`` is at most 6.  Larger values are a usage error.  The README's
 "Command line" section records the time and peak memory of runs at the
 caps.
@@ -72,15 +74,16 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-#: Largest accepted ``--order`` per command and shape selector (see the
-#: module docstring); ``verify`` takes no shape.
-MAX_ORDER = {
-    ("compute", "2x2"): 64,
-    ("compute", "1xW"): 32,
-    ("crosscheck", "2x2"): 32,
-    ("crosscheck", "1xW"): 32,
-    ("verify", None): 512,
+#: The ``--shape`` selectors, the one list of them: the ``(v, w)`` each
+#: names, where a w of None is read from ``--w``, and the largest accepted
+#: ``--order`` of each command that takes it (see the module docstring).
+SHAPES = {
+    "2x2": ((2, 2), {"compute": 64, "crosscheck": 32}),
+    "1xW": ((1, None), {"compute": 32, "crosscheck": 32}),
 }
+
+#: Largest accepted ``--order`` of ``verify``, which takes no shape.
+MAX_VERIFY_ORDER = 512
 
 #: Largest accepted ``--w``.
 MAX_W = 6
@@ -96,7 +99,7 @@ def _braced(names) -> str:
     return "{" + ",".join(names) + "}"
 
 
-_SHAPE = ("--shape", "{2x2,1xW}", "", True)
+_SHAPE = ("--shape", _braced(SHAPES), "", True)
 _W = ("--w", "W", "width parameter (required for 1xW)", False)
 _ORDER = ("--order", "ORDER", "total-degree truncation", True)
 
@@ -138,10 +141,12 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
         if command == "verify":
             if shape is not None or w is not None:
                 raise ValueError("verify takes no shape")
+            cap = MAX_VERIFY_ORDER
         elif self.banana_shape().w > MAX_W:
             raise ValueError(f"width must be at most {MAX_W}")
-        # the shape is parsed by now, so ``shape`` is a key of the table
-        cap = MAX_ORDER[command, shape]
+        else:
+            # the shape is parsed by now, so ``shape`` is a key of the table
+            cap = SHAPES[shape][1][command]
         if order > cap:
             where = "" if shape is None else f" --shape {shape}"
             raise ValueError(f"order must be at most {cap} for {command}{where}")

@@ -20,9 +20,11 @@ read off that lattice by one walk:
   ``r_i -> r_{i+1}``, ``s_j -> s_{j+1}``, since the walks from ``k + 1`` meet
   the pairs of the walks from ``k`` with every index one higher.  So a
   location's series, a product over its four branches, determines the
-  others, and both routes build location 0 and sum its rotations here.  On
-  ``2x2`` the shift exchanges the walks up and down, so location 1 has the
-  branches of location 0 in another order and the same product.
+  others, and both routes build location 0 and sum its orbit here, in one
+  pass of ``TruncatedSeries._orbit_sum`` that tallies every rotated key
+  into the slices of the sum.  On ``2x2`` the shift exchanges the walks up
+  and down, so location 1 has the branches of location 0 in another order
+  and the same product.
 
 Every function here accepts every shape ``(v, w)``.  Only ``(1, w)`` and
 ``(2, 2)`` have closed-form product formulas, so only there does the
@@ -78,16 +80,21 @@ class BananaShape(namedtuple("BananaShape", "v w")):
 
 
 def parse_shape(text: str, w: int | None = None) -> BananaShape:
-    """Build a shape from a CLI selector: ``"2x2"``, or ``"1xW"`` plus ``w``."""
-    if text == "2x2":
-        if w is not None:
-            raise ValueError("--w is only meaningful for shape 1xW")
-        return BananaShape(2, 2)
-    if text == "1xW":
+    """Build a shape from a CLI selector, a key of ``bananagv.cli.SHAPES``:
+    ``"2x2"``, or ``"1xW"`` plus ``w``."""
+    # imported here, so that the library loads the CLI only to parse one
+    from .cli import SHAPES
+
+    if text not in SHAPES:
+        raise ValueError(f"unknown shape selector {text!r}")
+    (v, fixed), _ = SHAPES[text]
+    if fixed is None:
         if w is None:
-            raise ValueError("shape 1xW requires --w")
-        return BananaShape(1, w)
-    raise ValueError(f"unknown shape selector {text!r}")
+            raise ValueError(f"shape {text} requires --w")
+        return BananaShape(v, w)
+    if w is not None:
+        raise ValueError("--w is only meaningful for shape 1xW")
+    return BananaShape(v, fixed)
 
 
 class BranchSpec(namedtuple("BranchSpec", "direction labels")):
@@ -170,17 +177,12 @@ def _sum_over_locations(location: TruncatedSeries, shape: BananaShape) -> Trunca
     term is ``location``, the one code that sums locations.
 
     Location ``k + 1`` is location ``k`` with the r block and the s block
-    each rotated one step; a block of one variable is fixed.  On ``2x2``
-    the rotation only permutes the four branches, so the sum is twice
-    location 0, and no rotation is built.
+    each rotated one step, so one orbit sum of ``lcm(v, w)`` images adds
+    them up; a block of one variable is fixed.  On ``2x2`` the rotation
+    only permutes the four branches, so the sum is twice location 0, and
+    no rotation is built.
     """
     v, w = shape
     if (v, w) == (2, 2):
         return 2 * location
-    blocks = [(start, stop) for start, stop in ((0, w), (w, w + v)) if stop - start > 1]
-    total = location
-    for _ in b_locations(shape)[1:]:
-        for start, stop in blocks:
-            location = location._rotate_block(start, stop)
-        total = total + location
-    return total
+    return location._orbit_sum(((0, w), (w, w + v)), lcm(v, w))

@@ -57,7 +57,7 @@ ValueError before it can form.  Every series carries ``_emax``, an upper
 bound on ``|e_i|`` over its stored terms: exact from the constructor, the
 sum of the operands' bounds for a product, the bound plus ``max|delta|``
 for a shift, the bound times the images' spread for a substitution, and
-the bound itself for a rotation.
+the bound itself for an orbit sum.
 Where such a bound reaches ``2**15`` the operands' exact bounds are read
 off their keys before the operation is refused.  The unit operations
 below move their input onto its normal form with ``shift_monomial``, so
@@ -72,9 +72,12 @@ large exponents would all have landed beyond its order.
 
 * ``a * b`` walks pairs of slices in ascending degree and stops each row
   at ``order - deg(a-slice)``, so no product term beyond the result order
-  is ever formed, and lists each slice of ``b`` once.  ``a * a`` squares:
-  it forms each unordered pair of terms once.  ``a ** n`` is the ``n - 1``
-  left products ``((a * a) * a) ...``, the first of them a square.
+  is ever formed, and lists each slice of ``b`` once.  When ``b`` is ``a``
+  itself, the walk visits only the pairs with ``deg(b-slice) >=
+  deg(a-slice)``: it squares each slice and doubles each pair of distinct
+  slices, so it forms each unordered pair of terms once.  ``a ** n`` is
+  the ``n - 1`` left products ``((a * a) * a) ...``, the first of them a
+  square.
 * ``invert_unit`` and ``sqrt_unit`` share one normal form.  The unique
   minimal term ``c_0 X^{e_0}`` of ``a`` is shifted to degree 0, ``u =
   X^{-e_0} a = c_0 + u_1 + u_2 + ...`` with ``u_j`` of degree j, and each
@@ -85,9 +88,11 @@ large exponents would all have landed beyond its order.
   ``r_0`` is the positive root of ``c_0`` and ``r_j = (u_j - sum_{0<i<j}
   r_i r_{j-i}) / (2 r_0)``, each coefficient divided by the integer ``2
   r_0``, and it returns ``X^{e_0/2} r``.
-* ``_rotate_block`` shifts one block of equal-weight variables cyclically,
-  ``x_v -> x_{v+1}``, by moving the plain digits (offset added, as in the
-  registry's ``_unpack``) within each key, so it takes any exponent.
+* ``_orbit_sum`` sums the first ``count`` images of a series under a
+  cyclic shift ``x_v -> x_{v+1}`` of blocks of equal-weight variables.  It
+  tallies each slice once: it moves the plain digits (offset added, as in
+  the registry's ``_unpack``) within each key, so it takes any exponent,
+  and builds no image as a series of its own.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -475,40 +480,28 @@ class TruncatedSeries:
             return self.shift_monomial(self.registry.zero_exps(), other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if other is self:
-            return self._square()
         self._check_registry(other)
         emax = _result_emax(add, self, other)
         order = min(self.order + other.floor, other.order + self.floor)
         b_slices = [(db, list(sb.items())) for db, sb in sorted(other._slices.items())]
+        # a square forms each unordered pair of slices once: a slice times
+        # itself by ``_add_square``, and each pair of distinct slices doubled
+        square = other is self
         acc: dict[int, Slice] = {}
-        for da, sa in sorted(self._slices.items()):
+        for i, (da, sa) in enumerate(sorted(self._slices.items())):
             room = order - da
             if room < other.floor:
                 break
-            for db, sb in b_slices:
+            for db, sb in b_slices[i:] if square else b_slices:
                 if db > room:
                     break
-                _add_product(acc.setdefault(da + db, {}), sa.items(), sb, 1)
+                if square and db == da:
+                    _add_square(acc.setdefault(2 * da, {}), sb, 1)
+                else:
+                    _add_product(acc.setdefault(da + db, {}), sa.items(), sb, 1 + square)
         return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     __rmul__ = __mul__
-
-    def _square(self) -> "TruncatedSeries":
-        """``self * self``, forming each unordered pair of terms once."""
-        emax = _result_emax(lambda e: 2 * e, self)
-        order = self.order + self.floor
-        slices = [(d, list(s.items())) for d, s in sorted(self._slices.items())]
-        acc: dict[int, Slice] = {}
-        for i, (da, sa) in enumerate(slices):
-            if 2 * da > order:
-                break
-            _add_square(acc.setdefault(2 * da, {}), sa, 1)
-            for db, sb in slices[i + 1 :]:
-                if da + db > order:
-                    break
-                _add_product(acc.setdefault(da + db, {}), sa, sb, 2)
-        return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if _as_int(n, "exponent") < 0:
@@ -552,32 +545,47 @@ class TruncatedSeries:
         )
         return TruncatedSeries._from_slices(self.registry, slices, self.order + shift, emax)
 
-    def _rotate_block(self, start: int, stop: int) -> "TruncatedSeries":
-        """The image under ``x_v -> x_{v+1}`` for ``start <= v < stop - 1``
-        and ``x_{stop-1} -> x_start``, which fixes every other variable.
+    def _orbit_sum(self, blocks: Iterable[tuple[int, int]], count: int) -> "TruncatedSeries":
+        """The sum of the first ``count`` images of the series under the
+        rotation that sends ``x_v -> x_{v+1}`` for ``start <= v < stop - 1``
+        and ``x_{stop-1} -> x_start`` in every block ``(start, stop)``, and
+        fixes every other variable: the series, its image, the image of
+        that, and so on.
 
-        As the registry's ``_unpack`` does, it adds the offset, moves the
-        block's now plain digits within each key and takes the offset off
-        again, so any exponent rotates and the degree digit, the slices and
-        ``_emax`` all stay.  ValueError for a block of unequal weights, whose
-        image would change a term's degree.
+        Each slice's tally starts from the slice.  As the registry's
+        ``_unpack`` does, each key takes the offset, so its digits are
+        plain; the blocks' digits move within it ``count - 1`` times, and
+        each image, the offset taken off again, is tallied.  So any
+        exponent rotates, and the degree digit, the slices and ``_emax``
+        all stay.  A block of one variable is fixed.  ValueError for a
+        block of unequal weights, whose image would change a term's degree.
         """
         reg = self.registry
-        if len(set(reg.weights[start:stop])) > 1:
-            raise ValueError("a rotated block needs variables of equal weight")
+        moves = []
+        for start, stop in blocks:
+            if len(set(reg.weights[start:stop])) > 1:
+                raise ValueError("a rotated block needs variables of equal weight")
+            if stop - start > 1:
+                # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
+                low = _DIGIT_BITS * (reg.size - stop)
+                span = _DIGIT_BITS * (stop - start - 1)
+                last = ((1 << _DIGIT_BITS) - 1) << low
+                rest = ((1 << span) - 1) << low
+                moves.append((~(last | rest << _DIGIT_BITS), last, span, rest))
         offset = reg._offset
-        # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
-        low = _DIGIT_BITS * (reg.size - stop)
-        span = _DIGIT_BITS * (stop - start - 1)
-        last = ((1 << _DIGIT_BITS) - 1) << low
-        rest = ((1 << span) - 1) << low
-        keep = ~(last | rest << _DIGIT_BITS)
-        slices = {
-            d: {((p := k + offset) & keep | (p & last) << span | (p >> _DIGIT_BITS) & rest) - offset: c
-                for k, c in s.items()}
-            for d, s in self._slices.items()
-        }
-        return TruncatedSeries._from_slices(reg, slices, self.order, self._emax)
+        acc: dict[int, Slice] = {}
+        for d, s in self._slices.items():
+            tally = acc[d] = dict(s)
+            get = tally.get
+            coeffs = list(s.values())
+            plain = [k + offset for k in s]
+            for _ in range(count - 1):
+                for keep, last, span, rest in moves:
+                    plain = [p & keep | (p & last) << span | (p >> _DIGIT_BITS) & rest for p in plain]
+                for p, c in zip(plain, coeffs):
+                    k = p - offset
+                    tally[k] = get(k, 0) + c
+        return TruncatedSeries._from_slices(reg, _nonzero_slices(acc), self.order, self._emax)
 
     # -- units: inverse and square root -----------------------------------
 

@@ -74,15 +74,15 @@ def fix_last_rotated_variable(monkeypatch):
     ``x_{stop-2} -> x_start``.
 
     ``geometry._sum_over_locations`` is the one caller of
-    ``TruncatedSeries._rotate_block``, so the sum over B locations is wrong
+    ``TruncatedSeries._orbit_sum``, so the sum over B locations is wrong
     on ``1xW`` for w >= 3 (on ``r0, r1, r2`` it swaps r0 and r1 and fixes
     r2), and location 0 is untouched.  A reversed rotation, or one by a
     step coprime to w, would not do: it only reorders the orbit, and the
     sum comes out unchanged.
     """
-    rotate = TruncatedSeries._rotate_block
+    orbit_sum = TruncatedSeries._orbit_sum
 
-    def rotate_block(self, start, stop):
-        return rotate(self, start, stop - 1)
+    def short_orbit_sum(self, blocks, count):
+        return orbit_sum(self, [(start, stop - 1) for start, stop in blocks], count)
 
-    monkeypatch.setattr(TruncatedSeries, "_rotate_block", rotate_block)
+    monkeypatch.setattr(TruncatedSeries, "_orbit_sum", short_orbit_sum)

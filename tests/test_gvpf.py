@@ -23,7 +23,12 @@ from bananagv.gvpf import (
 )
 from bananagv.qseries import check_identities, jacobi_phi_at
 from bananagv.series import InvariantError, TruncatedSeries, grlex_key, polynomial
-from planted_faults import double_eta_cubed_term, double_theta_term, fix_last_rotated_variable
+from planted_faults import (
+    double_eta_cubed_term,
+    double_theta_term,
+    drop_top_degree_pairs,
+    fix_last_rotated_variable,
+)
 
 TWO = BananaShape(2, 2)
 REFERENCE = json.loads(
@@ -238,9 +243,12 @@ def _location_built_directly(w, i, N):
 def test_pf_1w_locations_built_directly_are_rotations_of_location_0(w):
     N = 8 + w % 3
     locations = [_location_built_directly(w, i, N) for i in range(w)]
+    reg = locations[0].registry
+    # r_i -> r_{i+1}, and s to itself, by substitution
+    images = {"s": reg.exps(s=1), **{f"r{i}": reg.exps(**{f"r{(i + 1) % w}": 1}) for i in range(w)}}
     rotated = locations[0]
     for i in range(1, w):
-        rotated = rotated._rotate_block(0, w)
+        rotated = rotated.substitute_monomials(reg, images)
         assert rotated == locations[i]
     closed = gvpf._closed_location_0(BananaShape(1, w), N)
     assert closed.same_series(locations[0], up_to=N)
@@ -396,6 +404,20 @@ def test_the_square_check_is_blind_to_a_doubled_eta_term(monkeypatch):
     assert not report.passed and report.route == "closed form (theta route)"
     failing = [(N, c.name) for N in range(7) for c in check_identities(N) if not c.passed]
     assert failing == [(6, "eta6_phi_equals_theta_squared")]
+
+
+def test_only_the_square_check_sees_a_product_that_drops_its_top_degree_pairs(monkeypatch):
+    # on 1xW both routes end location 0 in a product to order N, so both
+    # lose the same top slice and agree; on 2x2 the theta route agrees
+    # too, and only the square check, ``closed * closed`` against the
+    # ratio of phis, sees the fault, at every order
+    drop_top_degree_pairs(monkeypatch)
+    for N in range(1, 13):
+        for w in (1, 2, 3):
+            assert cross_check(BananaShape(1, w), N).passed, (w, N)
+        report = cross_check(TWO, N)
+        assert not report.passed, N
+        assert report.route == "closed form (square-root route)", N
 
 
 # ------------------------------------------------------ quasi-periodicity

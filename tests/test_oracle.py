@@ -271,9 +271,13 @@ def test_locations_built_directly_are_rotations_of_location_0(shape):
     v, w = shape
     location = _naive_location_0(shape, 10)
     assert location == location_built_directly(shape, 0, 10)
+    reg = location.registry
+    # r_i -> r_{i+1} and s_j -> s_{j+1}, by substitution
+    step = [(i + 1) % w for i in range(w)] + [w + (j + 1) % v for j in range(v)]
+    images = {name: tuple(int(i == step[x]) for i in range(v + w)) for x, name in enumerate(reg.names)}
     total = location
     for k in b_locations(shape)[1:]:
-        location = location._rotate_block(0, w)._rotate_block(w, w + v)
+        location = location.substitute_monomials(reg, images)
         direct = location_built_directly(shape, k, 10)
         assert location == direct, k
         total = total + direct

@@ -14,6 +14,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bananagv import series as series_module
 from bananagv.series import (
     TruncatedSeries,
     VariableRegistry,
@@ -348,6 +349,39 @@ def test_square_matches_dense_reference(a):
     assert_identical(a * a, dense_mul(a, a))
 
 
+def pairs_formed(product):
+    """The pairs of terms that ``product()`` forms, counted where the slice
+    helpers form them."""
+    pairs = []
+    add_product, add_square = series_module._add_product, series_module._add_square
+
+    def counted_product(acc, a, b, scale):
+        a = list(a)
+        pairs.append(len(a) * len(b))
+        add_product(acc, a, b, scale)
+
+    def counted_square(acc, a, scale):
+        pairs.append(len(a) * (len(a) + 1) // 2)
+        add_square(acc, a, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_add_product", counted_product)
+        patch.setattr(series_module, "_add_square", counted_square)
+        product()
+    return sum(pairs)
+
+
+@given(series(max_terms=10))
+def test_a_square_forms_each_unordered_pair_of_terms_once(a):
+    # an equal series that is another object takes the general walk, which
+    # forms every ordered pair; the square forms a term times itself once
+    # and every other pair once instead of twice
+    b = TruncatedSeries(a.registry, a.terms, a.order)
+    assert b == a and b is not a
+    diagonal = sum(len(s) for d, s in a._slices.items() if 2 * d <= a.order + a.floor)
+    assert 2 * pairs_formed(lambda: a * a) == pairs_formed(lambda: a * b) + diagonal
+
+
 @given(thin_series(), thin_series())
 def test_kernels_on_many_thin_slices_match_the_references(a, b):
     assert_identical(a * b, dense_mul(a, b))
@@ -378,57 +412,68 @@ def test_pow_of_a_series_with_nonzero_floor(n):
 
 @st.composite
 def blocks(draw):
-    """A registry of 2 to 6 variables and a block ``start:stop`` of them
-    that share one weight; the other weights are free."""
+    """A registry of 2 to 6 variables and one or two disjoint blocks
+    ``(start, stop)`` of it, each of variables that share one weight; the
+    other weights are free."""
     n = draw(st.integers(2, 6))
-    start = draw(st.integers(0, n - 1))
-    stop = draw(st.integers(start + 1, n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=4, unique=True)))
+    spans = list(zip(cuts[::2], cuts[1::2]))
     weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    weights[start:stop] = [weights[start]] * (stop - start)
-    return VariableRegistry([f"x{v}" for v in range(n)], weights), start, stop
+    for start, stop in spans:
+        weights[start:stop] = [weights[start]] * (stop - start)
+    return VariableRegistry([f"x{v}" for v in range(n)], weights), spans
 
 
-def cyclic_images(reg, start, stop):
-    """``x_v -> x_{v+1}`` across the block, its last variable to its first,
+def cyclic_images(reg, spans):
+    """``x_v -> x_{v+1}`` across each block, its last variable to its first,
     and every other variable to itself."""
-    def target(v):
-        return start + (v + 1 - start) % (stop - start) if start <= v < stop else v
-
-    return {name: tuple(int(i == target(v)) for i in range(reg.size)) for v, name in enumerate(reg.names)}
-
-
-def assert_rotation_is_the_cyclic_substitution(s, start, stop):
-    rotated = s._rotate_block(start, stop)
-    assert_identical(rotated, s.substitute_monomials(s.registry, cyclic_images(s.registry, start, stop)))
-    assert rotated._emax == s._emax
+    target = list(range(reg.size))
+    for start, stop in spans:
+        target[start:stop] = target[start + 1 : stop] + [start]
+    return {name: tuple(int(i == target[v]) for i in range(reg.size)) for v, name in enumerate(reg.names)}
 
 
-@given(blocks(), st.data())
-def test_block_rotation_matches_the_cyclic_substitution(block, data):
-    reg, start, stop = block
-    assert_rotation_is_the_cyclic_substitution(data.draw(series(reg, max_terms=10)), start, stop)
+def assert_orbit_sum_is_the_sum_of_the_cyclic_substitutions(s, spans, count):
+    images = cyclic_images(s.registry, spans)
+    expected, image = s, s
+    for _ in range(count - 1):
+        image = image.substitute_monomials(s.registry, images)
+        expected = ref_add(expected, image)
+    total = s._orbit_sum(spans, count)
+    assert_identical(total, expected)
+    assert total._emax == s._emax
+
+
+@given(blocks(), st.integers(1, 7), st.data())
+def test_block_rotation_matches_the_cyclic_substitution(block, count, data):
+    reg, spans = block
+    s = data.draw(series(reg, max_terms=10))
+    assert_orbit_sum_is_the_sum_of_the_cyclic_substitutions(s, spans, count)
 
 
 @pytest.mark.parametrize("start, stop", [(0, 3), (0, 2), (1, 3)])
 def test_block_rotation_moves_the_extreme_exponents(start, stop):
     # every digit at its most negative or most positive value, so a borrow
-    # or a carry between moved digits would show in the image
+    # or a carry between moved digits would show in an image; one image
+    # more than the block is long, so the orbit wraps around
     reg = VariableRegistry(("a", "b", "c"), (0, 0, 0))
     e = LIMIT - 1
     terms = {(e, -e, e): 1, (-e, e, -e): -2, (-e, -e, e): 3, (e, e, -e): 4, (0, -e, 0): 5}
-    assert_rotation_is_the_cyclic_substitution(TruncatedSeries(reg, terms, 0), start, stop)
+    s = TruncatedSeries(reg, terms, 0)
+    assert_orbit_sum_is_the_sum_of_the_cyclic_substitutions(s, [(start, stop)], stop - start + 1)
 
 
 @given(blocks(), st.data())
 def test_block_rotation_refuses_unequal_weights(block, data):
-    reg, start, stop = block
+    reg, spans = block
+    start, stop = spans[-1]
     assume(stop - start > 1)
     s = data.draw(series(reg, max_terms=10))
     weights = list(reg.weights)
     weights[stop - 1] += 1
     uneven = TruncatedSeries(VariableRegistry(reg.names, weights), s.terms, s.order)
     with pytest.raises(ValueError, match="equal weight"):
-        uneven._rotate_block(start, stop)
+        uneven._orbit_sum(spans, 2)
 
 
 # ----------------------------------------------------------- overflow guard
