@@ -18,7 +18,8 @@ Layout:
   0 over the locations.
 * :mod:`bananagv.oracle` — enumerative route (naive counts + sign twist).
 * :mod:`bananagv.gvpf` — the closed forms and the cross-check engine.
-* :mod:`bananagv.cli` — ``python -m bananagv`` front end.
+* :mod:`bananagv.cli` — ``python -m bananagv`` front end, and the
+  ``--shape`` selectors that :func:`parse_shape` reads.
 
 ``import bananagv`` loads :mod:`bananagv.series` and nothing else of the
 package; every other public name is imported from its home module on first
@@ -30,9 +31,9 @@ from .series import InvariantError, TruncatedSeries, VariableRegistry
 
 #: Home module of each public name that is imported on first access.
 _LAZY = {
+    "parse_shape": "cli",
     "BananaShape": "geometry",
     "BranchSpec": "geometry",
-    "parse_shape": "geometry",
     "CrossCheckReport": "gvpf",
     "cross_check": "gvpf",
     "pf_1w": "gvpf",

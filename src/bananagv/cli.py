@@ -44,8 +44,9 @@ the option's name; the last of a repeated option wins) and refuses an
 unknown subcommand, an unknown option or stray argument, and a missing or
 non-integer option.  ``RunConfig`` checks the rest when it is constructed:
 the command, the order's type and sign, and the format; ``verify`` refuses
-a shape or a width, and ``compute`` and ``crosscheck`` parse theirs through
-:meth:`RunConfig.banana_shape`.  There :func:`parse_shape` refuses an
+a shape or a width, and ``compute`` and ``crosscheck`` parse theirs with
+:func:`parse_shape`, which sits here beside :data:`SHAPES`: the selectors
+belong to the CLI, and no library module imports this one.  It refuses an
 unknown or missing selector and a missing or stray ``--w``,
 :class:`BananaShape` refuses a width that is not an int or is below 1, and
 the caps are applied to the parsed width and then, by command and shape, to
@@ -72,7 +73,7 @@ from .series import InvariantError, TruncatedSeries, _as_order
 if TYPE_CHECKING:
     from .geometry import BananaShape
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["RunConfig", "parse_shape", "parse_args", "run", "main"]
 
 #: The ``--shape`` selectors, the one list of them: the ``(v, w)`` each
 #: names, where a w of None is read from ``--w``, and the largest accepted
@@ -92,6 +93,24 @@ _DESCRIPTION = "Genus-0 invariant tables and consistency checks for banana confi
 
 #: The ``--format`` values of ``compute``; the first is the default.
 FORMATS = ("json", "csv")
+
+
+def parse_shape(text: str, w: int | None = None) -> BananaShape:
+    """Build a shape from a ``--shape`` selector, a key of :data:`SHAPES`:
+    ``"2x2"``, or ``"1xW"`` plus ``w``."""
+    # imported here, so that ``verify`` loads no ``geometry``
+    from .geometry import BananaShape
+
+    if text not in SHAPES:
+        raise ValueError(f"unknown shape selector {text!r}")
+    (v, fixed), _ = SHAPES[text]
+    if fixed is None:
+        if w is None:
+            raise ValueError(f"shape {text} requires --w")
+        return BananaShape(v, w)
+    if w is not None:
+        raise ValueError("--w is only meaningful for shape 1xW")
+    return BananaShape(v, fixed)
 
 
 def _braced(names) -> str:
@@ -142,7 +161,7 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
             if shape is not None or w is not None:
                 raise ValueError("verify takes no shape")
             cap = MAX_VERIFY_ORDER
-        elif self.banana_shape().w > MAX_W:
+        elif parse_shape(shape, w).w > MAX_W:
             raise ValueError(f"width must be at most {MAX_W}")
         else:
             # the shape is parsed by now, so ``shape`` is a key of the table
@@ -156,11 +175,6 @@ class RunConfig(namedtuple("RunConfig", "command order shape w fmt")):
     def _make(cls, iterable):
         # namedtuple's own skips __new__, and so would _replace, which calls it
         return cls(*iterable)
-
-    def banana_shape(self) -> BananaShape:
-        from .geometry import parse_shape
-
-        return parse_shape(self.shape, self.w)
 
 
 def _write_json(out: IO[str], config: RunConfig, pf: TruncatedSeries) -> None:
@@ -193,7 +207,7 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
     if config.command == "compute":
         from .gvpf import pf_for_shape
 
-        pf = pf_for_shape(config.banana_shape(), config.order)
+        pf = pf_for_shape(parse_shape(config.shape, config.w), config.order)
         if config.fmt == "json":
             _write_json(out, config, pf)
         else:
@@ -212,7 +226,7 @@ def run(config: RunConfig, out: IO[str] | None = None, err: IO[str] | None = Non
         return 0
     from .gvpf import cross_check
 
-    report = cross_check(config.banana_shape(), config.order)
+    report = cross_check(parse_shape(config.shape, config.w), config.order)
     out.write(("PASS " if report.passed else "FAIL ") + report.describe() + "\n")
     return 0 if report.passed else 1
 

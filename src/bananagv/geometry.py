@@ -49,7 +49,6 @@ from .series import TruncatedSeries, VariableRegistry, _as_int
 __all__ = [
     "BananaShape",
     "BranchSpec",
-    "parse_shape",
     "registry_for",
     "b_locations",
     "branch_specs",
@@ -77,24 +76,6 @@ class BananaShape(namedtuple("BananaShape", "v w")):
 
     def __str__(self) -> str:
         return f"{self.v}x{self.w}"
-
-
-def parse_shape(text: str, w: int | None = None) -> BananaShape:
-    """Build a shape from a CLI selector, a key of ``bananagv.cli.SHAPES``:
-    ``"2x2"``, or ``"1xW"`` plus ``w``."""
-    # imported here, so that the library loads the CLI only to parse one
-    from .cli import SHAPES
-
-    if text not in SHAPES:
-        raise ValueError(f"unknown shape selector {text!r}")
-    (v, fixed), _ = SHAPES[text]
-    if fixed is None:
-        if w is None:
-            raise ValueError(f"shape {text} requires --w")
-        return BananaShape(v, w)
-    if w is not None:
-        raise ValueError("--w is only meaningful for shape 1xW")
-    return BananaShape(v, fixed)
 
 
 class BranchSpec(namedtuple("BranchSpec", "direction labels")):

@@ -75,9 +75,7 @@ large exponents would all have landed beyond its order.
   is ever formed, and lists each slice of ``b`` once.  When ``b`` is ``a``
   itself, the walk visits only the pairs with ``deg(b-slice) >=
   deg(a-slice)``: it squares each slice and doubles each pair of distinct
-  slices, so it forms each unordered pair of terms once.  ``a ** n`` is
-  the ``n - 1`` left products ``((a * a) * a) ...``, the first of them a
-  square.
+  slices, so it forms each unordered pair of terms once.
 * ``invert_unit`` and ``sqrt_unit`` share one normal form.  The unique
   minimal term ``c_0 X^{e_0}`` of ``a`` is shifted to degree 0, ``u =
   X^{-e_0} a = c_0 + u_1 + u_2 + ...`` with ``u_j`` of degree j, and each
@@ -502,17 +500,6 @@ class TruncatedSeries:
         return TruncatedSeries._from_slices(self.registry, _nonzero_slices(acc), order, emax)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if _as_int(n, "exponent") < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        if n == 0:
-            return one(self.registry, self.order)
-        # n - 1 left products; the first, self * self, squares
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget knowledge beyond ``order`` (which must not exceed the current order)."""

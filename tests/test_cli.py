@@ -18,8 +18,8 @@ import pytest
 
 import bananagv
 from bananagv import gvpf, qseries
-from bananagv.cli import RunConfig, main, parse_args, run
-from bananagv.geometry import parse_shape, registry_for
+from bananagv.cli import RunConfig, main, parse_args, parse_shape, run
+from bananagv.geometry import BananaShape, registry_for
 from bananagv.gvpf import pf_for_shape
 from bananagv.series import InvariantError, TruncatedSeries, polynomial
 
@@ -139,7 +139,7 @@ def test_streamed_tables_match_the_whole_document_serializers(shape, w, top):
     for order in range(top + 1):
         for fmt, reference in (("json", _whole_document_json), ("csv", _whole_document_csv)):
             config = RunConfig("compute", order, shape, w, fmt)
-            banana = config.banana_shape()
+            banana = parse_shape(shape, w)
             out = io.StringIO()
             assert run(config, out=out) == 0
             expected = reference(config, banana, pf_for_shape(banana, order))
@@ -209,6 +209,10 @@ RUN_MAIN = (
     "code,expected",
     [
         ("import bananagv", CORE),
+        (
+            "import bananagv; bananagv.parse_shape('1xW', w=2)",
+            CORE + ["bananagv.cli", "bananagv.geometry"],
+        ),
         ("import bananagv.cli", CORE + ["bananagv.cli"]),
         (
             RUN_MAIN.format("'verify', '--order', '4'"),
@@ -228,8 +232,8 @@ RUN_MAIN = (
         ),
     ],
     ids=[
-        "import bananagv", "import bananagv.cli", "verify", "crosscheck", "compute csv",
-        "compute json",
+        "import bananagv", "library parse_shape", "import bananagv.cli", "verify", "crosscheck",
+        "compute csv", "compute json",
     ],
 )
 def test_each_entry_point_loads_only_the_modules_it_runs(code, expected):
@@ -242,10 +246,30 @@ def test_each_entry_point_loads_only_the_modules_it_runs(code, expected):
     assert run_child(["-c", probe]).stderr == repr(sorted(expected))
 
 
+def test_only_the_front_end_imports_the_cli():
+    # the shape selectors and caps live in ``cli``, so a library module that
+    # imported it would load the front end under the library; ``__main__``
+    # is the one importer, which also shows that the scan finds imports
+    importers = set()
+    for path in Path(bananagv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["bananagv" if node.level else "", node.module]))
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "bananagv.cli" in modules:
+                importers.add(path.name)
+    assert importers == {"__main__.py"}
+
+
 def test_every_public_name_is_its_home_modules_object():
     homes = {
         "series": ["InvariantError", "TruncatedSeries", "VariableRegistry"],
-        "geometry": ["BananaShape", "BranchSpec", "parse_shape"],
+        "cli": ["parse_shape"],
+        "geometry": ["BananaShape", "BranchSpec"],
         "gvpf": ["CrossCheckReport", "cross_check", "pf_1w", "pf_22", "pf_22_theta"],
         "oracle": ["behrend_twist", "naive_pf"],
         "qseries": ["check_identities", "elliptic_genus_c2", "jacobi_phi"],
@@ -345,7 +369,9 @@ def _plus_r0_s0(pf, N, c=1):
 PERTURBED_ROUTES = {
     "_closed_location_0": lambda original: lambda shape, N: _plus_r0_s0(original(shape, N), N),
     # the square of a root one more at r0 s0
-    "_phi_ratio": lambda original: lambda N: _plus_r0_s0(original(N).sqrt_unit(), N) ** 2,
+    "_phi_ratio": lambda original: lambda N: (
+        (root := _plus_r0_s0(original(N).sqrt_unit(), N)) * root
+    ),
 }
 
 
@@ -526,8 +552,9 @@ def test_values_above_the_caps_exit_2(argv, message, capsys):
 def test_values_at_the_caps_build_a_run_config():
     assert RunConfig("compute", 64, "2x2").order == 64
     assert RunConfig("crosscheck", 32, "2x2").order == 32
-    assert RunConfig("crosscheck", 32, "1xW", w=6).banana_shape().w == 6
-    assert RunConfig("compute", 32, "1xW", w=6).banana_shape().w == 6
+    for command in ("crosscheck", "compute"):
+        config = RunConfig(command, 32, "1xW", w=6)
+        assert parse_shape(config.shape, config.w) == BananaShape(1, 6)
     assert RunConfig("verify", 512).order == 512
 
 
@@ -572,6 +599,22 @@ def test_run_config_order_and_width_must_be_ints():
             RunConfig("compute", bad, "2x2")
         with pytest.raises(TypeError, match="shape parameter w must be an int"):
             RunConfig("crosscheck", 3, "1xW", w=bad)
+
+
+def test_parse_shape():
+    assert parse_shape("2x2") == BananaShape(2, 2)
+    assert parse_shape("1xW", w=3) == BananaShape(1, 3)
+    with pytest.raises(ValueError):
+        parse_shape("2x2", w=2)
+    with pytest.raises(ValueError):
+        parse_shape("1xW")
+    with pytest.raises(ValueError):
+        parse_shape("1xW", w=0)
+    with pytest.raises(ValueError):
+        parse_shape("3x3")
+    for bad in (2.0, 0.5):
+        with pytest.raises(TypeError, match="shape parameter w must be an int"):
+            parse_shape("1xW", w=bad)
 
 
 def test_main_returns_zero_on_success(capsys):

@@ -8,7 +8,6 @@ from bananagv.geometry import (
     BranchSpec,
     b_locations,
     branch_specs,
-    parse_shape,
     registry_for,
 )
 from bananagv.gvpf import pf_1w
@@ -31,9 +30,6 @@ def test_shape_parameters_must_be_ints():
             BananaShape(bad, 2)
         with pytest.raises(TypeError, match="shape parameter w must be an int"):
             BananaShape(2, bad)
-    for bad in (2.0, 0.5):
-        with pytest.raises(TypeError, match="shape parameter w must be an int"):
-            parse_shape("1xW", w=bad)
 
 
 def test_replace_and_make_validate_shapes():
@@ -43,19 +39,6 @@ def test_replace_and_make_validate_shapes():
         BananaShape._make((0, -1))
     with pytest.raises(ValueError, match="shape parameter w must be at least 1"):
         TWO._replace(w=0)
-
-
-def test_parse_shape():
-    assert parse_shape("2x2") == TWO
-    assert parse_shape("1xW", w=3) == BananaShape(1, 3)
-    with pytest.raises(ValueError):
-        parse_shape("2x2", w=2)
-    with pytest.raises(ValueError):
-        parse_shape("1xW")
-    with pytest.raises(ValueError):
-        parse_shape("1xW", w=0)
-    with pytest.raises(ValueError):
-        parse_shape("3x3")
 
 
 def test_registries():

@@ -551,7 +551,8 @@ def test_square_check_reports_what_the_square_root_route_would(shift, N):
     # is the square-root route at B location 0 that the check stands for;
     # the report names its graded-lex first mismatch with location 0 of the
     # enumeration, and its coefficient
-    ratio = (gvpf._phi_ratio(N).sqrt_unit() + TruncatedSeries(gvpf.R22, shift, N)) ** 2
+    root = gvpf._phi_ratio(N).sqrt_unit() + TruncatedSeries(gvpf.R22, shift, N)
+    ratio = root * root
     twisted = oracle.behrend_twist(oracle._naive_location_0(TWO, N))
     expected = ratio.sqrt_unit().first_difference(twisted, N)
     with pytest.MonkeyPatch.context() as patch:

@@ -109,7 +109,6 @@ def test_terms_hands_out_a_copy():
         ),
         pytest.param(lambda: one(XY, 4) * True, id="scale-bool"),
         pytest.param(lambda: True * one(XY, 4), id="reflected-scale-bool"),
-        pytest.param(lambda: one(XY, 4) ** True, id="power-bool"),
         pytest.param(lambda: VariableRegistry(("q",), (1.5,)), id="registry-weight"),
         pytest.param(lambda: VariableRegistry(("q",), (True,)), id="registry-weight-bool"),
         pytest.param(lambda: TruncatedSeries(XY, {(1, 0): 1}, 2.9), id="constructor-order"),
@@ -257,14 +256,6 @@ def test_sqrt_refuses_non_square_laurent_slice_early(slice_terms):
     # a two-term minimal slice is refused before any root is formed
     with pytest.raises(ValueError, match="unique minimal-degree term"):
         P(slice_terms, 2).sqrt_unit()
-
-
-def test_pow_matches_repeated_multiplication():
-    a = P({(0, 0): 1, (1, 1): 2, (1, -1): -1}, 5)
-    assert (a ** 3).same_series(a * a * a)
-    assert (a ** 0).constant_term() == 1
-    with pytest.raises(ValueError):
-        a ** -1
 
 
 def test_shift_monomial_gains_order():
