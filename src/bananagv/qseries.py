@@ -65,6 +65,7 @@ from .series import (
 
 __all__ = [
     "QP",
+    "QYT",
     "IdentityCheck",
     "jacobi_phi",
     "theta1_at",

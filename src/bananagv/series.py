@@ -30,23 +30,25 @@ the width.
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007)::
 
-    key(e) = sum(e) * B**n + e_0 * B**(n-1) + ... + e_{n-1},    B = 2**16
+    key(e) = e_0 * B**(n-1) + ... + e_{n-1},    B = 2**16
 
-Each exponent is a balanced base-``B`` digit, ``|e_i| < 2**15``, below a
-leading digit holding the raw degree ``sum(e)``.  Packing is linear, so the
-key of a product term is ``key_a + key_b``, and integer order on keys is
-exactly :func:`grlex_key` order, so sorting keys sorts terms canonically.
+Each exponent is a balanced base-``B`` digit, ``|e_i| < 2**15``; a term's
+degree lives in its slice alone, not in its key.  Packing is linear, so
+the key of a product term is ``key_a + key_b``, and integer order on keys
+is lexicographic order on exponent tuples, so listing the slices in
+ascending degree and sorting each one's keys lists the terms canonically:
+by degree, then lexicographically.
 Exponent tuples appear only at the public boundary: the constructor,
 ``terms``, ``sorted_terms``, ``coefficient``, the ``shift_monomial`` delta
 and substitution images.  A term's degree is computed once, when the public
 constructor files it into its slice; every operation after that reads
-degrees off the slice keys.  Operations build their results slice by slice
+it off the slice.  Operations build their results slice by slice
 and hand them to a trusted internal constructor that neither re-checks nor
 re-normalizes them.  The public constructor and the other public entry
 points (``monomial``, ``coefficient``, ``shift_monomial``, ``truncate``,
-``VariableRegistry``, substitution images, and the scale of ``*`` and
-exponent of ``**``) refuse any coefficient, exponent, weight or order that
-is not an ``int`` with TypeError.  Every exponent vector that they and
+``VariableRegistry``, substitution images, and the scale of ``*``)
+refuse any coefficient, exponent, weight or order that is not an ``int``
+with TypeError.  Every exponent vector that they and
 ``VariableRegistry.degree`` take passes one check, the registry's
 ``_checked``: it refuses a wrong length with ValueError and a non-``int``
 entry with TypeError, and returns the vector with its weighted degree.
@@ -142,9 +144,9 @@ _EXP_LIMIT = 1 << (_DIGIT_BITS - 1)
 def grlex_key(exps: ExponentVector):
     """Graded-lex sort key: raw total degree first, then the tuple itself.
 
-    This is the canonical term order used everywhere: serialization and
-    series comparison list terms by increasing key.  Packed keys compare the
-    same way.
+    On a registry of unit weights, such as every table ``compute`` writes,
+    this is the canonical term order that ``sorted_terms`` lists and
+    ``first_difference`` reports by.
     """
     return (sum(exps), exps)
 
@@ -206,8 +208,8 @@ class VariableRegistry:
     """
 
     # a slots class, not a tuple, so that the kernels read the packed-key
-    # layout (``_low``, ``_offset``, ``_struct``) by a plain slot read
-    __slots__ = ("names", "weights", "_low", "_offset", "_struct")
+    # layout (``_offset``, ``_struct``) by a plain slot read
+    __slots__ = ("names", "weights", "_offset", "_struct")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int] | None = None):
         names = tuple(names)
@@ -223,7 +225,6 @@ class VariableRegistry:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         n = len(names)
-        object.__setattr__(self, "_low", (1 << (_DIGIT_BITS * n)) - 1)
         object.__setattr__(self, "_offset", sum(_EXP_LIMIT << (_DIGIT_BITS * i) for i in range(n)))
         object.__setattr__(self, "_struct", struct.Struct(">" + "h" * n))
 
@@ -278,7 +279,7 @@ class VariableRegistry:
 
     def _pack(self, exps: ExponentVector) -> int:
         """Key of an exponent vector whose entries all have ``|e| < 2**15``."""
-        key = sum(exps)
+        key = 0
         for e in exps:
             key = (key << _DIGIT_BITS) + e
         return key
@@ -288,7 +289,7 @@ class VariableRegistry:
         # e + 2**15, and flipping bit 15 back leaves e in 16-bit two's
         # complement, which struct reads as a signed short
         offset = self._offset
-        packed = ((key + offset) & self._low) ^ offset
+        packed = (key + offset) ^ offset
         return self._struct.unpack(packed.to_bytes(self._struct.size, "big"))
 
     def _bound(self, keys: Iterable[int]) -> int:
@@ -399,11 +400,12 @@ class TruncatedSeries:
         return any((k + offset) & offset != offset for s in self._slices.values() for k in s)
 
     def sorted_terms(self) -> Iterator[tuple[ExponentVector, int]]:
-        """Terms in the canonical graded-lex order (ascending), each key
+        """Terms in the canonical order, by degree and then
+        lexicographically (graded-lex on unit weights): the slices in
+        ascending degree, each slice's keys sorted on its own, and each key
         unpacked as it is read."""
         unpack = self.registry._unpack
-        items = sorted(chain.from_iterable(s.items() for s in self._slices.values()))
-        return ((unpack(k), c) for k, c in items)
+        return ((unpack(k), s[k]) for _, s in sorted(self._slices.items()) for k in sorted(s))
 
     def same_series(self, other: "TruncatedSeries", up_to: int | None = None) -> bool:
         """Compare coefficients up to ``up_to`` (default: the common order)."""
@@ -412,7 +414,7 @@ class TruncatedSeries:
     def first_difference(
         self, other: "TruncatedSeries", up_to: int | None = None
     ) -> tuple[ExponentVector, int, int] | None:
-        """The first monomial, by degree and then graded-lex order, whose
+        """The first monomial, by degree and then lexicographically, whose
         coefficients differ up to ``up_to`` (default: the common order), as
         ``(exponents, coefficient here, coefficient in other)``; None if
         there is none.  Slices are compared whole, and only the one key
@@ -543,9 +545,9 @@ class TruncatedSeries:
         ``_unpack`` does, each key takes the offset, so its digits are
         plain; the blocks' digits move within it ``count - 1`` times, and
         each image, the offset taken off again, is tallied.  So any
-        exponent rotates, and the degree digit, the slices and ``_emax``
-        all stay.  A block of one variable is fixed.  ValueError for a
-        block of unequal weights, whose image would change a term's degree.
+        exponent rotates, and the slices and ``_emax`` all stay.  A block of
+        one variable is fixed.  ValueError for a block of unequal weights,
+        whose image would change a term's degree.
         """
         reg = self.registry
         moves = []

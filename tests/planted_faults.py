@@ -51,7 +51,7 @@ def drop_top_degree_pairs(monkeypatch):
 
     The product's top slice is then 0 where it should hold the sum of those
     pairs, while the series still claims to be exact there.  Every product
-    the package forms, ``**`` and ``reduce(mul, ...)`` included, calls
+    the package forms, ``reduce(mul, ...)`` included, calls
     ``TruncatedSeries.__mul__``; a product by an int, which is a shift, is
     left exact.
     """

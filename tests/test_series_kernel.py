@@ -293,12 +293,12 @@ def test_sqrt_of_square_is_plus_or_minus_root(b):
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(-LIMIT + 1, LIMIT - 1)] * n), min_size=2, max_size=2)
 ))
-def test_packed_keys_round_trip_and_follow_grlex_order(vectors):
+def test_packed_keys_round_trip_and_follow_tuple_order(vectors):
     e1, e2 = vectors
     reg = VariableRegistry(tuple(f"v{i}" for i in range(len(e1))))
     k1, k2 = reg._pack(e1), reg._pack(e2)
     assert (reg._unpack(k1), reg._unpack(k2)) == (e1, e2)
-    assert (k1 < k2) == (grlex_key(e1) < grlex_key(e2))
+    assert (k1 < k2) == (e1 < e2)
     total = tuple(x + y for x, y in zip(e1, e2))
     if max(map(abs, total)) < LIMIT:
         assert reg._unpack(k1 + k2) == total
@@ -311,17 +311,49 @@ def test_negative_exponents_are_read_off_the_keys(s):
 
 @given(series(max_terms=10))
 def test_sorted_terms_is_grlex_order_of_terms(s):
-    assert list(s.sorted_terms()) == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+    rows = list(s.sorted_terms())
+    assert rows == sorted(s.terms.items(), key=lambda item: (s.registry.degree(item[0]), item[0]))
+    if s.registry == XYZ:  # unit weights: the weighted degree is the raw one
+        assert rows == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
     assert sorted(s.coefficients()) == sorted(s.terms.values())
 
 
-def test_sorted_terms_breaks_raw_degree_ties_lexicographically():
-    terms = {(0, 1, -1, 0): 1, (1, -1, 0, 0): 2, (-1, 0, 0, 1): 3, (0, 0, 0, 0): 4, (-2, 0, 0, 1): 5}
+def test_sorted_terms_breaks_degree_ties_lexicographically():
+    # MIX weights (0, 1, 2, 1): (-1, 5, -2, 0) and (0, 1, 0, 0) share degree
+    # 1, and the first comes first though its raw exponent sum is larger
+    terms = {
+        (0, 1, -1, 0): 1, (1, -1, 0, 0): 2, (-1, 0, 0, 1): 3, (0, 0, 0, 0): 4,
+        (-2, 0, 0, 1): 5, (-1, 5, -2, 0): 6, (0, 1, 0, 0): 7,
+    }
     s = TruncatedSeries(MIX, terms, 6)
     assert [e for e, _ in s.sorted_terms()] == [
-        (-2, 0, 0, 1), (-1, 0, 0, 1), (0, 0, 0, 0), (0, 1, -1, 0), (1, -1, 0, 0)
+        (0, 1, -1, 0), (1, -1, 0, 0),
+        (0, 0, 0, 0),
+        (-2, 0, 0, 1), (-1, 0, 0, 1), (-1, 5, -2, 0), (0, 1, 0, 0),
     ]
-    assert list(s.sorted_terms()) == sorted(s.terms.items(), key=lambda item: grlex_key(item[0]))
+    assert list(s.sorted_terms()) == sorted(s.terms.items(), key=lambda item: (MIX.degree(item[0]), item[0]))
+
+
+def test_sorted_terms_sorts_one_slice_at_a_time(monkeypatch):
+    s = TruncatedSeries(XY, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 0): 4, (1, 1): 5, (0, 2): 6}, 4)
+    sizes = []
+
+    def recorded(items, **kwargs):
+        items = list(items)
+        sizes.append(len(items))
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(series_module, "sorted", recorded, raising=False)
+    assert [e for e, _ in s.sorted_terms()] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert sizes and max(sizes) < 6
+
+
+def test_first_difference_breaks_degree_ties_lexicographically():
+    # QYT weights (2, 1, 1): both terms have degree 2, and (0, 1, 1) comes
+    # first though its raw exponent sum is larger
+    a = TruncatedSeries(QYT, {(1, 0, 0): 1, (0, 1, 1): 2}, 4)
+    b = TruncatedSeries(QYT, {}, 4)
+    assert a.first_difference(b) == ((0, 1, 1), 2, 0)
 
 
 def test_sorted_terms_unpacks_each_key_as_it_is_read(monkeypatch):
