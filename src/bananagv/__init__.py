@@ -10,6 +10,7 @@ series.
 
 Layout:
 
+* :mod:`bananagv.keys` — the variable registry and its packed exponent keys.
 * :mod:`bananagv.series` — the truncated-series engine.
 * :mod:`bananagv.qseries` — eta/theta/phi products, the equivariant
   elliptic genus, and the classical identity suite.
@@ -21,13 +22,16 @@ Layout:
 * :mod:`bananagv.cli` — ``python -m bananagv`` front end, and the
   ``--shape`` selectors that :func:`parse_shape` reads.
 
-``import bananagv`` loads :mod:`bananagv.series` and nothing else of the
-package; every other public name is imported from its home module on first
-access, so a command loads only the modules it runs.  ``series`` is loaded
-first because it is the largest module: compiled from source on the smallest
-heap, it sets a lower peak memory than after the CLI.
+``import bananagv`` loads :mod:`bananagv.series`, which imports
+:mod:`bananagv.keys`, and nothing else of the package; every other public
+name is imported from its home module on first access, so a command loads
+only the modules it runs.  ``series`` is loaded first because it is the
+largest module: without cached bytecode, the transient heap of compiling
+the largest module sets a command's peak memory, and compiled first, that
+transient sits on the smallest heap.
 """
-from .series import InvariantError, TruncatedSeries, VariableRegistry
+from .series import InvariantError, TruncatedSeries
+from .keys import VariableRegistry
 
 #: Home module of each public name that is imported on first access.
 _LAZY = {

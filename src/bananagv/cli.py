@@ -68,7 +68,8 @@ import sys
 from collections import namedtuple
 from typing import IO, TYPE_CHECKING, NoReturn
 
-from .series import InvariantError, TruncatedSeries, _as_order
+from .keys import _as_order
+from .series import InvariantError, TruncatedSeries
 
 if TYPE_CHECKING:
     from .geometry import BananaShape

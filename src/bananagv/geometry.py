@@ -44,7 +44,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .series import TruncatedSeries, VariableRegistry, _as_int
+from .keys import VariableRegistry, _as_int
+from .series import TruncatedSeries
 
 __all__ = [
     "BananaShape",

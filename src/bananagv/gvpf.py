@@ -70,14 +70,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .geometry import BananaShape, _sum_over_locations, registry_for
+from .keys import ExponentVector, _as_order
 from .qseries import _theta_quotient_at, elliptic_genus_c2_at, jacobi_phi_at
-from .series import (
-    ExponentVector,
-    InvariantError,
-    TruncatedSeries,
-    _as_order,
-    _exact_to,
-)
+from .series import InvariantError, TruncatedSeries, _exact_to
 
 __all__ = [
     "CrossCheckReport",

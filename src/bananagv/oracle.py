@@ -52,7 +52,8 @@ negating every tracking variable.
 from __future__ import annotations
 
 from .geometry import BananaShape, BranchSpec, _sum_over_locations, branch_specs, registry_for
-from .series import InvariantError, TruncatedSeries, VariableRegistry, _as_int, _as_order, _check_exponent_bound
+from .keys import VariableRegistry, _as_int, _as_order, _check_exponent_bound
+from .series import InvariantError, TruncatedSeries
 
 __all__ = [
     "admissible_profiles",

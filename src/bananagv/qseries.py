@@ -53,15 +53,8 @@ from itertools import count
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .series import (
-    ExponentVector,
-    TruncatedSeries,
-    VariableRegistry,
-    _as_int,
-    _as_order,
-    _exact_to,
-    one,
-)
+from .keys import ExponentVector, VariableRegistry, _as_int, _as_order
+from .series import TruncatedSeries, _exact_to, one
 
 __all__ = [
     "QP",

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,7 +197,7 @@ def test_stdout_matches_the_benchmark_reference_digest(name, capsys):
 # no entry point loads any of them (``compute`` writes its JSON by hand)
 WATCHED = ("bananagv", "json", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
-CORE = ["bananagv", "bananagv.series"]
+CORE = ["bananagv", "bananagv.keys", "bananagv.series"]
 ENGINE = ["bananagv.geometry", "bananagv.gvpf", "bananagv.qseries"]
 RUN_MAIN = (
     "import runpy; sys.argv = ['bananagv', {}]\n"
@@ -246,28 +247,65 @@ def test_each_entry_point_loads_only_the_modules_it_runs(code, expected):
     assert run_child(["-c", probe]).stderr == repr(sorted(expected))
 
 
+PACKAGE_SOURCES = sorted(Path(bananagv.__file__).parent.glob("*.py"))
+
+
+def imported_modules(path):
+    """Every module an import statement anywhere in ``path`` may load, with
+    relative imports read as ``bananagv`` ones; ``from m import n`` counts
+    both ``m`` and ``m.n``."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["bananagv" if node.level else "", node.module]))
+            modules.update([base] + [f"{base}.{alias.name}" for alias in node.names])
+    return modules
+
+
 def test_only_the_front_end_imports_the_cli():
     # the shape selectors and caps live in ``cli``, so a library module that
     # imported it would load the front end under the library; ``__main__``
     # is the one importer, which also shows that the scan finds imports
-    importers = set()
-    for path in Path(bananagv.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ["bananagv" if node.level else "", node.module]))
-                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if "bananagv.cli" in modules:
-                importers.add(path.name)
+    importers = {path.name for path in PACKAGE_SOURCES if "bananagv.cli" in imported_modules(path)}
     assert importers == {"__main__.py"}
+
+
+def test_the_key_layer_imports_no_other_package_module():
+    # ``series`` and every module above it build on ``keys``, never the
+    # other way round
+    keys = Path(bananagv.__file__).with_name("keys.py")
+    assert {m for m in imported_modules(keys) if m.split(".")[0] == "bananagv"} == set()
+
+
+def test_no_module_takes_a_large_heap_to_compile():
+    # without cached bytecode, as the benchmark runs, every command compiles
+    # each module it loads from source, and the largest compile's transient
+    # heap sets the command's peak memory; ``keys`` is a module of its own,
+    # apart from ``series``, to keep that transient small
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    peaks = {}
+    try:
+        for path in PACKAGE_SOURCES:
+            source = path.read_bytes()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compile(source, str(path), "exec", dont_inherit=True)
+            peaks[path.name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    largest = max(peaks, key=peaks.get)
+    assert peaks[largest] < 1.6 * 2**20, f"{largest} takes {peaks[largest] / 2**20:.2f} MiB"
 
 
 def test_every_public_name_is_its_home_modules_object():
     homes = {
-        "series": ["InvariantError", "TruncatedSeries", "VariableRegistry"],
+        "keys": ["VariableRegistry"],
+        "series": ["InvariantError", "TruncatedSeries"],
         "cli": ["parse_shape"],
         "geometry": ["BananaShape", "BranchSpec"],
         "gvpf": ["CrossCheckReport", "cross_check", "pf_1w", "pf_22", "pf_22_theta"],
