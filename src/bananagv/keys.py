@@ -15,20 +15,37 @@ the key of a product term is ``key_a + key_b``, and integer order on keys
 is lexicographic order on exponent tuples, so listing the slices in
 ascending degree and sorting each one's keys lists the terms canonically:
 by degree, then lexicographically.
-Exponent tuples appear only at the public boundary: the constructor,
+Exponent tuples appear at the public boundary (the constructor,
 ``terms``, ``sorted_terms``, ``coefficient``, the ``shift_monomial`` delta
-and substitution images.  A term's degree is computed once, when the public
-constructor files it into its slice; every operation after that reads
-it off the slice.  Operations build their results slice by slice
-and hand them to a trusted internal constructor that neither re-checks nor
-re-normalizes them.  The public constructor and the other public entry
-points (``monomial``, ``coefficient``, ``shift_monomial``, ``truncate``,
-``VariableRegistry``, substitution images, and the scale of ``*``)
-refuse any coefficient, exponent, weight or order that is not an ``int``
-with TypeError.  Every exponent vector that they and
-``VariableRegistry.degree`` take passes one check, the registry's
-``_checked``: it refuses a wrong length with ValueError and a non-``int``
-entry with TypeError, and returns the vector with its weighted degree.
+and substitution images) and where a key's digits are needed one by one:
+``substitute_monomials`` unpacks every source key, the unit operations'
+``_unit_form`` the lead key, ``_bound`` every key it bounds, and
+``first_difference`` the one key it reports.  A term's degree is
+computed once, when the public constructor files it into its slice; every
+operation after that reads it off the slice.  Operations build their
+results slice by slice and hand them to a trusted internal constructor
+that neither re-checks nor re-normalizes them.  The public constructor
+and the other public entry points (``monomial``, ``coefficient``,
+``shift_monomial``, ``truncate``, ``VariableRegistry``, substitution
+images, and the scale of ``*``) refuse any coefficient, exponent, weight
+or order that is not an ``int`` with TypeError.  Every exponent vector
+that they and ``VariableRegistry.degree`` take passes one check, the
+registry's ``_checked``: it refuses a wrong length with ValueError and a
+non-``int`` entry with TypeError, and returns the vector with its weighted
+degree.
+
+**Digits.**  Only this module reads a key's digits.  Adding the
+registry's ``_offset``, ``2**15`` in every digit, turns each balanced digit
+``e`` into the plain digit ``e + 2**15``, between 1 and ``2**16 - 1``, so no
+digit borrows from its neighbour.  ``_unpack`` flips bit 15 of each plain
+digit back and reads it as a signed short, and ``_any_negative`` finds
+``e < 0`` as a clear bit 15.  ``_orbit_slices``, the kernel of the
+series' ``_orbit_sum``, rotates a block of variables ``x_v -> x_{v+1}``
+within each key by masks and shifts: each plain digit of the block moves
+one place toward the block's last variable, and the last one's wraps round
+to the first place.  It adds the offset once per key, keeps it across the
+rotations and takes it off only to tally each image, so it rotates any
+exponent and builds no image as a series of its own.
 
 **Overflow.**  A digit that reached ``2**15`` in absolute value would carry
 into its neighbour and silently change the monomial, so it is refused with
@@ -117,8 +134,8 @@ class VariableRegistry:
     Registries are immutable, compare and hash by ``(names, weights)``.
     """
 
-    # a slots class, not a tuple, so that the kernels read the packed-key
-    # layout (``_offset``, ``_struct``) by a plain slot read
+    # a slots class, not a tuple, so that its key methods read the
+    # packed-key layout (``_offset``, ``_struct``) by a plain slot read
     __slots__ = ("names", "weights", "_offset", "_struct")
 
     def __init__(self, names: Iterable[str], weights: Iterable[int] | None = None):
@@ -205,6 +222,49 @@ class VariableRegistry:
     def _bound(self, keys: Iterable[int]) -> int:
         """The largest ``|exponent|`` over the keys (0 for none)."""
         return max(map(abs, chain.from_iterable(map(self._unpack, keys))), default=0)
+
+    def _any_negative(self, keys: Iterable[int]) -> bool:
+        """Whether some key has a negative exponent, read without unpacking."""
+        # e >= 0 exactly when the plain digit e + 2**15 has bit 15 set
+        offset = self._offset
+        return any((k + offset) & offset != offset for k in keys)
+
+    def _orbit_slices(self, slices: dict[int, Slice], blocks, count: int) -> dict[int, Slice]:
+        """The slices of the sum of the first ``count`` images of
+        ``slices`` under the rotation that sends ``x_v -> x_{v+1}`` for
+        ``start <= v < stop - 1`` and ``x_{stop-1} -> x_start`` in every
+        block ``(start, stop)``, and fixes every other variable.
+
+        Each slice's tally starts from the slice, and each of its keys,
+        offset once, has its digits moved ``count - 1`` times, each image
+        tallied.  ValueError for a block of unequal weights, whose image
+        would change a term's degree.
+        """
+        moves = []
+        for start, stop in blocks:
+            if len(set(self.weights[start:stop])) > 1:
+                raise ValueError("a rotated block needs variables of equal weight")
+            if stop - start > 1:
+                # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
+                low = _DIGIT_BITS * (self.size - stop)
+                span = _DIGIT_BITS * (stop - start - 1)
+                last = ((1 << _DIGIT_BITS) - 1) << low
+                rest = ((1 << span) - 1) << low
+                moves.append((~(last | rest << _DIGIT_BITS), last, span, rest))
+        offset = self._offset
+        acc: dict[int, Slice] = {}
+        for d, s in slices.items():
+            tally = acc[d] = dict(s)
+            get = tally.get
+            coeffs = list(s.values())
+            plain = [k + offset for k in s]
+            for _ in range(count - 1):
+                for keep, last, span, rest in moves:
+                    plain = [p & keep | (p & last) << span | (p >> _DIGIT_BITS) & rest for p in plain]
+                for p, c in zip(plain, coeffs):
+                    k = p - offset
+                    tally[k] = get(k, 0) + c
+        return _nonzero_slices(acc)
 
 
 def _exps_max(exps: ExponentVector) -> int:

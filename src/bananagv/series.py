@@ -49,9 +49,9 @@ that packs and unpacks it, and the guard against overflow.
   r_0``, and it returns ``X^{e_0/2} r``.
 * ``_orbit_sum`` sums the first ``count`` images of a series under a
   cyclic shift ``x_v -> x_{v+1}`` of blocks of equal-weight variables.  It
-  tallies each slice once: it moves the plain digits (offset added, as in
-  the registry's ``_unpack``) within each key, so it takes any exponent,
-  and builds no image as a series of its own.
+  tallies each slice once, and the registry's ``_orbit_slices`` moves the
+  digits within each key, so it takes any exponent and builds no image as
+  a series of its own.
 
 Both unit operations keep their checks: ``invert_unit`` requires a unique
 minimal term with coefficient +-1 and a tail of positive degree;
@@ -79,7 +79,6 @@ from .keys import (
     ExponentVector,
     Slice,
     VariableRegistry,
-    _DIGIT_BITS,
     _EXP_LIMIT,
     _add_product,
     _add_square,
@@ -213,9 +212,7 @@ class TruncatedSeries:
 
     def has_negative_exponent(self) -> bool:
         """Whether some stored term has a negative exponent."""
-        # e >= 0 exactly when the plain digit e + 2**15 has bit 15 set
-        offset = self.registry._offset
-        return any((k + offset) & offset != offset for s in self._slices.values() for k in s)
+        return self.registry._any_negative(chain.from_iterable(self._slices.values()))
 
     def sorted_terms(self) -> Iterator[tuple[ExponentVector, int]]:
         """Terms in the canonical order, by degree and then
@@ -359,40 +356,14 @@ class TruncatedSeries:
         fixes every other variable: the series, its image, the image of
         that, and so on.
 
-        Each slice's tally starts from the slice.  As the registry's
-        ``_unpack`` does, each key takes the offset, so its digits are
-        plain; the blocks' digits move within it ``count - 1`` times, and
-        each image, the offset taken off again, is tallied.  So any
-        exponent rotates, and the slices and ``_emax`` all stay.  A block of
-        one variable is fixed.  ValueError for a block of unequal weights,
-        whose image would change a term's degree.
+        The registry's ``_orbit_slices`` rotates the keys and tallies the
+        images slice by slice, so any exponent rotates, and the degrees and
+        ``_emax`` all stay.  A block of one variable is fixed.  ValueError
+        for a block of unequal weights, whose image would change a term's
+        degree.
         """
-        reg = self.registry
-        moves = []
-        for start, stop in blocks:
-            if len(set(reg.weights[start:stop])) > 1:
-                raise ValueError("a rotated block needs variables of equal weight")
-            if stop - start > 1:
-                # x_v's digit sits at bit DIGIT_BITS * (n - 1 - v)
-                low = _DIGIT_BITS * (reg.size - stop)
-                span = _DIGIT_BITS * (stop - start - 1)
-                last = ((1 << _DIGIT_BITS) - 1) << low
-                rest = ((1 << span) - 1) << low
-                moves.append((~(last | rest << _DIGIT_BITS), last, span, rest))
-        offset = reg._offset
-        acc: dict[int, Slice] = {}
-        for d, s in self._slices.items():
-            tally = acc[d] = dict(s)
-            get = tally.get
-            coeffs = list(s.values())
-            plain = [k + offset for k in s]
-            for _ in range(count - 1):
-                for keep, last, span, rest in moves:
-                    plain = [p & keep | (p & last) << span | (p >> _DIGIT_BITS) & rest for p in plain]
-                for p, c in zip(plain, coeffs):
-                    k = p - offset
-                    tally[k] = get(k, 0) + c
-        return TruncatedSeries._from_slices(reg, _nonzero_slices(acc), self.order, self._emax)
+        slices = self.registry._orbit_slices(self._slices, blocks, count)
+        return TruncatedSeries._from_slices(self.registry, slices, self.order, self._emax)
 
     # -- units: inverse and square root -----------------------------------
 

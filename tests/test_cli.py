@@ -279,6 +279,26 @@ def test_the_key_layer_imports_no_other_package_module():
     assert {m for m in imported_modules(keys) if m.split(".")[0] == "bananagv"} == set()
 
 
+def test_only_the_key_layer_reads_a_keys_digits():
+    # the digit width and the registry's packed-key layout stay inside
+    # ``keys``; every other module packs, unpacks and rotates keys through
+    # the registry's methods
+    readers = {}
+    for path in PACKAGE_SOURCES:
+        if path.name == "keys.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if name in {"_DIGIT_BITS", "_offset", "_struct"}:
+                readers.setdefault(path.name, set()).add((node.lineno, name))
+    assert readers == {}
+
+
 def test_no_module_takes_a_large_heap_to_compile():
     # without cached bytecode, as the benchmark runs, every command compiles
     # each module it loads from source, and the largest compile's transient

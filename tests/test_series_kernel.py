@@ -13,7 +13,7 @@ import operator
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bananagv import series as series_module
 from bananagv.series import (
@@ -304,9 +304,22 @@ def test_packed_keys_round_trip_and_follow_tuple_order(vectors):
         assert reg._unpack(k1 + k2) == total
 
 
-@given(series(max_terms=10))
-def test_negative_exponents_are_read_off_the_keys(s):
-    assert s.has_negative_exponent() == any(min(e) < 0 for e in s.terms)
+@given(registries.flatmap(lambda reg: st.tuples(
+    st.just(reg), st.lists(st.tuples(*[st.integers(-LIMIT + 1, LIMIT - 1)] * reg.size), max_size=10)
+)))
+@example((XYZ, []))
+@example((XYZ, [(0, 0, 0), (LIMIT - 1, 0, LIMIT - 1)]))
+@example((XYZ, [(LIMIT - 1, LIMIT - 1, -1)]))
+@example((XYZ, [(-1, 0, 0)]))
+@example((MIX, [(LIMIT - 1, 0, LIMIT - 1, LIMIT - 1), (0, -(LIMIT - 1), 0, 0)]))
+@example((QP, [(-(LIMIT - 1), LIMIT - 1)]))
+def test_negative_exponents_are_read_off_the_keys(drawn):
+    # every digit of the range, with its extremes and -1 and 0 as examples;
+    # the order keeps every term
+    reg, vectors = drawn
+    s = TruncatedSeries(reg, dict.fromkeys(vectors, 1), max(map(reg.degree, vectors), default=0))
+    assert set(s.terms) == set(vectors)
+    assert s.has_negative_exponent() == any(min(e) < 0 for e in vectors)
 
 
 @given(series(max_terms=10))
